@@ -6,7 +6,10 @@ distance theta in (0,1] to the true boundary together with the Dirichlet
 value at that cut. Difference stencils (gradients, pure and mixed second
 derivatives) are built once per mask and cached; both the pointwise
 measurement operators and the global Newton assembly read from the same
-stencil set.
+stencil set. The build is array arithmetic over all inside nodes at once:
+neighbor lookups give every arm's column or cut, each row family (gradient,
+pure and mixed second difference, closure row) is weighted for every node
+in one expression and becomes one sparse matrix.
 """
 
 from __future__ import annotations
@@ -190,236 +193,135 @@ class StencilSet:
         return G
 
 
-class _RowAccum:
-    """COO accumulator for one family of stencil rows."""
-
-    def __init__(self, n_in):
-        self.rows, self.cols, self.vals = [], [], []
-        self.const = np.zeros(n_in)
-        self.n_in = n_in
-
-    def add(self, r, entries, const):
-        for col, v in entries.items():
-            self.rows.append(r)
-            self.cols.append(col)
-            self.vals.append(v)
-        self.const[r] += const
-
-    def csr(self):
-        A = sp.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n_in, self.n_in)
-        )
-        return A.tocsr(), self.const
-
-
-def _combine(a, fa, b, fb):
-    """fa*a + fb*b for (entries, const) stencil pairs."""
-    ents = {}
-    for col, v in a[0].items():
-        ents[col] = ents.get(col, 0.0) + fa * v
-    for col, v in b[0].items():
-        ents[col] = ents.get(col, 0.0) + fb * v
-    return ents, fa * a[1] + fb * b[1]
+def _csr(rows, cols, vals, shape):
+    """CSR matrix of the entries whose column is not -1; rows broadcast
+    against cols, and repeated (row, column) pairs are summed."""
+    rows = np.broadcast_to(rows, cols.shape)
+    keep = cols >= 0
+    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
 
 
 def _build_stencils(mask: DomainMask) -> StencilSet:
-    g = mask.grid
-    n, h = g.n, g.h
-    ins = mask.inside
-    unknown = mask.unknown
+    """Every stencil family, assembled for all inside nodes at once.
+
+    Arm arrays have shape (n, 2, N_in), index 0 toward - and 1 toward +.
+    An arm to an inside neighbor has theta 1; a cut arm reads theta and
+    the Dirichlet value from the mask. Rows are (N_in, k) column/value
+    arrays with column -1 for an absent entry.
+    """
+    n, h = mask.n, mask.grid.h
     idxs = mask.inside_idx
     n_in = idxs.shape[0]
+    node = np.arange(n_in)
     st = StencilSet(n_in)
 
-    def arm(idx, d, s):
-        """(unknown column or None, theta, boundary value) toward direction s."""
-        nbr = tuple(idx + _axis_offset(n, d, s))
-        if ins[nbr]:
-            return unknown[nbr], 1.0, 0.0
-        sdir = 0 if s < 0 else 1
-        th = mask.theta[(d, sdir) + tuple(idx)]
-        bv = mask.bval[(d, sdir) + tuple(idx)]
-        return None, th, bv
+    def neighbor(*steps):
+        """Unknown column of idx + sum of s * e_d over (d, s), or -1."""
+        pos = idxs.copy()
+        for d, s in steps:
+            pos[:, d] += s
+        return mask.unknown[tuple(pos.T)]
 
-    def grad_row(idx, d):
-        cm, tm, bm = arm(idx, d, -1)
-        cp, tp, bp = arm(idx, d, +1)
-        a, b = tm * h, tp * h
-        w_m = -b / (a * (a + b))
-        w_0 = (b - a) / (a * b)
-        w_p = a / (b * (a + b))
-        ents, const = {unknown[tuple(idx)]: w_0}, 0.0
-        for c, w, bvv in ((cm, w_m, bm), (cp, w_p, bp)):
-            if c is None:
-                const += w * bvv
+    col = np.array([[neighbor((d, -1)), neighbor((d, +1))] for d in range(n)])
+    cut = col < 0
+    at_nodes = (slice(None), slice(None)) + tuple(idxs.T)
+    theta = np.where(cut, mask.theta[at_nodes], 1.0)
+    bval = np.where(cut, mask.bval[at_nodes], 0.0)
+
+    def three_point(d, w_m, w_0, w_p):
+        """w_m u(-) + w_0 u + w_p u(+) along axis d; cut arms go to the constant."""
+        const = np.zeros(n_in)
+        const += np.where(cut[d, 0], w_m * bval[d, 0], 0.0)
+        const += np.where(cut[d, 1], w_p * bval[d, 1], 0.0)
+        return np.stack([node, col[d, 0], col[d, 1]], 1), np.stack([w_0, w_m, w_p], 1), const
+
+    a, b = theta[:, 0] * h, theta[:, 1] * h
+    grad = [
+        three_point(d, -b[d] / (a[d] * (a[d] + b[d])), (b[d] - a[d]) / (a[d] * b[d]),
+                    a[d] / (b[d] * (a[d] + b[d])))
+        for d in range(n)
+    ]
+    second = [
+        three_point(d, 2.0 / (a[d] * (a[d] + b[d])), -2.0 / (a[d] * b[d]),
+                    2.0 / (b[d] * (a[d] + b[d])))
+        for d in range(n)
+    ]
+
+    def mixed(d_in, d_out):
+        """Outer difference along d_out of the gradient rows along d_in:
+        central where both d_out neighbors are inside, one-sided where one
+        is; (exists, cols, vals, const)."""
+        g_cols, g_vals, g_const = grad[d_in]
+        has_p, has_m = col[d_out, 1] >= 0, col[d_out, 0] >= 0
+        both = has_p & has_m
+        qa = np.where(has_p, col[d_out, 1], node)
+        qb = np.where(has_m, col[d_out, 0], node)
+        fa = np.where(both, 1.0 / (2 * h), 1.0 / h)
+        fb = np.where(both, -1.0 / (2 * h), -1.0 / h)
+        exists = has_p | has_m
+        # 0.0 + keeps -0.0 out of the stored weights (w_0 is 0 on symmetric arms)
+        cols = np.where(exists[:, None], np.concatenate([g_cols[qa], g_cols[qb]], 1), -1)
+        vals = 0.0 + np.concatenate([fa[:, None] * g_vals[qa], fb[:, None] * g_vals[qb]], 1)
+        return exists, cols, vals, fa * g_const[qa] + fb * g_const[qb]
+
+    corners_ok = np.ones(n_in, dtype=bool)
+    for p in range(n):
+        for q in range(p, n):
+            if p == q:
+                cols, vals, const = second[p]
             else:
-                ents[c] = ents.get(c, 0.0) + w
-        return ents, const
-
-    def second_row(idx, d):
-        cm, tm, bm = arm(idx, d, -1)
-        cp, tp, bp = arm(idx, d, +1)
-        a, b = tm * h, tp * h
-        w_m = 2.0 / (a * (a + b))
-        w_0 = -2.0 / (a * b)
-        w_p = 2.0 / (b * (a + b))
-        ents, const = {unknown[tuple(idx)]: w_0}, 0.0
-        for c, w, bvv in ((cm, w_m, bm), (cp, w_p, bp)):
-            if c is None:
-                const += w * bvv
-            else:
-                ents[c] = ents.get(c, 0.0) + w
-        return ents, const
-
-    grad_cache = {}
-
-    def grad_row_cached(idx_t, d):
-        key = (idx_t, d)
-        if key not in grad_cache:
-            grad_cache[key] = grad_row(np.asarray(idx_t), d)
-        return grad_cache[key]
-
-    def mixed_row(idx, d_in, d_out):
-        """Outer difference along d_out of the gradient along d_in."""
-        here = tuple(idx)
-        p = tuple(idx + _axis_offset(n, d_out, +1))
-        m = tuple(idx + _axis_offset(n, d_out, -1))
-        has_p, has_m = ins[p], ins[m]
-        if has_p and has_m:
-            return _combine(
-                grad_row_cached(p, d_in), 1.0 / (2 * h),
-                grad_row_cached(m, d_in), -1.0 / (2 * h),
-            )
-        if has_p:
-            return _combine(
-                grad_row_cached(p, d_in), 1.0 / h,
-                grad_row_cached(here, d_in), -1.0 / h,
-            )
-        if has_m:
-            return _combine(
-                grad_row_cached(here, d_in), 1.0 / h,
-                grad_row_cached(m, d_in), -1.0 / h,
-            )
-        return None
-
-    acc_h = {(p, q): _RowAccum(n_in) for p in range(n) for q in range(p, n)}
-    acc_g = {d: _RowAccum(n_in) for d in range(n)}
-    weights = np.ones(n_in)
-    cl_rows, cl_cols, cl_vals, cl_rhs, cl_nodes = [], [], [], [], []
-    cut_rec = []
-
-    for r in range(n_in):
-        idx = idxs[r]
-        here = tuple(idx)
-        arms = {}
-        any_cut = False
-        w = 1.0
-        for d in range(n):
-            am = arm(idx, d, -1)
-            ap = arm(idx, d, +1)
-            arms[d] = (am, ap)
-            if am[0] is None or ap[0] is None:
-                any_cut = True
-            # dual-cell extent: half a spacing toward inside neighbors, the
-            # whole cut arm toward the boundary (no other node claims it)
-            ext_m = 0.5 if am[0] is not None else am[1]
-            ext_p = 0.5 if ap[0] is not None else ap[1]
-            w *= h * (ext_m + ext_p)
-            for sdir, (c, th, bv) in ((-1, am), (+1, ap)):
-                if c is None:
-                    cut_rec.append((r, d, sdir, th, bv))
-        weights[r] = w
-
-        for d in range(n):
-            acc_g[d].add(r, *grad_row_cached(here, d))
-            acc_h[(d, d)].add(r, *second_row(idx, d))
-
-        corners_ok = True
-        mix_ok = True
-        for d1 in range(n):
-            for d2 in range(d1 + 1, n):
                 for s1, s2 in itertools.product((-1, 1), repeat=2):
-                    corner = tuple(
-                        idx + _axis_offset(n, d1, s1) + _axis_offset(n, d2, s2)
-                    )
-                    if not ins[corner]:
-                        corners_ok = False
-                rows = [
-                    mr
-                    for mr in (mixed_row(idx, d1, d2), mixed_row(idx, d2, d1))
-                    if mr is not None
-                ]
-                if not rows:
-                    mix_ok = False
-                    acc_h[(d1, d2)].add(r, {}, 0.0)
-                elif len(rows) == 1:
-                    acc_h[(d1, d2)].add(r, *rows[0])
-                else:
-                    acc_h[(d1, d2)].add(r, *_combine(rows[0], 0.5, rows[1], 0.5))
-        st.mixed_ok[r] = mix_ok
+                    corners_ok &= neighbor((p, s1), (q, s2)) >= 0
+                # average of the two compositions where both exist
+                e0, c0, v0, k0 = mixed(p, q)
+                e1, c1, v1, k1 = mixed(q, p)
+                st.mixed_ok &= e0 | e1
+                f = np.where(e0 & e1, 0.5, 1.0)
+                cols = np.concatenate([c0, c1], 1)
+                vals = np.concatenate([f[:, None] * v0, f[:, None] * v1], 1)
+                const = 0.0 + (np.where(e0, f * k0, 0.0) + np.where(e1, f * k1, 0.0))
+            st.hess[(p, q)] = (_csr(node[:, None], cols, vals, (n_in, n_in)), const)
+    for d, (cols, vals, const) in enumerate(grad):
+        st.grad[d] = (_csr(node[:, None], cols, vals, (n_in, n_in)), const)
 
-        if any_cut or not mix_ok:
-            st.is_closure[r] = True
-        elif corners_ok:
-            st.is_full[r] = True
-        else:
-            st.is_collar[r] = True
+    st.is_closure = cut.any(axis=(0, 1)) | ~st.mixed_ok
+    st.is_full = ~st.is_closure & corners_ok
+    st.is_collar = ~st.is_closure & ~corners_ok
 
-        if st.is_closure[r]:
-            # boundary interpolation row along the sharpest cut direction
-            best = None
-            for d in range(n):
-                for sdir, a in ((-1, arms[d][0]), (+1, arms[d][1])):
-                    if a[0] is None and (best is None or a[1] < best[3]):
-                        best = (d, sdir, a[2], a[1])
-            row = len(cl_nodes)
-            cl_nodes.append(r)
-            if best is None:
-                raise StencilError("closure node carries no boundary cut")
-            else:
-                d, sdir, bv, th = best
-                inner = tuple(idx - _axis_offset(n, d, sdir))
-                if ins[inner]:
-                    cl_rows += [row, row]
-                    cl_cols += [unknown[here], unknown[inner]]
-                    cl_vals += [1.0, -th / (1.0 + th)]
-                    cl_rhs.append(bv / (1.0 + th))
-                else:
-                    opp = arms[d][0] if sdir > 0 else arms[d][1]
-                    t2, b2 = opp[1], opp[2]
-                    cl_rows.append(row)
-                    cl_cols.append(unknown[here])
-                    cl_vals.append(1.0)
-                    cl_rhs.append((t2 * bv + th * b2) / (th + t2))
+    # dual-cell extent: half a spacing toward inside neighbors, the whole
+    # cut arm toward the boundary (no other node claims it)
+    ext = np.where(cut, theta, 0.5)
+    st.weights = np.ones(n_in)
+    for d in range(n):
+        st.weights *= h * (ext[d, 0] + ext[d, 1])
 
-    for key, acc in acc_h.items():
-        st.hess[key] = acc.csr()
-    for d, acc in acc_g.items():
-        st.grad[d] = acc.csr()
-    st.weights = weights
-    st.closure_matrix = sp.coo_matrix(
-        (cl_vals, (cl_rows, cl_cols)), shape=(len(cl_nodes), n_in)
-    ).tocsr()
-    st.closure_rhs = np.asarray(cl_rhs)
-    st.closure_nodes = np.asarray(cl_nodes, dtype=int)
+    # closure rows: boundary interpolation along the sharpest cut arm, the
+    # first one in (axis, -/+) order on ties
+    cl = np.nonzero(st.is_closure)[0]
+    cut_theta = np.where(cut, theta, np.inf)[:, :, cl].reshape(2 * n, cl.size)
+    if np.isinf(cut_theta).all(axis=0).any():
+        raise StencilError("closure node carries no boundary cut")
+    best = np.argmin(cut_theta, axis=0)
+    d, j = best // 2, best % 2
+    th, bv = theta[d, j, cl], bval[d, j, cl]
+    inner = col[d, 1 - j, cl]
+    t2, b2 = theta[d, 1 - j, cl], bval[d, 1 - j, cl]
+    st.closure_matrix = _csr(
+        np.arange(cl.size)[:, None],
+        np.stack([cl, inner], 1),
+        np.stack([np.ones(cl.size), -th / (1.0 + th)], 1),
+        (cl.size, n_in),
+    )
+    st.closure_rhs = np.where(inner >= 0, bv / (1.0 + th), (t2 * bv + th * b2) / (th + t2))
+    st.closure_nodes = cl
 
-    if cut_rec:
-        rs, ds, ss, ths, bvs = map(np.asarray, zip(*cut_rec))
-    else:
-        rs = ds = ss = ths = bvs = np.zeros(0)
-    st.cut_node = rs.astype(int)
-    st.cut_axis = ds.astype(int)
-    st.cut_dir = ss.astype(int)
-    st.cut_theta = ths.astype(float)
-    st.cut_bval = bvs.astype(float)
-    pts = mask.grid.coords(idxs[st.cut_node]) if len(cut_rec) else np.zeros((0, n))
-    if len(cut_rec):
-        offs = np.zeros((len(cut_rec), n))
-        offs[np.arange(len(cut_rec)), st.cut_axis] = (
-            st.cut_dir * st.cut_theta * mask.grid.h
-        )
-        pts = pts + offs
-    st.cut_points = pts
+    # cut records, node-major, then axis, then - before +
+    r, d, j = np.nonzero(cut.transpose(2, 0, 1))
+    st.cut_node, st.cut_axis, st.cut_dir = r, d, 2 * j - 1
+    st.cut_theta, st.cut_bval = theta[d, j, r], bval[d, j, r]
+    offs = np.zeros((r.size, n))
+    offs[np.arange(r.size), d] = st.cut_dir * st.cut_theta * h
+    st.cut_points = mask.grid.coords(idxs[r]) + offs
     return st
 
 
@@ -749,13 +651,14 @@ def save_hsf1(field: ScalarField, path):
         f"h={g.h:.17g}",
         f"level={field.level:.17g}",
     ]
-    ins = field.mask.inside
-    for idx in np.ndindex(*g.dims):
-        head = " ".join(str(i) for i in idx)
-        if ins[idx]:
-            lines.append(f"{head} 1 {field.values[idx]:.17g}")
-        else:
-            lines.append(f"{head} 0")
+    # one line per node in C order: the index, then 1 and the value or 0
+    heads = itertools.product(*[[str(i) for i in range(d)] for d in g.dims])
+    flags = field.mask.inside.ravel().tolist()
+    values = field.values.ravel().tolist()
+    lines += [
+        f"{' '.join(head)} 1 {v:.17g}" if inside else f"{' '.join(head)} 0"
+        for head, inside, v in zip(heads, flags, values)
+    ]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -780,31 +683,35 @@ def load_hsf1(path) -> ScalarField:
     grid = Grid(n=n, dims=dims, origin=origin, h=h)
     inside = np.zeros(dims, dtype=bool)
     values = np.zeros(dims)
-    for ln in lines[5:]:
-        parts = ln.split()
-        idx = tuple(int(v) for v in parts[:n])
-        if parts[n] == "1":
-            inside[idx] = True
-            values[idx] = float(parts[n + 1])
+    rows = [ln.split() for ln in lines[5:]]
+    rows = [r for r in rows if r[n] == "1"]
+    if rows:
+        idx = tuple(np.array([list(map(int, r[:n])) for r in rows]).T)
+        inside[idx] = True
+        values[idx] = [float(r[n + 1]) for r in rows]
     theta = np.ones((n, 2) + dims)
     bval = np.full((n, 2) + dims, np.nan)
     lvl = level if math.isfinite(level) else None
-    for idx in np.argwhere(inside):
-        for d in range(n):
-            for sdir, s in ((0, -1), (1, +1)):
-                nbr = tuple(idx + _axis_offset(n, d, s))
-                if inside[nbr]:
-                    continue
-                here = tuple(idx)
-                inner = tuple(idx - _axis_offset(n, d, s))
-                th = 0.5
-                if lvl is not None and inside[inner]:
-                    # one-sided slope toward the boundary along direction s
-                    m = (values[here] - values[inner]) / h
-                    if m > 0:
-                        th = (lvl - values[here]) / (m * h)
-                        th = min(max(th, 1e-3), 1.0 - 1e-9)
-                theta[(d, sdir) + here] = th
-                bval[(d, sdir) + here] = lvl if lvl is not None else values[here]
+    # padding keeps a node on the grid shell indexable; DomainMask rejects it
+    ins_pad, val_pad = np.pad(inside, 1), np.pad(values, 1)
+    idx = np.argwhere(inside) + 1
+    for d in range(n):
+        for sdir, s in ((0, -1), (1, +1)):
+            step = _axis_offset(n, d, s)
+            at = idx[~ins_pad[tuple((idx + step).T)]]
+            here = tuple(at.T)
+            inner = tuple((at - step).T)
+            v = val_pad[here]
+            th = np.full(v.size, 0.5)
+            if lvl is not None:
+                # one-sided slope toward the boundary along direction s
+                m = (v - val_pad[inner]) / h
+                up = ins_pad[inner] & (m > 0)
+                th[up] = np.minimum(
+                    np.maximum((lvl - v[up]) / (m[up] * h), 1e-3), 1.0 - 1e-9
+                )
+            node = tuple(at.T - 1)
+            theta[(d, sdir) + node] = th
+            bval[(d, sdir) + node] = lvl if lvl is not None else v
     mask = DomainMask(grid=grid, inside=inside, theta=theta, bval=bval)
     return ScalarField(mask=mask, values=values, level=level)

@@ -138,9 +138,12 @@ def extract_body(source, t: float, m_dirs: int | None = None) -> ConvexBody:
     """Boundary of the open sub-level set at level t.
 
     Analytic candidates are ray-shot from their anchor (unique crossing by
-    monotonicity of the radial derivative). Sampled fields are contoured:
-    marching squares in the plane, radial bisection of the interpolant in
-    space; the vertex cloud is convexified afterward.
+    monotonicity of the radial derivative) along m_dirs directions; in 3D
+    these are the vertices of the coarsest icosphere with at least m_dirs
+    of them (10 * 4**s + 2 at subdivision s, capped at s = 5, the default).
+    Sampled fields are contoured: marching squares in the plane, radial
+    bisection of the interpolant in space; the vertex cloud is convexified
+    afterward.
     """
     if t <= 0:
         raise PreconditionError("level must be positive")
@@ -150,7 +153,7 @@ def extract_body(source, t: float, m_dirs: int | None = None) -> ConvexBody:
             rho = radial_crossings(source, t, dirs)
             verts = source.anchor + rho[:, None] * dirs
             return ConvexBody(n=2, vertices=verts, interior_point=source.anchor.copy())
-        verts_dir, faces = sphere_mesh(5 if m_dirs is None else m_dirs)
+        verts_dir, faces = sphere_mesh(_icosphere_level(m_dirs))
         rho = radial_crossings(source, t, verts_dir)
         verts = source.anchor + rho[:, None] * verts_dir
         return ConvexBody(
@@ -159,6 +162,16 @@ def extract_body(source, t: float, m_dirs: int | None = None) -> ConvexBody:
     if isinstance(source, ScalarField):
         return _extract_from_field(source, t)
     raise PreconditionError("source must be a candidate or a sampled field")
+
+
+def _icosphere_level(m_dirs: int | None) -> int:
+    """Smallest subdivision level whose icosphere has m_dirs vertices, at most 5."""
+    if m_dirs is None:
+        return 5
+    level = 0
+    while level < 5 and 10 * 4**level + 2 < m_dirs:
+        level += 1
+    return level
 
 
 def body_from_mask(mask) -> ConvexBody:

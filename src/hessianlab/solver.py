@@ -193,32 +193,22 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     opts = opts or SolveOptions()
     mask = problem.mask
     st = mask.stencils()
-    n, k, l = mask.n, problem.k, problem.l
+    k, l = problem.k, problem.l
     if int(mask.extents().max()) < opts.min_resolution:
         raise PreconditionError(
             f"domain spans fewer than {opts.min_resolution} nodes across"
         )
 
     eq_rows = ~st.is_closure                      # equation rows
-    full_rows = st.is_full
     enforce = st.is_full                          # admissibility enforcement set
-    n_in = st.n_in
     log_form = l > 0
     target = math.log(problem.rhs) if log_form else problem.rhs
 
     hess_keys = sorted(st.hess.keys())
     sym_factor = {key: (1.0 if key[0] == key[1] else 2.0) for key in hess_keys}
 
-    def hessians(u):
-        H = np.empty((n_in, n, n))
-        for (p, q), (A, c) in st.hess.items():
-            col = A @ u + c
-            H[:, p, q] = col
-            H[:, q, p] = col
-        return H
-
     def residual(u):
-        H = hessians(u)
+        H = st.hessian_stack(u)
         lam = np.linalg.eigvalsh(H)
         T = esym_table(lam)
         if log_form:
@@ -232,7 +222,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         return np.concatenate([F_eq, F_cl]), lam
 
     def jacobian(u):
-        H = hessians(u)
+        H = st.hessian_stack(u)
         lam, Q = np.linalg.eigh(H)
         g = spectral_gradient(lam, k, l, log_form=log_form)
         W = np.einsum("nij,nj,nkj->nik", Q, g, Q)

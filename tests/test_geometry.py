@@ -68,7 +68,7 @@ def test_extract_unbounded_detection():
 
 def test_extract_body_3d_ball():
     c = candidates.quadratic(np.eye(3), name="quad:iso3")
-    body = geometry.extract_body(c, 0.5, m_dirs=4)
+    body = geometry.extract_body(c, 0.5, m_dirs=2562)  # icosphere level 4
     vol = 4.0 / 3.0 * math.pi
     assert body.volume() == pytest.approx(vol, rel=5e-3)
     assert body.surface() == pytest.approx(4.0 * math.pi, rel=5e-3)
@@ -306,3 +306,11 @@ def test_body_exports(tmp_path):
 
     payload = json.loads(jpath.read_text())
     assert set(payload) == {"center", "A", "mu", "R"}
+
+
+def test_icosphere_level_from_direction_count():
+    # level s has 10 * 4**s + 2 vertices; the default and the cap are 5
+    assert [geometry._icosphere_level(m) for m in (1, 12, 13, 162, 163, 360)] == [0, 0, 1, 2, 3, 3]
+    assert geometry._icosphere_level(2562) == 4
+    assert geometry._icosphere_level(10**6) == 5
+    assert geometry._icosphere_level(None) == 5

@@ -29,6 +29,14 @@ def test_quadratic_test_on_solved_field(ma_ellipse_64):
     assert third <= 1.0  # noisy but finite on the discrete instance
 
 
+def test_analyze_3d_quadratic_finishes_bounded():
+    # m_dirs is a direction count in 3D too: 162 rays is icosphere level 2
+    q = candidates.candidate_from_spec("quad:diag(1,2,0.5)")
+    rep = pipeline.analyze(q, pipeline.AnalyzeConfig(t_points=12, m_dirs=162))
+    assert rep.verdicts["reverse_iso"].verdict == "bounded"
+    assert rep.verdicts["volume_growth"].verdict == "bounded"
+
+
 def test_analyze_quadratic_all_bounded(quick_cfg):
     q = candidates.quadratic(np.diag([2.0, 0.5]), name="quad:diag(2,0.5)")
     rep = pipeline.analyze(q, quick_cfg)
