@@ -50,11 +50,6 @@ class AnalyticCandidate:
     def hess(self, X):
         return self.hess_fn(np.atleast_2d(np.asarray(X, dtype=float)))
 
-    def convexity_margin(self, probes) -> float:
-        """Smallest Hessian eigenvalue over a probe set."""
-        H = self.hess(probes)
-        return float(np.min(np.linalg.eigvalsh(H)))
-
 
 def quadratic(A, name=None) -> AnalyticCandidate:
     """u(x) = x' A x / 2 for symmetric positive definite A."""
@@ -187,21 +182,24 @@ def candidate_from_spec(spec: str) -> AnalyticCandidate:
     if ":" not in spec:
         raise PreconditionError(f"malformed candidate spec: {spec!r}")
     kind, arg = spec.split(":", 1)
-    if kind == "quad":
-        m = _DIAG_RE.match(arg)
-        if m:
-            d = [float(v) for v in m.group(1).split(",")]
-            return quadratic(np.diag(d), name=spec)
-        A = np.asarray(json.loads(arg), dtype=float)
-        return quadratic(A, name=spec)
-    if kind == "pownorm":
-        kv = dict(part.split("=") for part in arg.split(","))
-        return power_norm(float(kv.get("c", 1)), float(kv["p"]), int(kv.get("n", 2)))
-    if kind == "aniso":
-        kv = dict(part.split("=") for part in arg.split(";"))
-        c = [float(v) for v in kv["c"].split(",")]
-        p = [float(v) for v in kv["p"].split(",")]
-        return aniso_sum(c, p)
+    try:
+        if kind == "quad":
+            m = _DIAG_RE.match(arg)
+            if m:
+                d = [float(v) for v in m.group(1).split(",")]
+                return quadratic(np.diag(d), name=spec)
+            A = np.asarray(json.loads(arg), dtype=float)
+            return quadratic(A, name=spec)
+        if kind == "pownorm":
+            kv = dict(part.split("=") for part in arg.split(","))
+            return power_norm(float(kv.get("c", 1)), float(kv["p"]), int(kv.get("n", 2)))
+        if kind == "aniso":
+            kv = dict(part.split("=") for part in arg.split(";"))
+            c = [float(v) for v in kv["c"].split(",")]
+            p = [float(v) for v in kv["p"].split(",")]
+            return aniso_sum(c, p)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise PreconditionError(f"malformed candidate spec {spec!r}: {exc!r}") from exc
     raise PreconditionError(f"unknown candidate family: {kind!r}")
 
 

@@ -4,7 +4,8 @@ emit CSV/JSON artifacts.
 One JSON config names the command and its parameters; flags override
 scalar entries. Artifacts are written via temp-and-rename and formatted
 deterministically (sorted JSON keys, 17-significant-digit floats), so a
-fixed seed reproduces byte-identical outputs.
+fixed config reproduces byte-identical outputs. No command draws random
+numbers; the seed is provenance, recorded in manifest.json.
 
 Exit codes: 0 success, 2 precondition/config errors, 3 numerical
 non-convergence (partial artifacts are still written).
@@ -28,24 +29,37 @@ from .errors import NonConvergenceError, NumericError, PreconditionError
 from .fields import load_hsf1, save_hsf1
 from .functionals import Condition
 
-COMMANDS = (
-    "solve",
-    "analyze",
-    "sweep",
-    "chain_iso",
-    "chain_volume",
-    "legendre",
-    "report",
-)
+# the commands, each with what it reads from its params without a default
+_PARAMS_SCHEMA = {
+    "solve": {"required": ["problem"]},
+    "analyze": {"required": ["candidate"]},
+    "sweep": {"required": ["candidate"]},
+    "chain_iso": {"required": ["candidate"]},
+    "chain_volume": {
+        "required": ["domains"],
+        "properties": {
+            "domains": {"type": "array", "items": {"type": "object", "required": ["semiaxes"]}}
+        },
+    },
+    "legendre": {"required": ["field"]},
+    "report": {"required": ["dir"]},
+}
 
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["command"],
     "properties": {
-        "command": {"type": "string", "enum": list(COMMANDS)},
+        "command": {"type": "string", "enum": list(_PARAMS_SCHEMA)},
         "seed": {"type": "integer"},
         "params": {"type": "object"},
     },
+    "allOf": [
+        {
+            "if": {"properties": {"command": {"const": cmd}}},
+            "then": {"required": ["params"], "properties": {"params": sub}},
+        }
+        for cmd, sub in _PARAMS_SCHEMA.items()
+    ],
 }
 
 
@@ -84,7 +98,7 @@ def _apply_overrides(config: dict, overrides: list):
     return config
 
 
-def _cmd_solve(params, out, rng):
+def _cmd_solve(params, out):
     problem, opts = solver.problem_from_spec(params["problem"])
     report = solver.solve(problem, opts)
     save_hsf1(report.field, os.path.join(out, "solution.hsf1"))
@@ -96,7 +110,7 @@ def _cmd_solve(params, out, rng):
     return 0
 
 
-def _cmd_analyze(params, out, rng):
+def _cmd_analyze(params, out):
     cand = candidate_from_spec(params["candidate"])
     cfg = pipeline.AnalyzeConfig(
         t_min=float(params.get("t_min", 1e2)),
@@ -117,7 +131,7 @@ def _cmd_analyze(params, out, rng):
     return 0
 
 
-def _cmd_sweep(params, out, rng):
+def _cmd_sweep(params, out):
     cand = candidate_from_spec(params["candidate"])
     t_grid = np.geomspace(
         float(params.get("t_min", 1e2)),
@@ -136,7 +150,7 @@ def _cmd_sweep(params, out, rng):
     return 0
 
 
-def _cmd_chain_iso(params, out, rng):
+def _cmd_chain_iso(params, out):
     cand = candidate_from_spec(params["candidate"])
     t = float(params.get("t", 100.0))
     m_dirs = int(params.get("m_dirs", 360))
@@ -151,7 +165,7 @@ def _cmd_chain_iso(params, out, rng):
     return 0 if report.all_passed() else 3
 
 
-def _cmd_chain_volume(params, out, rng):
+def _cmd_chain_volume(params, out):
     from .fields import mask_from_ellipse
 
     k = int(params.get("k", 2))
@@ -172,7 +186,7 @@ def _cmd_chain_volume(params, out, rng):
     return 3 if bad else 0
 
 
-def _cmd_legendre(params, out, rng):
+def _cmd_legendre(params, out):
     f = load_hsf1(params["field"])
     region = params.get("region_level")
     v = functionals.legendre_transform(f, None if region is None else float(region))
@@ -191,7 +205,7 @@ def _cmd_legendre(params, out, rng):
     return 0
 
 
-def _cmd_report(params, out, rng):
+def _cmd_report(params, out):
     src = params["dir"]
     entries = []
     for name in sorted(os.listdir(src)):
@@ -226,8 +240,9 @@ def main(argv=None) -> int:
         "--override", action="append", default=[], metavar="KEY=VALUE",
         help="override a config entry (dotted keys, JSON values)",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="accepted; runs serially")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override the config seed (recorded only)"
+    )
     args = parser.parse_args(argv)
 
     try:
@@ -236,7 +251,6 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args.override)
         jsonschema.validate(config, CONFIG_SCHEMA)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        rng = np.random.default_rng(seed)
         os.makedirs(args.out, exist_ok=True)
         _write_json(
             os.path.join(args.out, "manifest.json"),
@@ -248,8 +262,8 @@ def main(argv=None) -> int:
             },
         )
         handler = _DISPATCH[config["command"]]
-        return handler(config.get("params", {}), args.out, rng)
-    except (PreconditionError, jsonschema.ValidationError, FileNotFoundError, KeyError) as exc:
+        return handler(config.get("params", {}), args.out)
+    except (PreconditionError, jsonschema.ValidationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -484,23 +484,7 @@ class ScalarField:
             raise PreconditionError("node is outside the mask")
         if not st.mixed_ok[r]:
             raise StencilError("no usable mixed-derivative stencil at this node")
-        u = self.inside_values()
-        n = self.mask.n
-        H = np.empty((n, n))
-        for (p, q), (A, c) in st.hess.items():
-            v = float((A[r] @ u)[0] + c[r])
-            H[p, q] = H[q, p] = v
-        return SymmetricMatrix.from_array(H)
-
-    def gradient_at(self, node) -> np.ndarray:
-        st = self.mask.stencils()
-        r = self.mask.unknown[tuple(node)]
-        if r < 0:
-            raise PreconditionError("node is outside the mask")
-        u = self.inside_values()
-        return np.array(
-            [float((st.grad[d][0][r] @ u)[0] + st.grad[d][1][r]) for d in range(self.mask.n)]
-        )
+        return SymmetricMatrix.from_array(self.hessian_stack()[r])
 
     def hessian_stack(self) -> np.ndarray:
         return self.mask.stencils().hessian_stack(self.inside_values())

@@ -2,9 +2,9 @@
 
 Implements the ratio of the gradient integral to the layer-cake norm on
 sub-level sets, the volume-growth and weighted-integrability scalars with
-log-log slope fits, the first (Pogorelov-style) normalization, tangential
-recentring, and the convex conjugate on grids, plus the diagnostic
-integral bounds used as cross-checks.
+log-log slope fits, the first (Pogorelov-style) normalization and the
+convex conjugate on grids, plus the diagnostic integral bounds used as
+cross-checks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import polar
-from .candidates import AnalyticCandidate, rescaled, shifted
+from .candidates import AnalyticCandidate, rescaled
 from .errors import AdmissibilityError, PreconditionError
 from .fields import DomainMask, Grid, ScalarField
 from .symm import esym_table
@@ -72,7 +72,7 @@ class GrowthVerdict:
                 fh.write(f"{t:.17g} {v:.17g} {rmin:.17g}\n")
 
 
-EPS_SLOPE = 0.02
+EPS_SLOPE = 0.02                   # fitted slopes up to this count as bounded
 
 
 def iso_ratio(source, t: float, m_dirs: int = 720, n_r: int = 48) -> IsoperimetricSample:
@@ -133,7 +133,6 @@ def condition_sweep(
     t_grid,
     p: float = 1.0,
     m_dirs: int = 720,
-    eps_slope: float = EPS_SLOPE,
 ) -> GrowthVerdict:
     """Evaluate one growth condition over a geometric level grid and fit
     the log-log slope; the running minimum proxies the limit inferior."""
@@ -156,7 +155,7 @@ def condition_sweep(
             )
             vals[i] = t ** (-p - n / 2.0) * integral
     slope, ci = _ols_slope(np.log(t_grid), np.log(vals))
-    if slope <= eps_slope:
+    if slope <= EPS_SLOPE:
         verdict = "bounded"
     elif slope - ci > 0.0:
         verdict = "unbounded"
@@ -203,11 +202,6 @@ def pogorelov_normalize(source, t0: float):
     raise PreconditionError("source must be a candidate or a sampled field")
 
 
-def recenter(cand: AnalyticCandidate, x0) -> AnalyticCandidate:
-    """Subtract the tangent plane at x0; the anchor moves to x0."""
-    return shifted(cand, x0)
-
-
 # ---------------------------------------------------------------------------
 # convex conjugate on grids
 
@@ -231,15 +225,15 @@ def legendre_transform(
     sel = u_all < region_level
     if sel.sum() < 3**n:
         raise PreconditionError("region too small for the transform")
-    lam = np.linalg.eigvalsh(st.hessian_stack(u_all)[sel & st.is_full])
+    H_all = st.hessian_stack(u_all)
+    lam = np.linalg.eigvalsh(H_all[sel & st.is_full])
     if lam.size and np.min(lam) <= 0:
         raise AdmissibilityError("transform input not strictly convex on the region")
 
     X = mask.inside_coords()[sel]
     U = u_all[sel]
     G = st.gradient_stack(u_all)[sel]
-    H_nodes = st.hessian_stack(u_all)[sel]
-    model_ok = np.zeros(len(U), dtype=bool)
+    H_nodes = H_all[sel]
     lam_nodes = np.linalg.eigvalsh(H_nodes)
     model_ok = (st.is_full | st.is_collar)[sel] & (lam_nodes[:, 0] > 0)
 

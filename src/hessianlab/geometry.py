@@ -125,11 +125,6 @@ def _polygon_equations(V) -> np.ndarray:
     return np.column_stack([nrm, -off])
 
 
-def _order_polygon(points, center) -> np.ndarray:
-    ang = np.arctan2(points[:, 1] - center[1], points[:, 0] - center[0])
-    return points[np.argsort(ang)]
-
-
 # ---------------------------------------------------------------------------
 # extraction
 

@@ -25,7 +25,7 @@ from .calibration import (
     level_perimeter_bound,
     profile_integral_bound,
 )
-from .candidates import AnalyticCandidate
+from .candidates import AnalyticCandidate, shifted
 from .errors import HessianLabError, PreconditionError
 from .fields import ScalarField
 from .functionals import Condition
@@ -41,7 +41,6 @@ class AnalyzeConfig:
     t_points: int = 13
     p_list: tuple = (-0.5, 1.0, 2.0)
     m_dirs: int = 360
-    eps_slope: float = functionals.EPS_SLOPE
     gamma_points: int = 9
 
     def t_grid(self):
@@ -263,7 +262,7 @@ def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> Con
     for cond in (Condition.REVERSE_ISO, Condition.VOLUME_GROWTH):
         try:
             verdicts[cond.value] = functionals.condition_sweep(
-                cand, cond, t_grid, m_dirs=config.m_dirs, eps_slope=config.eps_slope
+                cand, cond, t_grid, m_dirs=config.m_dirs
             )
         except HessianLabError as exc:
             errors[cond.value] = str(exc)
@@ -271,8 +270,7 @@ def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> Con
         key = f"lp:{p:g}"
         try:
             verdicts[key] = functionals.condition_sweep(
-                cand, Condition.LP_INTEGRABILITY, t_grid, p=p,
-                m_dirs=config.m_dirs, eps_slope=config.eps_slope,
+                cand, Condition.LP_INTEGRABILITY, t_grid, p=p, m_dirs=config.m_dirs
             )
         except HessianLabError as exc:
             errors[key] = str(exc)
@@ -546,7 +544,7 @@ def recenter_invariance(
     base_verdicts = {k: v.verdict for k, v in base.verdicts.items()}
     for _ in range(n_centers):
         x0 = rng.uniform(-radius, radius, size=cand.n)
-        moved = functionals.recenter(cand, x0)
+        moved = shifted(cand, x0)
         rep = analyze(moved, config)
         for key, v in rep.verdicts.items():
             if base_verdicts.get(key) != v.verdict:

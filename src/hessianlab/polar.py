@@ -99,14 +99,10 @@ def _gl_nodes(n_r: int):
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 
-def integrate_sublevel(cand, t: float, integrand, m_dirs: int = 720, n_r: int = 48) -> float:
-    """Integral of integrand(points) over the open sub-level set at t.
-
-    Polar rule: Gauss-Legendre radially, uniform (trapezoid) over the
-    circle for n=2, Gauss-Legendre in the polar angle times a uniform
-    azimuth for n=3. Relative accuracy is far below 1e-4 for smooth data.
-    """
-    n = cand.n
+def _polar_rule(n: int, m_dirs: int):
+    """Directions and angular weights of the polar rule: uniform angles
+    (trapezoid) on the circle for n=2; for n=3, Gauss-Legendre in the polar
+    angle's cosine times a uniform azimuth."""
     if n == 2:
         dirs = directions_2d(m_dirs)
         wdir = np.full(m_dirs, 2.0 * np.pi / m_dirs)
@@ -117,13 +113,21 @@ def integrate_sublevel(cand, t: float, integrand, m_dirs: int = 720, n_r: int = 
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         zz, pp = np.meshgrid(z, phi, indexing="ij")
         s = np.sqrt(1.0 - zz**2)
-        dirs = np.stack(
-            [s * np.cos(pp), s * np.sin(pp), zz], axis=-1
-        ).reshape(-1, 3)
+        dirs = np.stack([s * np.cos(pp), s * np.sin(pp), zz], axis=-1).reshape(-1, 3)
         wdir = (np.tile(wz[:, None], (1, n_phi)) * (2.0 * np.pi / n_phi)).ravel()
     else:
         raise PreconditionError("polar quadrature supports n = 2 or 3")
+    return dirs, wdir
 
+
+def integrate_sublevel(cand, t: float, integrand, m_dirs: int = 720, n_r: int = 48) -> float:
+    """Integral of integrand(points) over the open sub-level set at t.
+
+    Polar rule (`_polar_rule`) over directions, Gauss-Legendre radially.
+    Relative accuracy is far below 1e-4 for smooth data.
+    """
+    n = cand.n
+    dirs, wdir = _polar_rule(n, m_dirs)
     rho = radial_crossings(cand, t, dirs)
     q, wq = _gl_nodes(n_r)
     R = rho[:, None] * q[None, :]                       # (M, n_r)
@@ -135,18 +139,6 @@ def integrate_sublevel(cand, t: float, integrand, m_dirs: int = 720, n_r: int = 
 
 def sublevel_volume(cand, t: float, m_dirs: int = 720) -> float:
     """Volume of the sub-level set via the radial formula (rho^n / n)."""
-    n = cand.n
-    if n == 2:
-        dirs = directions_2d(m_dirs)
-        wdir = np.full(m_dirs, 2.0 * np.pi / m_dirs)
-    else:
-        n_z = max(int(math.sqrt(m_dirs / 2)), 8)
-        n_phi = 2 * n_z
-        z, wz = np.polynomial.legendre.leggauss(n_z)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        zz, pp = np.meshgrid(z, phi, indexing="ij")
-        s = np.sqrt(1.0 - zz**2)
-        dirs = np.stack([s * np.cos(pp), s * np.sin(pp), zz], axis=-1).reshape(-1, 3)
-        wdir = (np.tile(wz[:, None], (1, n_phi)) * (2.0 * np.pi / n_phi)).ravel()
+    dirs, wdir = _polar_rule(cand.n, m_dirs)
     rho = radial_crossings(cand, t, dirs)
     return float(np.sum(rho**cand.n / cand.n * wdir))

@@ -42,6 +42,7 @@ from .symm import (
 )
 
 _LOG_FLOOR = 1e-300
+_MAX_HALVINGS = 30                # line-search step halvings per Newton step
 
 
 @dataclass
@@ -73,10 +74,8 @@ class DirichletProblem:
 class SolveOptions:
     tol: float = 1e-9
     max_iters: int = 100
-    max_halvings: int = 30
     min_resolution: int = 33
     fd_jacobian: bool = False
-    verbose: bool = False
 
 
 @dataclass
@@ -160,17 +159,6 @@ class EllipsoidBarrier:
 
     def center_value(self) -> float:
         return float(self.boundary_value - self.R**2 / (2.0 * self.norm))
-
-
-def barrier(center, mu, R, sign, k, l=0, rhs=1.0, boundary_value=1.0, axes=None):
-    return EllipsoidBarrier(
-        center=center, mu=mu, R=R, sign=sign, k=k, l=l, rhs=rhs,
-        boundary_value=boundary_value, axes=axes,
-    )
-
-
-def evaluate_barrier(b: EllipsoidBarrier, x) -> float:
-    return float(b.evaluate(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +273,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         s = 1.0
         accepted = False
         saw_admissible = False
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             u_try = u + s * delta
             F_try, lam_try = residual(u_try)
             ok, _ = admissible(lam_try, enforce)
@@ -305,8 +293,6 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
                 )
             return report
         history.append(float(np.max(np.abs(F))))
-        if opts.verbose:
-            print(f"iter {iters}: residual {history[-1]:.3e}")
         # damping collapse: heavily damped steps that barely move the
         # residual will not recover; report honestly instead of burning
         # the iteration cap
@@ -545,6 +531,9 @@ def pogorelov_diagnostic(report: SolveReport) -> float:
 # ---------------------------------------------------------------------------
 # problem specs (JSON wire format)
 
+# the domain types, each with the params key it is built from
+_DOMAIN_PARAM = {"ellipse": "semiaxes", "polygon": "vertices", "candidate_level": "candidate"}
+
 PROBLEM_SCHEMA = {
     "type": "object",
     "required": ["n", "k", "l", "domain", "h"],
@@ -562,9 +551,16 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "required": ["type", "params"],
             "properties": {
-                "type": {"type": "string", "enum": ["ellipse", "polygon", "candidate_level"]},
+                "type": {"type": "string", "enum": list(_DOMAIN_PARAM)},
                 "params": {},
             },
+            "allOf": [
+                {
+                    "if": {"properties": {"type": {"const": kind}}},
+                    "then": {"properties": {"params": {"type": "object", "required": [key]}}},
+                }
+                for kind, key in _DOMAIN_PARAM.items()
+            ],
         },
     },
 }

@@ -73,16 +73,6 @@ def complementary_table(lam) -> np.ndarray:
     return out
 
 
-def pair_complementary_esym(lam, p: int, q: int, j: int) -> float:
-    """S_j of a single spectrum with entries p and q removed."""
-    lam = np.asarray(lam, dtype=float)
-    keep = [i for i in range(lam.shape[-1]) if i not in (p, q)]
-    red = lam[..., keep]
-    if not 0 <= j <= red.shape[-1]:
-        return 0.0
-    return float(esym_table(red)[..., j])
-
-
 @dataclass(frozen=True)
 class SymmetricSpectrum:
     """An eigenvalue vector with its cached symmetric polynomial values."""
@@ -276,34 +266,6 @@ def operator_gradient(M, k: int, l: int = 0, log_form: bool = False) -> Symmetri
     g = spectral_gradient(w, k, l, log_form=log_form)
     G = (Q * g) @ Q.T
     return SymmetricMatrix.from_array(0.5 * (G + G.T))
-
-
-def divided_difference_coefficients(M, k: int, l: int = 0) -> np.ndarray:
-    """Off-diagonal second-derivative coefficients (f_p - f_q)/(lambda_p - lambda_q).
-
-    Diagnostic API only; the Newton solver never consumes these. Evaluated
-    through the closed form in terms of pair-deleted symmetric polynomials,
-    which coincides with the coalescence limit, so repeated eigenvalues
-    need no special casing. Diagonal entries are set to zero.
-    """
-    sm = _as_matrix(M)
-    n = sm.n
-    _check_orders(n, k, l)
-    w, _ = sm.eig()
-    T = SymmetricSpectrum(w).table()
-    out = np.zeros((n, n))
-    for p in range(n):
-        for q in range(p + 1, n):
-            skm2 = pair_complementary_esym(w, p, q, k - 2) if k >= 2 else 0.0
-            if l == 0:
-                val = -skm2
-            else:
-                if T[l] == 0.0:
-                    raise SingularQuotientError(f"S_{l} vanishes; quotient undefined")
-                slm2 = pair_complementary_esym(w, p, q, l - 2) if l >= 2 else 0.0
-                val = -(skm2 * T[l] - T[k] * slm2) / T[l] ** 2
-            out[p, q] = out[q, p] = val
-    return out
 
 
 def newton_maclaurin_ratio(s, k: int) -> float:

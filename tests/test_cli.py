@@ -1,7 +1,9 @@
 import json
 import math
 
-from hessianlab import cli, fields
+import pytest
+
+from hessianlab import cli, fields, pipeline
 
 
 def run_cli(tmp_path, config: dict, out: str, extra=()):
@@ -58,6 +60,50 @@ def test_invalid_order_exits_2(tmp_path):
 
 def test_unknown_command_exits_2(tmp_path):
     assert run_cli(tmp_path, {"command": "nonsense"}, "x") == 2
+
+
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("solve", {}),
+        ("analyze", {"t_points": 12}),
+        ("sweep", {}),
+        ("chain_iso", {"t": 50.0}),
+        ("chain_volume", {"k": 2}),
+        ("chain_volume", {"domains": [{"label": "no-axes"}]}),
+        ("legendre", {}),
+        ("report", {}),
+    ],
+)
+def test_missing_params_key_exits_2(tmp_path, command, params):
+    assert run_cli(tmp_path, {"command": command, "params": params}, "x") == 2
+    assert run_cli(tmp_path, {"command": command}, "y") == 2
+
+
+@pytest.mark.parametrize("kind", ["ellipse", "polygon", "candidate_level"])
+def test_missing_domain_params_key_exits_2(tmp_path, kind):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["params"]["problem"]["domain"] = {"type": kind, "params": {"center": [0, 0]}}
+    assert run_cli(tmp_path, cfg, "x") == 2
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "spec", ["pownorm:c=1", "aniso:c=1,1", "quad:diag(1,x)", "quad:[[1,2],[3]]"]
+)
+def test_malformed_candidate_spec_exits_2(tmp_path, spec):
+    cfg = {"command": "analyze", "params": {"candidate": spec}}
+    assert run_cli(tmp_path, cfg, "x") == 2
+
+
+def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
+    def broken(cand, config):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(pipeline, "analyze", broken)
+    cfg = {"command": "analyze", "params": {"candidate": "quad:diag(2,0.5)"}}
+    with pytest.raises(KeyError, match="internal"):
+        run_cli(tmp_path, cfg, "x")
 
 
 def test_nonconvergence_exits_3_with_artifacts(tmp_path):

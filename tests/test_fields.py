@@ -55,6 +55,13 @@ def test_mixed_derivative_exact():
     node = f.mask.node_nearest([0.1, 0.05])
     H = f.hessian_at(node).array
     assert H[0, 1] == pytest.approx(1.0, abs=1e-10)
+    # the single-node Hessian is the node's row of the stack, bit for bit,
+    # and that row equals the stencil rows applied to the values one by one
+    r = f.mask.unknown[tuple(node)]
+    assert np.array_equal(H, f.hessian_stack()[r])
+    st, u = f.mask.stencils(), f.inside_values()
+    for (p, q), (A_pq, c_pq) in st.hess.items():
+        assert H[p, q] == H[q, p] == (A_pq[r] @ u)[0] + c_pq[r]
 
 
 def test_gradient_exact_on_quadratic_and_constant():

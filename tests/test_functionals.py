@@ -113,13 +113,13 @@ def test_pogorelov_normalize_field(iso_quad):
 def test_recenter_properties():
     c = candidates.aniso_sum([1.0, 1.0], [4.0, 2.0])
     x0 = np.array([1.0, 0.0])
-    v = functionals.recenter(c, x0)
+    v = candidates.shifted(c, x0)
     assert v.value(x0[None, :])[0] == pytest.approx(0.0, abs=1e-12)
     assert np.max(np.abs(v.grad(x0[None, :]))) <= 1e-12
     # quadratic recentring keeps the Hessian
     A = np.diag([2.0, 0.5])
     q = candidates.quadratic(A, name="q")
-    vq = functionals.recenter(q, np.array([0.7, -0.3]))
+    vq = candidates.shifted(q, np.array([0.7, -0.3]))
     X = np.random.default_rng(1).uniform(-1, 1, size=(20, 2))
     assert np.max(np.abs(vq.hess(X) - A)) <= 1e-12
 

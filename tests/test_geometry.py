@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from hessianlab import candidates, fields, geometry
+from hessianlab import candidates, fields, geometry, polar
 from hessianlab.calibration import get_constants
 from hessianlab.errors import PreconditionError, UnboundedSublevelError
 
@@ -314,3 +314,17 @@ def test_icosphere_level_from_direction_count():
     assert geometry._icosphere_level(2562) == 4
     assert geometry._icosphere_level(10**6) == 5
     assert geometry._icosphere_level(None) == 5
+
+
+@pytest.mark.parametrize(
+    "quadrature",
+    [
+        lambda c: polar.integrate_sublevel(c, 1.0, lambda X: np.ones(len(X))),
+        lambda c: polar.sublevel_volume(c, 1.0),
+    ],
+    ids=["integrate_sublevel", "sublevel_volume"],
+)
+def test_polar_quadrature_rejects_dimension_4(quadrature):
+    cand = candidates.aniso_sum([1.0] * 4, [2.0] * 4)
+    with pytest.raises(PreconditionError):
+        quadrature(cand)

@@ -89,10 +89,12 @@ def test_fd_jacobian_agrees_on_small_problem():
 
 def test_barrier_construction_worked():
     # isotropic: Hessian is the identity over the normalizer
-    b = solver.barrier(np.zeros(2), [1.0, 1.0], 1.0, "upper", k=2)
+    b = solver.EllipsoidBarrier(center=np.zeros(2), mu=[1.0, 1.0], R=1.0, sign="upper", k=2)
     assert np.allclose(b.hessian.array, np.eye(2), atol=1e-12)
     # n=3, k=2 isotropic: Hessian 1/sqrt(3) I, S_2 = 1
-    b3 = solver.barrier(np.zeros(3), [1.0, 1.0, 1.0], 1.0, "upper", k=2)
+    b3 = solver.EllipsoidBarrier(
+        center=np.zeros(3), mu=[1.0, 1.0, 1.0], R=1.0, sign="upper", k=2
+    )
     assert np.allclose(b3.hessian.array, np.eye(3) / math.sqrt(3.0), atol=1e-12)
     T = esym_table(np.linalg.eigvalsh(b3.hessian.array))
     assert T[2] == pytest.approx(1.0, abs=1e-12)
@@ -101,7 +103,9 @@ def test_barrier_construction_worked():
 
 
 def test_barrier_quotient_normalization():
-    b = solver.barrier(np.zeros(2), [2.0, 0.5], 1.5, "lower", k=2, l=1)
+    b = solver.EllipsoidBarrier(
+        center=np.zeros(2), mu=[2.0, 0.5], R=1.5, sign="lower", k=2, l=1
+    )
     lam = np.linalg.eigvalsh(b.hessian.array)
     T = esym_table(lam)
     assert T[2] / T[1] == pytest.approx(1.0, abs=1e-12)

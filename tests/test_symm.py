@@ -179,29 +179,6 @@ def test_operator_gradient_positive_definite_on_cone():
         assert np.min(np.linalg.eigvalsh(G)) > 0
 
 
-def test_divided_difference_closed_form():
-    # for the pure operator the coefficient equals minus the pair-deleted
-    # polynomial, here checked against a direct difference quotient
-    lam = np.array([1.0, 2.0, 4.0])
-    M = np.diag(lam)
-    dd = symm.divided_difference_coefficients(M, 2)
-    comp = symm.complementary_table(lam)
-    f = comp[:, 1]  # dS_2/dlam_i
-    for p in range(3):
-        for q in range(3):
-            if p == q:
-                continue
-            expect = (f[p] - f[q]) / (lam[p] - lam[q])
-            assert dd[p, q] == pytest.approx(expect, rel=1e-12)
-
-
-def test_divided_difference_repeated_eigenvalues():
-    M = np.diag([2.0, 2.0, 5.0])
-    dd = symm.divided_difference_coefficients(M, 2)
-    # coalescence limit: -S_0 of the remaining spectrum = -1
-    assert dd[0, 1] == pytest.approx(-1.0)
-
-
 def test_newton_maclaurin_worked():
     for k in (1, 2, 3):
         assert symm.newton_maclaurin_ratio([1.0, 1.0, 1.0], k) == pytest.approx(1.0)
