@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,8 @@ class AnalyticCandidate:
     grad_fn: callable
     hess_fn: callable
     anchor: np.ndarray = None
+    # memo of polar.radial_crossings: (iters, dirs shape, dirs bytes) -> {level: radii}
+    _crossings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.anchor is None:

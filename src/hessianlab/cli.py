@@ -29,11 +29,30 @@ from .errors import NonConvergenceError, NumericError, PreconditionError
 from .fields import load_hsf1, save_hsf1
 from .functionals import Condition
 
-# the commands, each with what it reads from its params without a default
+# the level grid and direction count that analyze and sweep read with defaults
+_LEVEL_GRID = {
+    "t_min": {"type": "number", "exclusiveMinimum": 0},
+    "t_max": {"type": "number", "exclusiveMinimum": 0},
+    "t_points": {"type": "integer", "minimum": 1},
+    "m_dirs": {"type": "integer", "minimum": 1},
+}
+
+# the commands, each with what it reads from its params without a default,
+# and the types of the optional params read with one
 _PARAMS_SCHEMA = {
     "solve": {"required": ["problem"]},
-    "analyze": {"required": ["candidate"]},
-    "sweep": {"required": ["candidate"]},
+    "analyze": {
+        "required": ["candidate"],
+        "properties": {**_LEVEL_GRID, "p_list": {"type": "array", "items": {"type": "number"}}},
+    },
+    "sweep": {
+        "required": ["candidate"],
+        "properties": {
+            **_LEVEL_GRID,
+            "condition": {"enum": [c.value for c in Condition]},
+            "p": {"type": "number"},
+        },
+    },
     "chain_iso": {"required": ["candidate"]},
     "chain_volume": {
         "required": ["domains"],
@@ -93,7 +112,11 @@ def _apply_overrides(config: dict, overrides: list):
         node = config
         parts = key.split(".")
         for part in parts[:-1]:
+            if not isinstance(node, dict):
+                break
             node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            raise PreconditionError(f"override {key!r} goes through a value that is not an object")
         node[parts[-1]] = val
     return config
 

@@ -360,11 +360,24 @@ class EllipsoidFit:
             fh.write("\n")
 
 
+def _leverages(Q, u):
+    """Inverse moment matrix V^-1 of weights u and the leverages q_i' V^-1 q_i."""
+    try:
+        Vinv = np.linalg.inv(Q.T @ (Q * u[:, None]))
+    except np.linalg.LinAlgError:
+        raise NonConvergenceError("ellipsoid ascent hit a singular moment matrix")
+    return Vinv, np.einsum("ij,jk,ik->i", Q, Vinv, Q)
+
+
 def mvee(points, tol: float = 1e-7, max_iters: int = 200_000):
     """Minimum-volume enclosing ellipsoid (x-c)' E (x-c) <= 1.
 
     Khachiyan's barycentric ascent with away steps; tol bounds the relative
-    optimality gap max_j M_j / (d+1) - 1.
+    optimality gap max_j M_j / (d+1) - 1. Each step moves the moment matrix
+    V by a rank-one term, so V^-1 and the leverages M follow by
+    Sherman-Morrison (Todd & Yildirim 2007) instead of a fresh inverse; they
+    are recomputed from the weights when the update denominator is not
+    positive, and before the stopping test accepts a gap.
     """
     P = np.asarray(points, dtype=float)
     N, d = P.shape
@@ -373,35 +386,50 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 200_000):
     Q = np.column_stack([P, np.ones(N)])
     u = np.full(N, 1.0 / N)
     dp1 = d + 1
+    Vinv, M = _leverages(Q, u)
+    fresh = True
     for _ in range(max_iters):
-        V = Q.T @ (Q * u[:, None])
-        try:
-            Vinv = np.linalg.inv(V)
-        except np.linalg.LinAlgError:
-            raise NonConvergenceError("ellipsoid ascent hit a singular moment matrix")
-        M = np.einsum("ij,jk,ik->i", Q, Vinv, Q)
-        j_add = int(np.argmax(M))
-        gap = M[j_add] / dp1 - 1.0
+        j_add = int(M.argmax())
+        m_add = float(M[j_add])
+        gap = m_add / dp1 - 1.0
         if gap <= tol:
-            break
-        sup = u > 1e-12
-        j_away = int(np.argmin(np.where(sup, M, np.inf)))
-        kappa_add = (M[j_add] - dp1) / (dp1 * (M[j_add] - 1.0))
+            if fresh:
+                break
+            Vinv, M = _leverages(Q, u)
+            fresh = True
+            continue
+        j_away = int(np.where(u > 1e-12, M, np.inf).argmin())
+        m_away, u_away = float(M[j_away]), float(u[j_away])
+        kappa_add = (m_add - dp1) / (dp1 * (m_add - 1.0))
         kappa_away = min(
-            (dp1 - M[j_away]) / (dp1 * (M[j_away] - 1.0))
-            if M[j_away] > 1.0 + 1e-14
-            else np.inf,
-            u[j_away] / (1.0 - u[j_away]) if u[j_away] < 1.0 else np.inf,
+            (dp1 - m_away) / (dp1 * (m_away - 1.0)) if m_away > 1.0 + 1e-14 else math.inf,
+            u_away / (1.0 - u_away) if u_away < 1.0 else math.inf,
         )
-        # pick whichever step makes the larger first-order progress
-        if kappa_add * (M[j_add] - dp1) >= kappa_away * (dp1 - M[j_away]):
-            u *= 1.0 - kappa_add
-            u[j_add] += kappa_add
+        # take whichever step makes the larger first-order progress; the
+        # weights become a u + b e_j, and V becomes a V + b q_j q_j'
+        if kappa_add * (m_add - dp1) >= kappa_away * (dp1 - m_away):
+            j, m_j, a, b = j_add, m_add, 1.0 - kappa_add, kappa_add
         else:
-            u *= 1.0 + kappa_away
-            u[j_away] -= kappa_away
-        u = np.maximum(u, 0.0)
+            j, m_j, a, b = j_away, m_away, 1.0 + kappa_away, -kappa_away
+        u *= a
+        u[j] += b
+        np.maximum(u, 0.0, out=u)
         u /= u.sum()
+        denom = a + b * m_j
+        if denom > 0.0:
+            w = Vinv @ Q[j]
+            g = Q @ w
+            s = b / denom
+            Vinv -= w[:, None] * (s * w)
+            Vinv /= a
+            g *= g
+            g *= s
+            M -= g
+            M /= a
+            fresh = False
+        else:
+            Vinv, M = _leverages(Q, u)
+            fresh = True
     else:
         raise NonConvergenceError(
             "ellipsoid ascent exceeded the iteration cap", gap=gap

@@ -7,6 +7,7 @@ once and bracketing plus bisection is safe.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -68,10 +69,21 @@ def sphere_mesh(subdiv: int):
 
 
 def radial_crossings(cand, t: float, dirs: np.ndarray, iters: int = 90) -> np.ndarray:
-    """Radius where the candidate reaches level t along each direction."""
+    """Radius where the candidate reaches level t along each direction.
+
+    Results are memoized on the candidate (`AnalyticCandidate._crossings`),
+    keyed on `iters` and the direction set, then on the exact level, and
+    returned read-only: every growth functional and body extraction of one
+    analysis probes the same sub-level sets, and each is bisected once.
+    """
     if t <= 0:
         raise PreconditionError("level must be positive")
     dirs = np.asarray(dirs, dtype=float)
+    rays = (iters, dirs.shape, dirs.tobytes())
+    level = float(t)
+    levels = cand._crossings.get(rays, {})
+    if level in levels:
+        return levels[level]
     a = cand.anchor[None, :]
 
     def val(r):
@@ -91,12 +103,20 @@ def radial_crossings(cand, t: float, dirs: np.ndarray, iters: int = 90) -> np.nd
         below = val(mid) < t
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    rho = 0.5 * (lo + hi)
+    rho.flags.writeable = False
+    cand._crossings.setdefault(rays, {})[level] = rho
+    return rho
 
 
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(n_r: int):
+    """Gauss-Legendre nodes and weights mapped to [0, 1], read-only (shared)."""
     x, w = np.polynomial.legendre.leggauss(n_r)
-    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
+    q, wq = 0.5 * (x + 1.0), 0.5 * w
+    q.flags.writeable = False
+    wq.flags.writeable = False
+    return q, wq
 
 
 def _polar_rule(n: int, m_dirs: int):

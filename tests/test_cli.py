@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -94,6 +95,33 @@ def test_missing_domain_params_key_exits_2(tmp_path, kind):
 def test_malformed_candidate_spec_exits_2(tmp_path, spec):
     cfg = {"command": "analyze", "params": {"candidate": spec}}
     assert run_cli(tmp_path, cfg, "x") == 2
+
+
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("analyze", {"t_min": "small"}),
+        ("analyze", {"t_max": 0}),
+        ("analyze", {"t_points": "many"}),
+        ("analyze", {"m_dirs": 0}),
+        ("analyze", {"p_list": [1.0, "two"]}),
+        ("sweep", {"condition": "volume"}),
+        ("sweep", {"m_dirs": 36.5}),
+        ("sweep", {"p": "one"}),
+    ],
+)
+def test_mistyped_optional_params_exit_2(tmp_path, command, params):
+    cfg = {"command": command, "params": {"candidate": "quad:diag(2,0.5)", **params}}
+    assert run_cli(tmp_path, cfg, "x") == 2
+    assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "override", ["params.candidate.x=1", "command.x=1", "params.p_list.0=1"]
+)
+def test_override_through_non_object_exits_2(tmp_path, override):
+    cfg = {"command": "analyze", "params": {"candidate": "quad:diag(2,0.5)", "p_list": [1.0]}}
+    assert run_cli(tmp_path, cfg, "x", extra=["--override", override]) == 2
 
 
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -220,3 +248,29 @@ def test_analyze_determinism(tmp_path):
     assert run_cli(tmp_path, cfg, "d2") == 0
     for name in ("report.json", "gamma.csv", "sweep_volume_growth.csv"):
         assert (tmp_path / "d1" / name).read_bytes() == (tmp_path / "d2" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "spec,fixture",
+    [
+        ("quad:diag(2,0.5)", "analyze_quad_diag.json"),
+        ("pownorm:c=1,p=1.5,n=2", "analyze_pownorm.json"),
+    ],
+)
+def test_analyze_report_matches_fixture(tmp_path, spec, fixture):
+    """report.json at CLI defaults against a fixture written before radial
+    crossings were memoized and mvee took rank-one steps. Every field but
+    john_aspect_samples is byte-identical; those enclosing-ellipsoid aspects
+    may move in the last digits, because the ascent's roundoff changed."""
+    assert run_cli(tmp_path, {"command": "analyze", "params": {"candidate": spec}}, "an") == 0
+    with open(os.path.join(os.path.dirname(__file__), "data", fixture)) as fh:
+        ref = json.load(fh)
+    got = json.loads((tmp_path / "an" / "report.json").read_text())
+    assert sorted(got) == sorted(ref)
+    for key in ref:
+        if key != "john_aspect_samples":
+            assert json.dumps(got[key], sort_keys=True) == json.dumps(ref[key], sort_keys=True), key
+    for (t, aspect), (t_ref, aspect_ref) in zip(got["john_aspect_samples"], ref["john_aspect_samples"]):
+        assert t == t_ref
+        assert abs(aspect - aspect_ref) <= 1e-12 * aspect_ref
+    assert len(got["john_aspect_samples"]) == len(ref["john_aspect_samples"])

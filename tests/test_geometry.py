@@ -64,6 +64,7 @@ def test_extract_unbounded_detection():
     strip = AnalyticCandidate("strip", 2, [], val, grad, hess)
     with pytest.raises(UnboundedSublevelError):
         geometry.extract_body(strip, 1.0)
+    assert not strip._crossings  # a bisection that raised leaves no memo entry
 
 
 def test_extract_body_3d_ball():
@@ -135,6 +136,107 @@ def test_john_fit_certificate_and_optimality():
         Y = (body.vertices - ell.center) @ ell.A.T
         r = np.linalg.norm(Y, axis=1)
         assert np.max(r) > ell.R * (1.0 - 1e-4)
+
+
+def _mvee_reference(points, tol=1e-7, max_iters=200_000):
+    """The Khachiyan ascent with a fresh inverse of the moment matrix at
+    every step, as mvee computed it before its rank-one updates."""
+    P = np.asarray(points, dtype=float)
+    N, d = P.shape
+    Q = np.column_stack([P, np.ones(N)])
+    u = np.full(N, 1.0 / N)
+    dp1 = d + 1
+    for _ in range(max_iters):
+        V = Q.T @ (Q * u[:, None])
+        Vinv = np.linalg.inv(V)
+        M = np.einsum("ij,jk,ik->i", Q, Vinv, Q)
+        j_add = int(np.argmax(M))
+        gap = M[j_add] / dp1 - 1.0
+        if gap <= tol:
+            break
+        sup = u > 1e-12
+        j_away = int(np.argmin(np.where(sup, M, np.inf)))
+        kappa_add = (M[j_add] - dp1) / (dp1 * (M[j_add] - 1.0))
+        kappa_away = min(
+            (dp1 - M[j_away]) / (dp1 * (M[j_away] - 1.0))
+            if M[j_away] > 1.0 + 1e-14
+            else np.inf,
+            u[j_away] / (1.0 - u[j_away]) if u[j_away] < 1.0 else np.inf,
+        )
+        if kappa_add * (M[j_add] - dp1) >= kappa_away * (dp1 - M[j_away]):
+            u *= 1.0 - kappa_add
+            u[j_add] += kappa_add
+        else:
+            u *= 1.0 + kappa_away
+            u[j_away] -= kappa_away
+        u = np.maximum(u, 0.0)
+        u /= u.sum()
+    else:
+        raise AssertionError("reference ascent did not converge")
+    c = u @ P
+    S = P.T @ (P * u[:, None]) - np.outer(c, c)
+    E = np.linalg.inv(S) / d
+    return 0.5 * (E + E.T), c
+
+
+def _mvee_clouds():
+    # the nine bodies analyze fits for aniso:c=1,1;p=2,4 at CLI defaults
+    # (about 6.5k ascent steps at t = 100), and seeded 3D Gaussian clouds
+    aniso = candidates.candidate_from_spec("aniso:c=1,1;p=2,4")
+    for t in np.geomspace(1e2, 1e6, 9):
+        yield f"aniso-t{t:g}", geometry.extract_body(aniso, float(t), m_dirs=360).vertices
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        yield f"gauss3d-{seed}", rng.normal(size=(300, 3)) @ np.diag(rng.uniform(0.5, 3.0, 3))
+
+
+def test_mvee_matches_full_inverse_reference():
+    tol = 1e-7
+    for label, P in _mvee_clouds():
+        E, c = geometry.mvee(P, tol=tol)
+        E_ref, _ = _mvee_reference(P, tol=tol)
+        # symmetric bodies tie at mirrored points, where roundoff can pick the
+        # mirror image of the reference step: E then differs at the gap's scale
+        assert np.linalg.norm(E - E_ref) <= 1e-8 * np.linalg.norm(E_ref), label
+        assert abs(np.linalg.slogdet(E)[1] - np.linalg.slogdet(E_ref)[1]) <= 1e-12, label
+        # the stopping test on leverages computed from scratch: with the
+        # returned fit, q_i' V^-1 q_i = d (x_i - c)' E (x_i - c) + 1
+        d = P.shape[1]
+        Y = P - c
+        M = d * np.einsum("ij,jk,ik->i", Y, E, Y) + 1.0
+        assert np.max(M) / (d + 1) - 1.0 <= tol, label
+
+
+def test_radial_crossings_memo_is_read_only_and_repeatable():
+    c = candidates.aniso_sum([1.0, 1.0], [2.0, 4.0])
+    dirs = polar.directions_2d(64)
+    first = polar.radial_crossings(c, 10.0, dirs)
+    again = polar.radial_crossings(c, 10.0, dirs.copy())
+    assert not first.flags.writeable and not again.flags.writeable
+    assert again.tobytes() == first.tobytes()
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+    uncached = candidates.aniso_sum([1.0, 1.0], [2.0, 4.0])
+    assert polar.radial_crossings(uncached, 10.0, dirs).tobytes() == first.tobytes()
+    # one entry per exact level, iteration count and direction set
+    polar.radial_crossings(c, np.nextafter(10.0, 11.0), dirs)
+    polar.radial_crossings(c, 10.0, dirs, iters=60)
+    polar.radial_crossings(c, 10.0, dirs[:32])
+    assert np.array_equal(polar.radial_crossings(c, 10.0, dirs[::-1]), first[::-1])
+    assert sum(len(levels) for levels in c._crossings.values()) == 5
+    q, wq = polar._gl_nodes(48)
+    assert polar._gl_nodes(48)[0] is q and not q.flags.writeable and not wq.flags.writeable
+
+
+def test_radial_crossings_memo_not_shared_with_derived_candidates():
+    base = candidates.aniso_sum([1.0, 1.0], [2.0, 4.0])
+    dirs = polar.directions_2d(64)
+    radii = polar.radial_crossings(base, 4.0, dirs)
+    for derived in (candidates.rescaled(base, 9.0), candidates.shifted(base, [0.3, -0.2])):
+        assert not derived._crossings
+        assert not np.array_equal(polar.radial_crossings(derived, 4.0, dirs), radii)
+        assert [len(levels) for levels in derived._crossings.values()] == [1]
+    assert [len(levels) for levels in base._crossings.values()] == [1]
 
 
 def test_john_vs_ball_cross_validation():
