@@ -271,6 +271,10 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+        return 2
+    try:
         config = _apply_overrides(config, args.override)
         jsonschema.validate(config, CONFIG_SCHEMA)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))

@@ -10,6 +10,11 @@ stencil set. The build is array arithmetic over all inside nodes at once:
 neighbor lookups give every arm's column or cut, each row family (gradient,
 pure and mixed second difference, closure row) is weighted for every node
 in one expression and becomes one sparse matrix.
+
+Fields interpolate all points at once, multilinear with ghost values behind
+cuts and exact cut data on grid lines, and say which points the domain
+covers; 3D sub-level sets are contoured by radial bisection of this
+interpolant, 2D ones by marching squares.
 """
 
 from __future__ import annotations
@@ -494,27 +499,27 @@ class ScalarField:
 
     # -- interpolation -----------------------------------------------------
 
-    def _ghost_values(self) -> dict:
-        """Extrapolated values at outside nodes adjacent to the mask.
+    def _ghost_values(self) -> np.ndarray:
+        """Extrapolated values at outside nodes adjacent to the mask, NaN
+        at every other node.
 
         Each outside neighbor takes the value extending the inside node
-        linearly through its sharpest cut, which keeps multilinear
-        interpolation consistent with the Dirichlet data.
+        linearly through its sharpest cut (the first cut record on ties),
+        which keeps multilinear interpolation consistent with the
+        Dirichlet data.
         """
-        if self._ghost is not None:
-            return self._ghost
-        st = self.mask.stencils()
-        u = self.inside_values()
-        best = {}
-        for r, d, s, th, bv in zip(
-            st.cut_node, st.cut_axis, st.cut_dir, st.cut_theta, st.cut_bval
-        ):
-            idx = self.mask.inside_idx[r]
-            out = tuple(idx + _axis_offset(self.mask.n, d, s))
-            val = u[r] + (bv - u[r]) / th
-            if out not in best or th < best[out][0]:
-                best[out] = (th, val)
-        self._ghost = {k: v for k, (_, v) in best.items()}
+        if self._ghost is None:
+            st = self.mask.stencils()
+            u = self.inside_values()[st.cut_node]
+            out = self.mask.inside_idx[st.cut_node]
+            out[np.arange(out.shape[0]), st.cut_axis] += st.cut_dir
+            flat = np.ravel_multi_index(tuple(out.T), self.grid.dims)
+            order = np.lexsort((np.arange(flat.size), st.cut_theta))
+            nodes, first = np.unique(flat[order], return_index=True)
+            pick = order[first]
+            u, bv, th = u[pick], st.cut_bval[pick], st.cut_theta[pick]
+            self._ghost = np.full(self.grid.dims, np.nan)
+            self._ghost.flat[nodes] = u + (bv - u) / th
         return self._ghost
 
     def interpolate(self, x) -> float:
@@ -523,63 +528,62 @@ class ScalarField:
         return float(self.interpolate_many(np.asarray(x, dtype=float)[None, :])[0])
 
     def interpolate_many(self, X) -> np.ndarray:
+        values, inside = self._interpolate(X)
+        if not inside.all():
+            raise PreconditionError("interpolation point outside the domain")
+        return values
+
+    def _interpolate(self, X):
+        """(values, inside) at every point of X, values NaN outside.
+
+        Points with exactly one off-lattice coordinate follow their grid
+        line and honor its cut data; every other point is multilinear over
+        its cell, with ghost values standing in for outside corners. A
+        point is outside when a corner it weighs has neither.
+        """
         X = np.asarray(X, dtype=float)
-        g = self.grid
+        g, ins = self.grid, self.mask.inside
         t = (X - g.origin) / g.h
-        cell = np.clip(np.floor(t).astype(int), 0, np.asarray(g.dims) - 2)
+        top = np.asarray(g.dims) - 2
+        cell = np.clip(np.floor(t).astype(int), 0, top)
         frac = t - cell
-        bump = (frac > 1.0 - 1e-12) & (cell + 1 <= np.asarray(g.dims) - 2)
+        bump = (frac > 1.0 - 1e-12) & (cell + 1 <= top)
         cell = cell + bump.astype(int)
         frac = np.where(bump, 0.0, frac)
-        on_axis = np.abs(frac) < 1e-12
-        out = np.empty(X.shape[0])
-        ghost = self._ghost_values()
-        ins = self.mask.inside
+        off = np.abs(frac) >= 1e-12
 
-        for i in range(X.shape[0]):
-            free = [d for d in range(g.n) if not on_axis[i, d]]
-            if len(free) == 1:
-                out[i] = self._interp_line(cell[i], frac[i], free[0])
-                continue
-            acc = 0.0
-            for corner in itertools.product((0, 1), repeat=g.n):
-                w = 1.0
-                node = tuple(cell[i] + np.asarray(corner))
-                for d in range(g.n):
-                    w *= frac[i, d] if corner[d] else 1.0 - frac[i, d]
-                if w == 0.0:
-                    continue
-                if ins[node]:
-                    acc += w * self.values[node]
-                elif node in ghost:
-                    acc += w * ghost[node]
-                else:
-                    raise PreconditionError("interpolation point outside the domain")
-            out[i] = acc
-        return out
+        known = np.where(ins, self.values, self._ghost_values())
+        acc = np.zeros(X.shape[0])
+        inside = np.ones(X.shape[0], dtype=bool)
+        for corner in itertools.product((0, 1), repeat=g.n):
+            w = np.ones(X.shape[0])
+            for d in range(g.n):
+                w *= frac[:, d] if corner[d] else 1.0 - frac[:, d]
+            v = known[tuple((cell + corner).T)]
+            used = w != 0.0
+            acc = np.where(used, acc + w * v, acc)
+            inside &= ~used | ~np.isnan(v)
 
-    def _interp_line(self, cell, frac, d):
-        """1D interpolation along a grid line, honoring cut data exactly."""
-        g = self.grid
-        a = tuple(cell)
-        b = tuple(cell + _axis_offset(g.n, d, 1))
-        t = frac[d]
-        ins = self.mask.inside
-        if ins[a] and ins[b]:
-            return (1 - t) * self.values[a] + t * self.values[b]
-        if ins[a]:
-            th = self.mask.theta[(d, 1) + a]
-            bv = self.mask.bval[(d, 1) + a]
-            if t <= th + 1e-12:
-                return self.values[a] + (bv - self.values[a]) * (t / th)
-            raise PreconditionError("interpolation point outside the domain")
-        if ins[b]:
-            th = self.mask.theta[(d, 0) + b]
-            bv = self.mask.bval[(d, 0) + b]
-            s = 1.0 - t
-            if s <= th + 1e-12:
-                return self.values[b] + (bv - self.values[b]) * (s / th)
-        raise PreconditionError("interpolation point outside the domain")
+        # grid-line points: a (cell) to b (next node along the free axis d)
+        line = off.sum(axis=1) == 1
+        d = off[line].argmax(axis=1)
+        a = cell[line]
+        b = a.copy()
+        b[np.arange(a.shape[0]), d] += 1
+        s = frac[line, d]
+        a, b = tuple(a.T), tuple(b.T)
+        ina, inb = ins[a], ins[b]
+        va, vb = self.values[a], self.values[b]
+        th_a, bv_a = self.mask.theta[(d, 1) + a], self.mask.bval[(d, 1) + a]
+        th_b, bv_b = self.mask.theta[(d, 0) + b], self.mask.bval[(d, 0) + b]
+        cases = [ina & inb, ina, inb]
+        acc[line] = np.select(cases, [
+            (1 - s) * va + s * vb,
+            va + (bv_a - va) * (s / th_a),
+            vb + (bv_b - vb) * ((1.0 - s) / th_b),
+        ])
+        inside[line] = np.select(cases, [True, s <= th_a + 1e-12, 1.0 - s <= th_b + 1e-12], False)
+        return np.where(inside, acc, np.nan), inside
 
     def check_normalized(self) -> bool:
         """Anchor-node value within 2h * max|Du| of zero."""

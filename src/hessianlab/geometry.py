@@ -94,10 +94,6 @@ class ConvexBody:
     def max_vertex_distance(self, x) -> float:
         return float(np.max(np.linalg.norm(self.vertices - np.asarray(x), axis=1)))
 
-    def contains(self, x, slack=0.0) -> bool:
-        A, b = self._hull_eqs[:, :-1], self._hull_eqs[:, -1]
-        return bool(np.all(A @ np.asarray(x, dtype=float) + b <= slack))
-
     def vertices_extreme(self, rtol: float = 1e-9) -> bool:
         """Every vertex within rtol * diameter of the hull of the vertex set."""
         A, b = self._hull_eqs[:, :-1], self._hull_eqs[:, -1]
@@ -203,29 +199,14 @@ def _extract_from_field(f: ScalarField, t: float) -> ConvexBody:
     r_hi = np.linalg.norm(rho_max, axis=1).max()
     lo = np.zeros(dirs.shape[0])
     hi = np.full(dirs.shape[0], r_hi)
-
-    def val(r):
-        return f.interpolate_many(a + r[:, None] * dirs)
-
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        try:
-            below = val(mid) < t
-        except PreconditionError:
-            below = np.array(
-                [_safe_below(f, a, dirs[i], mid[i], t) for i in range(len(mid))]
-            )
+        values, inside = f._interpolate(a + mid[:, None] * dirs)
+        below = inside & (values < t)
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     verts = a + (0.5 * (lo + hi))[:, None] * dirs
     return ConvexBody(n=3, vertices=verts, faces=faces, interior_point=a)
-
-
-def _safe_below(f, a, d, r, t):
-    try:
-        return f.interpolate(a + r * d) < t
-    except PreconditionError:
-        return False
 
 
 def _marching_squares(f: ScalarField, t: float) -> np.ndarray:
@@ -518,12 +499,11 @@ def level_profile(source, levels, m_dirs: int | None = None) -> LevelProfile:
 def cone_lower_bound(profile: LevelProfile, s: float, t: float, tol: float = 1e-9):
     """Check mu(s) >= (s/t)^n mu(t) - tol; returns (passed, slack).
 
-    The dimension is inferred from the stored profile via the attached
-    body dimension carried in `profile.ndim` when present, else 2.
+    The dimension is the body dimension stored in `profile.ndim`.
     """
     if not 0 < s <= t:
         raise PreconditionError("need 0 < s <= t")
-    n = getattr(profile, "ndim", 2)
+    n = profile.ndim
     lhs = profile.mu_at(s)
     rhs = (s / t) ** n * profile.mu_at(t)
     slack = lhs - rhs

@@ -48,16 +48,6 @@ def esym_table(lam) -> np.ndarray:
     return out
 
 
-def esym(lam, j: int) -> np.ndarray | float:
-    """S_j of one spectrum or a stack of spectra."""
-    lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    if not 0 <= j <= n:
-        raise PreconditionError(f"symmetric polynomial order {j} outside 0..{n}")
-    val = esym_table(lam)[..., j]
-    return float(val) if val.ndim == 0 else val
-
-
 def complementary_table(lam) -> np.ndarray:
     """S_j of the spectrum with entry i deleted, for every i.
 

@@ -124,6 +124,18 @@ def test_override_through_non_object_exits_2(tmp_path, override):
     assert run_cli(tmp_path, cfg, "x", extra=["--override", override]) == 2
 
 
+@pytest.mark.parametrize("kind", ["invalid_json", "directory"])
+def test_unreadable_config_exits_2(tmp_path, kind, capsys):
+    path = tmp_path / "run.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text('{"command": "analyze", "params": {')
+    assert cli.main(["--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):
     def broken(cand, config):
         raise KeyError("internal")

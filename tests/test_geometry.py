@@ -75,6 +75,45 @@ def test_extract_body_3d_ball():
     assert body.surface() == pytest.approx(4.0 * math.pi, rel=5e-3)
 
 
+TILTED2 = np.array([[1.5, 0.4], [0.4, 0.8]])
+TILTED3 = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.2], [0.0, 0.2, 0.5]])
+
+
+def test_extract_body_2d_field_area():
+    # marching squares on a sampled quadratic; {x'Ax/2 < t} has area 2 pi t / sqrt(det A)
+    h = 1 / 32
+    c = candidates.quadratic(TILTED2, name="quad:tilted")
+    f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, h), 1.0)
+    for t in (0.3, 0.6):
+        exact = 2.0 * math.pi * t / math.sqrt(np.linalg.det(TILTED2))
+        # O(h^2): the inscribed polygon through linearly interpolated edge
+        # crossings loses about 1.14 h^2 of area here
+        assert abs(geometry.extract_body(f, t).volume() - exact) <= 2.0 * h**2
+
+
+def test_extract_body_3d_field_radii():
+    # radial bisection of the trilinear interpolant from the anchor node,
+    # which sits at the candidate's anchor (the origin) on this grid
+    h, k = 1 / 12, 20
+    c = candidates.quadratic(TILTED3, name="quad:tilted3d")
+    grid = fields.Grid(n=3, dims=(2 * k + 1,) * 3, origin=np.full(3, -k * h), h=h)
+    f = fields.sample_candidate(c, grid, 0.5)
+    assert np.array_equal(grid.coords(np.asarray(f.anchor)), np.zeros(3))
+    dirs = polar.sphere_mesh(2)[0]
+    for t in (0.2, 0.4):
+        body = geometry.extract_body(f, t)
+        radii = np.linalg.norm(body.vertices, axis=1)
+        # O(h^2): interpolation error over |grad u|, measured up to 0.84 h^2 here
+        assert np.max(np.abs(radii - polar.radial_crossings(c, t, dirs))) <= 1.5 * h**2
+
+
+def test_extract_body_field_rejects_level_above_sampled():
+    c = candidates.quadratic(TILTED2, name="quad:tilted")
+    f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, 1 / 16), 1.0)
+    with pytest.raises(PreconditionError):
+        geometry.extract_body(f, 1.01)
+
+
 def test_ball_fit_worked_shapes():
     # ball: ratio one
     c = candidates.quadratic(np.eye(2), name="quad:iso")
