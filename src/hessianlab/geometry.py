@@ -24,6 +24,7 @@ from .errors import (
     DegenerateDomainError,
     NonConvergenceError,
     PreconditionError,
+    UnboundedSublevelError,
 )
 from .fields import ScalarField
 from .polar import directions_2d, radial_crossings, sphere_mesh
@@ -180,12 +181,20 @@ def body_from_mask(mask) -> ConvexBody:
 
 
 def _extract_from_field(f: ScalarField, t: float) -> ConvexBody:
+    """Contour of {u < t} on a sampled field. A field with a finite level
+    holds its sub-level sets inside the domain; on one without, a set that
+    reaches the domain edge has no known boundary and raises."""
     level = f.level
     if math.isfinite(level) and t > level + 1e-12:
         raise PreconditionError("requested level exceeds the sampled range")
     if math.isfinite(level) and abs(t - level) <= 1e-12:
         return body_from_mask(f.mask)
     if f.mask.n == 2:
+        # the cut records sit on the inside nodes next to the domain edge
+        if not math.isfinite(level) and np.any(
+            f.inside_values()[f.mask.stencils().cut_node] < t
+        ):
+            raise UnboundedSublevelError("sub-level set reaches the domain edge")
         pts = _marching_squares(f, t)
         if pts.shape[0] < 4:
             raise DegenerateDomainError("contour too small on this grid")
@@ -205,6 +214,8 @@ def _extract_from_field(f: ScalarField, t: float) -> ConvexBody:
         below = inside & (values < t)
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
+    if not math.isfinite(level) and not f._interpolate(a + hi[:, None] * dirs)[1].all():
+        raise UnboundedSublevelError("sub-level set reaches the domain edge")
     verts = a + (0.5 * (lo + hi))[:, None] * dirs
     return ConvexBody(n=3, vertices=verts, faces=faces, interior_point=a)
 

@@ -11,13 +11,16 @@ boundary interpolation error.
 
 Quotient problems iterate on log S_k - log S_l (concave, better
 conditioned); the line search keeps every enforced node's discrete
-Hessian inside the admissibility cone.
+Hessian inside the admissibility cone. One LU factor of the linear trace
+system per solve gives the warm start and right-preconditions GMRES at
+every Newton step; a step GMRES cannot finish switches the rest of the
+solve to direct sparse solves.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +46,8 @@ from .symm import (
 
 _LOG_FLOOR = 1e-300
 _MAX_HALVINGS = 30                # line-search step halvings per Newton step
+_GMRES_RTOL = 1e-10               # relative true residual of each Newton step
+_GMRES_RESTART = 100              # GMRES iterations per step before the direct fallback
 
 
 @dataclass
@@ -89,6 +94,7 @@ class SolveReport:
     problem: DirichletProblem
     u_min: float = math.nan
     collar_margin: float = math.nan
+    linear_iters: list = dc_field(default_factory=list)   # GMRES count, None if direct
 
     def to_json_dict(self) -> dict:
         return {
@@ -99,6 +105,7 @@ class SolveReport:
             "collar_margin": self.collar_margin,
             "u_min": self.u_min,
             "residual_history": list(map(float, self.residual_history)),
+            "linear_iters": list(self.linear_iters),
             "k": self.problem.k,
             "l": self.problem.l,
             "n": self.problem.mask.n,
@@ -209,18 +216,20 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         F_cl = st.closure_matrix @ u - st.closure_rhs
         return np.concatenate([F_eq, F_cl]), lam
 
+    # the equation rows of each stencil, sliced once per solve
+    hess_eq = {key: st.hess[key][0][eq_rows] for key in hess_keys}
+
     def jacobian(u):
-        H = st.hessian_stack(u)
-        lam, Q = np.linalg.eigh(H)
+        # spectra on the equation rows only: closure rows are linear, and
+        # their S_k may vanish
+        lam, Q = np.linalg.eigh(st.hessian_stack(u)[eq_rows])
         g = spectral_gradient(lam, k, l, log_form=log_form)
         W = np.einsum("nij,nj,nkj->nik", Q, g, Q)
-        rows = None
+        J_eq = None
         for key in hess_keys:
             p, q = key
-            A, _ = st.hess[key]
-            term = sp.diags(sym_factor[key] * W[:, p, q]) @ A
-            rows = term if rows is None else rows + term
-        J_eq = rows.tocsr()[eq_rows]
+            term = sp.diags(sym_factor[key] * W[:, p, q]) @ hess_eq[key]
+            J_eq = term if J_eq is None else J_eq + term
         return sp.vstack([J_eq, st.closure_matrix]).tocsr()
 
     def admissible(lam, where):
@@ -240,21 +249,25 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     )
     u_bar = b0.evaluate(mask.inside_coords())
     u = u_bar
-    if k > 1:
-        u_lin = _trace_start(st, float(np.trace(b0.hessian.array)))
-        if u_lin is not None:
-            # smallest barrier blend that clears the admissibility cone keeps
-            # the boundary mismatch (and with it the damping) minimal
-            for w in (0.0, 0.1, 0.25, 0.5, 0.75):
-                u_try = (1.0 - w) * u_lin + w * u_bar
-                lam0 = np.linalg.eigvalsh(st.hessian_stack(u_try))
-                ok0, _ = admissible(lam0, enforce)
-                if ok0:
-                    u = u_try
-                    break
+    # one factor of the trace system serves the warm start and preconditions
+    # every Newton step; without it each step is a direct sparse solve
+    lu, trace_const = _trace_factor(st)
+    if k > 1 and lu is not None:
+        alpha = float(np.trace(b0.hessian.array))
+        u_lin = lu.solve(np.concatenate([alpha - trace_const, st.closure_rhs]))
+        # smallest barrier blend that clears the admissibility cone keeps
+        # the boundary mismatch (and with it the damping) minimal
+        for w in (0.0, 0.1, 0.25, 0.5, 0.75):
+            u_try = (1.0 - w) * u_lin + w * u_bar
+            lam0 = np.linalg.eigvalsh(st.hessian_stack(u_try))
+            ok0, _ = admissible(lam0, enforce)
+            if ok0:
+                u = u_try
+                break
 
     F, lam = residual(u)
     history = [float(np.max(np.abs(F)))]
+    linear_iters = []
     converged = False
     iters = 0
     for iters in range(1, opts.max_iters + 1):
@@ -262,13 +275,15 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             converged = True
             iters -= 1
             break
-        J = jacobian(u)
-        if opts.fd_jacobian:
-            J = _fd_jacobian(residual, u)
-        try:
-            delta = spla.spsolve(J.tocsc(), -F)
-        except RuntimeError as exc:
-            raise NumericError(f"linear solve failed: {exc}") from exc
+        J = _fd_jacobian(residual, u) if opts.fd_jacobian else jacobian(u)
+        delta, inner = _krylov_step(J, F, lu) if lu is not None else (None, None)
+        if delta is None:
+            lu = None     # GMRES fell short: this and every later step go direct
+            try:
+                delta = spla.spsolve(J.tocsc(), -F)
+            except RuntimeError as exc:
+                raise NumericError(f"linear solve failed: {exc}") from exc
+        linear_iters.append(inner)
         base = float(np.linalg.norm(F))
         s = 1.0
         accepted = False
@@ -286,7 +301,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             s *= 0.5
         if not accepted:
             history.append(float(np.max(np.abs(F))))
-            report = _make_report(problem, st, u, F, lam, history, iters, False)
+            report = _make_report(problem, st, u, F, lam, history, linear_iters, iters, False)
             if not saw_admissible:
                 raise SafeguardError(
                     "no admissible damped step from this iterate", report=report
@@ -297,16 +312,19 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         # residual will not recover; report honestly instead of burning
         # the iteration cap
         if len(history) > 8 and history[-1] > 0.98 * history[-9] and history[-1] > opts.tol:
-            return _make_report(problem, st, u, F, lam, history, iters, False)
+            return _make_report(problem, st, u, F, lam, history, linear_iters, iters, False)
     else:
         iters = opts.max_iters
         converged = history[-1] <= opts.tol
 
-    return _make_report(problem, st, u, F, lam, history, iters, converged)
+    return _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged)
 
 
-def _trace_start(st, alpha):
-    """Solve the linear problem trace(D2u) = alpha with the closure rows."""
+def _trace_factor(st):
+    """LU factor of the linear trace(D2u) system (the summed pure second
+    differences on the equation rows, stacked over the closure rows) and
+    the Dirichlet constants of its trace rows. The factor is None when the
+    system is singular."""
     eq_rows = ~st.is_closure
     n = max(p for p, _ in st.hess) + 1
     A = None
@@ -315,14 +333,28 @@ def _trace_start(st, alpha):
         S, c = st.hess[(d, d)]
         A = S if A is None else A + S
         const = c if const is None else const + c
-    Aeq = A.tocsr()[eq_rows]
-    rhs_eq = alpha - const[eq_rows]
-    M = sp.vstack([Aeq, st.closure_matrix]).tocsc()
-    b = np.concatenate([rhs_eq, st.closure_rhs])
+    M = sp.vstack([A.tocsr()[eq_rows], st.closure_matrix]).tocsc()
     try:
-        return spla.spsolve(M, b)
+        lu = spla.splu(M, permc_spec="COLAMD")
     except RuntimeError:
-        return None
+        lu = None
+    return lu, const[eq_rows]
+
+
+def _krylov_step(J, F, lu):
+    """Newton step from GMRES on (J M^-1) y = -F, delta = M^-1 y, with M the
+    trace factor. Preconditioning on the right keeps GMRES's stopping test
+    on the true residual of J delta = -F. Returns the step and its inner
+    iteration count, or (None, None) when one restart cycle falls short."""
+    residuals = []                 # one per inner iteration
+    op = spla.LinearOperator(J.shape, matvec=lambda v: J @ lu.solve(v), dtype=float)
+    y, info = spla.gmres(
+        op, -F, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART, maxiter=1,
+        callback=residuals.append, callback_type="pr_norm",
+    )
+    if info != 0:
+        return None, None
+    return lu.solve(y), len(residuals)
 
 
 def _fd_jacobian(residual, u, step=1e-7):
@@ -336,7 +368,7 @@ def _fd_jacobian(residual, u, step=1e-7):
     return sp.csr_matrix(np.stack(cols, axis=1))
 
 
-def _make_report(problem, st, u, F, lam, history, iters, converged):
+def _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged):
     mask = problem.mask
     k = problem.k
     eq_rows = ~st.is_closure
@@ -363,6 +395,7 @@ def _make_report(problem, st, u, F, lam, history, iters, converged):
         converged=bool(converged and margin > 0),
         residual_history=history,
         problem=problem,
+        linear_iters=linear_iters,
         u_min=float(np.min(u)),
         collar_margin=collar_margin,
     )

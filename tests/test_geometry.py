@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -112,6 +113,34 @@ def test_extract_body_field_rejects_level_above_sampled():
     f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, 1 / 16), 1.0)
     with pytest.raises(PreconditionError):
         geometry.extract_body(f, 1.01)
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_extract_body_3d_field_raises_at_domain_edge():
+    # no boundary level; largest inside value 0.108, smallest value on a
+    # node next to the domain edge 0.0153
+    f = fields.load_hsf1(os.path.join(DATA, "field_noisy3d.hsf1"))
+    assert math.isnan(f.level)
+    for t in (0.5, 0.06):
+        with pytest.raises(UnboundedSublevelError):
+            geometry.extract_body(f, t, m_dirs=162)
+    body = geometry.extract_body(f, 0.01, m_dirs=162)
+    assert 0 < body.volume() < 0.176        # the ellipsoid domain's volume
+
+
+def test_extract_body_2d_field_raises_at_domain_edge():
+    # the aniso2d field without its boundary level: the smallest value next
+    # to the domain edge is 0.187
+    f = fields.load_hsf1(os.path.join(DATA, "field_aniso2d.hsf1"))
+    free = fields.ScalarField(mask=f.mask, values=f.values)
+    assert math.isnan(free.level)
+    with pytest.raises(UnboundedSublevelError):
+        geometry.extract_body(free, 0.25)
+    assert np.array_equal(
+        geometry.extract_body(free, 0.15).vertices, geometry.extract_body(f, 0.15).vertices
+    )
 
 
 def test_ball_fit_worked_shapes():

@@ -52,9 +52,11 @@ FIELDS = {
     "noisy3d": _loaded("noisy3d"),
 }
 
-# contouring levels of the 3D fields; the higher ones bring the bisection
-# to the edge of the interpolable region
-LEVELS = {"quad3d": (0.05, 0.099), "noisy3d": (0.03, 0.06)}
+# contouring levels of the 3D fields. On quad3d the higher one brings the
+# bisection to the edge of the interpolable region; noisy3d has no boundary
+# level, so its levels stay below the smallest value next to the domain
+# edge (0.0153), past which extraction raises
+LEVELS = {"quad3d": (0.05, 0.099), "noisy3d": (0.01, 0.015)}
 
 
 def _path(name):

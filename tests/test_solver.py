@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,94 @@ def test_quotient_3d_ball():
         solver.DirichletProblem(mask=mask, k=3, l=1),
         solver.SolveOptions(min_resolution=15),
     )
+    assert rep.converged
+    X = mask.inside_coords()
+    exact = 0.5 * c * np.sum(X**2, axis=1)
+    err = np.max(np.abs(rep.field.inside_values() - exact))
+    assert err <= 30.0 * mask.grid.h ** 2
+
+
+def _direct_only(monkeypatch):
+    """Make every GMRES call fall short, so each Newton step solves directly.
+    Returns a list that gains one entry per GMRES call."""
+    calls = []
+
+    def gmres(A, b, *args, **kwargs):
+        calls.append(b.size)
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(solver.spla, "gmres", gmres)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["quotient3d", "ma2d"])
+def test_krylov_steps_match_direct_steps(case, monkeypatch):
+    if case == "quotient3d":
+        lam = np.array([1.7, 1.8, 3.5 / (1.7 * 1.8 - 1.0)])   # S3/S1 = 1, near the ball
+        mask = fields.mask_from_ellipse(np.sqrt(2.0 / lam), h=1 / 11)
+        problem = solver.DirichletProblem(mask=mask, k=3, l=1)
+        opts = solver.SolveOptions(min_resolution=16)
+    else:
+        mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 32)
+        problem = solver.DirichletProblem(mask=mask, k=2, l=0)
+        opts = solver.SolveOptions()
+    rep = solver.solve(problem, opts)
+    assert rep.converged
+    assert len(rep.linear_iters) == rep.newton_iters
+    assert all(isinstance(i, int) and i > 0 for i in rep.linear_iters)
+    calls = _direct_only(monkeypatch)
+    rep_direct = solver.solve(problem, opts)
+    assert len(calls) == 1           # the switch to direct steps is sticky
+    assert rep_direct.linear_iters == [None] * rep_direct.newton_iters
+    assert rep_direct.newton_iters == rep.newton_iters
+    assert rep_direct.converged == rep.converged
+    du = np.max(np.abs(rep.field.inside_values() - rep_direct.field.inside_values()))
+    assert du <= opts.tol
+
+
+def test_krylov_steps_meet_the_linear_tolerance(monkeypatch):
+    rel = []
+    step = solver._krylov_step
+
+    def recorded(J, F, lu):
+        delta, inner = step(J, F, lu)
+        rel.append(np.linalg.norm(J @ delta + F) / np.linalg.norm(F))
+        return delta, inner
+
+    monkeypatch.setattr(solver, "_krylov_step", recorded)
+    mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 24)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert rep.converged and len(rel) == rep.newton_iters
+    assert max(rel) <= 1e-10
+
+
+def test_unfactorable_trace_system_solves_directly(monkeypatch):
+    def splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    calls = _direct_only(monkeypatch)
+    # k = 1 starts from the barrier, which needs no trace solve
+    mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 24)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
+    assert rep.converged and rep.newton_iters >= 1
+    assert not calls
+    assert rep.linear_iters == [None] * rep.newton_iters
+
+
+def test_quotient_3d_ball_fine_without_warnings():
+    # S_3/S_1 = 1 on a ball at h = radius/16 (17k unknowns). The Jacobian
+    # takes spectra on equation rows only, so the closure nodes whose S_k
+    # vanishes in late Newton steps raise no divide-by-zero warnings.
+    c = math.sqrt(3.0)
+    radius = math.sqrt(2.0 / c)
+    mask = fields.mask_from_ellipse([radius] * 3, h=radius / 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = solver.solve(
+            solver.DirichletProblem(mask=mask, k=3, l=1),
+            solver.SolveOptions(min_resolution=15),
+        )
     assert rep.converged
     X = mask.inside_coords()
     exact = 0.5 * c * np.sum(X**2, axis=1)
