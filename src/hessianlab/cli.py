@@ -230,12 +230,22 @@ def _cmd_legendre(params, out):
 
 def _cmd_report(params, out):
     src = params["dir"]
+    try:
+        names = sorted(os.listdir(src))
+    except OSError as exc:
+        raise PreconditionError(f"cannot list {src}: {exc}") from exc
     entries = []
-    for name in sorted(os.listdir(src)):
+    for name in names:
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(src, name)) as fh:
-            payload = json.load(fh)
+        path = os.path.join(src, name)
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise PreconditionError(f"cannot read {path}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise PreconditionError(f"{path} does not hold a JSON object")
         entries.append({"file": name, "keys": sorted(payload.keys())})
     _write_json(os.path.join(out, "summary.json"), {"entries": entries})
     return 0

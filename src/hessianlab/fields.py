@@ -33,7 +33,6 @@ from .errors import (
     PreconditionError,
     StencilError,
 )
-from .symm import SymmetricMatrix
 
 MAX_NODES = 8_000_000
 THETA_MIN = 1e-6
@@ -481,15 +480,6 @@ class ScalarField:
         )
 
     # -- differential operators ------------------------------------------
-
-    def hessian_at(self, node) -> SymmetricMatrix:
-        st = self.mask.stencils()
-        r = self.mask.unknown[tuple(node)]
-        if r < 0:
-            raise PreconditionError("node is outside the mask")
-        if not st.mixed_ok[r]:
-            raise StencilError("no usable mixed-derivative stencil at this node")
-        return SymmetricMatrix.from_array(self.hessian_stack()[r])
 
     def hessian_stack(self) -> np.ndarray:
         return self.mask.stencils().hessian_stack(self.inside_values())

@@ -3,8 +3,7 @@
 Implements the ratio of the gradient integral to the layer-cake norm on
 sub-level sets, the volume-growth and weighted-integrability scalars with
 log-log slope fits, the first (Pogorelov-style) normalization and the
-convex conjugate on grids, plus the diagnostic integral bounds used as
-cross-checks.
+convex conjugate on grids.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from . import polar
 from .candidates import AnalyticCandidate, rescaled
 from .errors import AdmissibilityError, PreconditionError
 from .fields import DomainMask, Grid, ScalarField
-from .symm import esym_table
 
 
 class Condition(str, Enum):
@@ -104,15 +102,6 @@ def iso_ratio(source, t: float, m_dirs: int = 720, n_r: int = 48) -> Isoperimetr
     if num <= 0 or den <= 0:
         raise PreconditionError("degenerate integrals at this level")
     return IsoperimetricSample(t=t, numerator=num, denominator=den)
-
-
-def layer_cake_floor(n: int) -> float:
-    """Dimensional constant c(n) with denominator >= c(n) t mu(t)^((n-1)/n),
-    from comparing against the cone over the level set."""
-    a = n / (n - 1.0)
-    b = n + 1.0
-    beta = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-    return (n / (n - 1.0) * beta) ** ((n - 1.0) / n)
 
 
 def _ols_slope(x, y):
@@ -302,148 +291,3 @@ def legendre_transform(
     return ScalarField(
         mask=out_mask, values=vals, level=math.nan, normalized=True, anchor=anchor
     )
-
-
-# ---------------------------------------------------------------------------
-# diagnostic integral relations
-
-
-def domain_image_radii_check(report, region_frac: float = 0.5, calib=None) -> dict:
-    """Solved quotient instance: the domain is not large and the gradient
-    image of the half-level region is not small, against calibrated radii."""
-    from . import geometry
-    from .calibration import get_constants
-
-    calib = calib or get_constants()
-    f = report.field
-    n = f.mask.n
-    body = geometry.body_from_mask(f.mask)
-    fit = geometry.ball_fit(body)
-    drop = report.problem.boundary_value - report.u_min
-    s = math.sqrt(drop)
-    r_enclosing = body.max_vertex_distance(fit.center) / s
-
-    u = f.inside_values()
-    cut = report.u_min + region_frac * drop
-    sel = u < cut
-    G = f.gradient_stack()[sel] / s
-    if G.shape[0] < n + 2:
-        raise PreconditionError("half-level region too small")
-    hull_pts = G
-    image = geometry.ConvexBody(
-        n=n,
-        vertices=hull_pts[ConvexHull(hull_pts).vertices]
-        if n == 2
-        else hull_pts,
-        interior_point=np.zeros(n),
-    )
-    r_image = image.boundary_distance(np.zeros(n))
-    C1 = calib["domain_radius_bound_C1"][str(n)]
-    C2 = calib["gradient_image_bound_C2"][str(n)]
-    return {
-        "r_enclosing": float(r_enclosing),
-        "enclosing_slack": float(C1 - r_enclosing),
-        "r_image": float(r_image),
-        "image_slack": float(r_image - 1.0 / C2),
-    }
-
-
-def tw_integral_diagnostic(field_or_report, q: float, l: int, k: int | None = None):
-    """Interior gradient-power integral against its scale bound.
-
-    Returns (lhs, rhs_scale): the integral of |Du|^q S_l(D2u) over the
-    interior median-level region, and dist^(-2l-q) (integral of the value
-    drop)^(q+l). The universal prefactor is unknown, so the pair is a
-    recorded diagnostic, not an assertion.
-    """
-    from . import geometry
-
-    report = None
-    if isinstance(field_or_report, ScalarField):
-        f = field_or_report
-        bv = f.level if math.isfinite(f.level) else float(np.max(f.inside_values()))
-    else:
-        report = field_or_report
-        f = report.field
-        bv = report.problem.boundary_value
-    n = f.mask.n
-    k = k if k is not None else n
-    if q < 0:
-        raise PreconditionError("exponent q must be nonnegative")
-    if k < n and not q < n * (k - l) / (n - k):
-        raise PreconditionError("exponent q outside the admissible range")
-    if l < 0 or l >= k:
-        raise PreconditionError("need 0 <= l < k")
-    st = f.mask.stencils()
-    u = f.inside_values()
-    u_min = float(np.min(u))
-    cut = 0.5 * (u_min + bv)
-    sel = u < cut
-    if not sel.any():
-        raise PreconditionError("median-level region is empty")
-    H = f.hessian_stack()
-    Sl = esym_table(np.linalg.eigvalsh(H[sel]))[:, l]
-    g = np.linalg.norm(f.gradient_stack()[sel], axis=1)
-    lhs = float(np.sum(st.weights[sel] * g**q * Sl))
-
-    inner = geometry.ConvexBody(
-        n=n,
-        vertices=_hull_vertices(f.mask.inside_coords()[sel]),
-        interior_point=f.mask.inside_coords()[sel].mean(axis=0),
-    )
-    outer = geometry.body_from_mask(f.mask)
-    dist = float(
-        min(outer.boundary_distance(v) for v in inner.vertices)
-    )
-    mass = float(np.sum(st.weights * (bv - u)))
-    rhs = dist ** (-2.0 * l - q) * mass ** (q + l)
-    return lhs, rhs
-
-
-def _hull_vertices(P):
-    hull = ConvexHull(P)
-    return P[hull.vertices] if P.shape[1] == 2 else P[np.unique(hull.simplices)]
-
-
-def layer_cake_identity(cand: AnalyticCandidate, t: float, p: float, m_dirs: int = 720):
-    """Both sides of the weighted volume identity
-    t^(-p-n/2) int_{region(t-1)} (t-u)^p = p t^(-p-n/2) int_0^t (t-s)^(p-1)
-    vol(region(min(s, t-1))) ds, as a quadrature cross-check pair."""
-    if p <= 0:
-        raise PreconditionError("weight exponent must be positive")
-    if t <= 1:
-        raise PreconditionError("level must exceed one")
-    n = cand.n
-    pref = t ** (-p - n / 2.0)
-    lhs = pref * polar.integrate_sublevel(
-        cand, t - 1.0, lambda X: (t - cand.value(X)) ** p, m_dirs=m_dirs
-    )
-    xg, wg = np.polynomial.legendre.leggauss(64)
-    s_nodes = 0.5 * (xg + 1.0) * (t - 1.0)
-    w_nodes = 0.5 * (t - 1.0) * wg
-    mu_vals = np.array(
-        [polar.sublevel_volume(cand, float(s), m_dirs=m_dirs) for s in s_nodes]
-    )
-    integral = float(np.sum((t - s_nodes) ** (p - 1.0) * mu_vals * w_nodes))
-    mu_top = polar.sublevel_volume(cand, t - 1.0, m_dirs=m_dirs)
-    integral += mu_top / p  # the flat tail where the region saturates
-    rhs = p * pref * integral
-    return lhs, rhs
-
-
-def radial_gradient_monotone(cand: AnalyticCandidate, m_dirs: int = 64, n_r: int = 40,
-                             r_max: float = 50.0) -> float:
-    """Minimum increment of the radial derivative along sampled rays;
-    nonnegative (up to roundoff) for convex candidates."""
-    dirs = (
-        polar.directions_2d(m_dirs)
-        if cand.n == 2
-        else polar.sphere_mesh(1)[0]
-    )
-    r = np.linspace(1e-3, r_max, n_r)
-    worst = math.inf
-    for w in dirs:
-        pts = cand.anchor + r[:, None] * w[None, :]
-        ur = cand.grad(pts) @ w
-        worst = min(worst, float(np.min(np.diff(ur))))
-    return worst

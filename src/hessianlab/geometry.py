@@ -10,7 +10,6 @@ identities for convex functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -339,17 +338,6 @@ class EllipsoidFit:
         ok_R = r_out <= self.R * (1.0 + slack)
         ok_ratio = r_out <= body.n * r_in * (1.0 + slack)
         return bool(ok_R and ok_ratio and r_in > 0)
-
-    def export_json(self, path):
-        payload = {
-            "center": self.center.tolist(),
-            "A": self.A.ravel().tolist(),
-            "mu": self.mu.tolist(),
-            "R": self.R,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
 
 
 def _leverages(Q, u):

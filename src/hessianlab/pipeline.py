@@ -552,28 +552,6 @@ def recenter_invariance(
     return True
 
 
-def hessian_growth_trend(reports: list) -> dict:
-    """Trend record across solved instances: largest Hessian operator norm
-    against the cube of the largest gradient norm. Recorded, not asserted;
-    the fitted coefficient bounds log sup|D2u| by c * max|Du|^3 + c0 over
-    the family."""
-    pts = []
-    for rep in reports:
-        f = rep.field
-        H = f.hessian_stack()
-        st = f.mask.stencils()
-        opn = float(np.max(np.abs(np.linalg.eigvalsh(H[st.is_full]))))
-        gmax = float(np.max(np.linalg.norm(f.gradient_stack(), axis=1)))
-        pts.append({"sup_hess": opn, "max_grad": gmax, "h": f.grid.h})
-    if len(pts) >= 2:
-        x = np.array([p["max_grad"] ** 3 for p in pts])
-        y = np.log(np.array([p["sup_hess"] for p in pts]))
-        coeff = float(np.polyfit(x, y, 1)[0])
-    else:
-        coeff = math.nan
-    return {"samples": pts, "log_hess_per_grad_cubed": coeff}
-
-
 def write_report_json(report, path):
     with open(path, "w") as fh:
         json.dump(report.to_json_dict(), fh, sort_keys=True, indent=1)

@@ -164,9 +164,6 @@ class EllipsoidBarrier:
         q = self.quadratic_form(X)
         return (q - self.R**2) / (2.0 * self.norm) + self.boundary_value
 
-    def center_value(self) -> float:
-        return float(self.boundary_value - self.R**2 / (2.0 * self.norm))
-
 
 # ---------------------------------------------------------------------------
 # the Newton solve
@@ -486,79 +483,6 @@ def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dic
         "passed": bool(fit.R <= bound * (1.0 + slack_grid)),
         "passed_normalized": bool(r_norm <= bound * (1.0 + slack_grid)),
     }
-
-
-def _normalized_quantities(report: SolveReport):
-    """Scale factors mapping the solved instance to an anchored unit one.
-
-    Shifting by the minimum and rescaling x by sqrt(drop) yields a solution
-    with the same Hessian field, minimum zero and unit boundary level; all
-    geometric quantities transform by powers of sqrt(drop)."""
-    drop = report.problem.boundary_value - report.u_min
-    if drop <= 0:
-        raise PreconditionError("solution has no interior drop below the boundary")
-    return math.sqrt(drop)
-
-
-def normal_mapping_checks(report: SolveReport, fit=None, calib=None) -> dict:
-    """Signed slacks of the normal-mapping volume bounds and the interior
-    gradient bound on the normalized instance."""
-    from .calibration import get_constants
-
-    calib = calib or get_constants()
-    f = report.field
-    n = f.mask.n
-    st = f.mask.stencils()
-    if fit is None:
-        fit = geometry.ball_fit(geometry.body_from_mask(f.mask))
-    s = _normalized_quantities(report)       # sqrt of the value drop
-    gamma = fit.gamma
-    Rn = fit.R / s                           # normalized roundness radius
-    omega_n = math.pi if n == 2 else 4.0 * math.pi / 3.0
-
-    H = f.hessian_stack()
-    det = np.prod(np.linalg.eigvalsh(H), axis=1)
-    total_det = float(np.sum(det * st.weights)) / s**n   # normalized integral
-
-    # enclosing bound: R^-n <= gamma^n / omega_n * integral(det)
-    lhs1 = Rn ** (-n)
-    rhs1 = gamma**n / omega_n * total_det
-    # inscribed bound: R^-n >= gamma^-n / (2^n omega_n) * integral over the
-    # concentric ball of radius R / (2 gamma)
-    X = f.mask.inside_coords()
-    rad = np.linalg.norm(X - fit.center, axis=1) / s
-    in_ball = rad <= Rn / (2.0 * gamma)
-    det_ball = float(np.sum(det[in_ball] * st.weights[in_ball])) / s**n
-    rhs2 = det_ball / (2.0**n * omega_n * gamma**n)
-
-    # interior gradient bound on the half-level set, constants calibrated
-    u = f.inside_values()
-    drop = report.problem.boundary_value - report.u_min
-    unorm = (u - report.u_min) / drop
-    G = np.linalg.norm(f.gradient_stack(), axis=1) / s   # normalized |Du|
-    half = unorm < 0.5
-    sup_grad = float(np.max(G[half])) if half.any() else 0.0
-    c_n3 = calib["gradient_bound_C"][str(n)]
-    rhs3 = c_n3 * (gamma * Rn / 0.5) ** (n - 1) * total_det
-
-    return {
-        "enclosing_slack": float(rhs1 - lhs1),
-        "inscribed_slack": float(lhs1 - rhs2),
-        "gradient_slack": float(rhs3 - sup_grad),
-        "sup_grad_half": sup_grad,
-        "det_integral": total_det,
-        "gamma": float(gamma),
-        "R_normalized": float(Rn),
-    }
-
-
-def pogorelov_diagnostic(report: SolveReport) -> float:
-    """max over interior nodes of (u - boundary)^4 * ||D2u||_op."""
-    f = report.field
-    H = f.hessian_stack()
-    opnorm = np.max(np.abs(np.linalg.eigvalsh(H)), axis=1)
-    u = f.inside_values()
-    return float(np.max((u - report.problem.boundary_value) ** 4 * opnorm))
 
 
 # ---------------------------------------------------------------------------

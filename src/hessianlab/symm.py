@@ -1,11 +1,10 @@
 """Elementary symmetric polynomial calculus on eigenvalue spectra.
 
-Dimension-generic evaluation of the symmetric polynomials S_j, membership
-tests for the elliptic cones Gamma_k, Hessian and Hessian-quotient
-operators on symmetric matrices, and the first spectral derivatives that
-feed the Newton solver. All functions are pure; the batched helpers accept
-stacked spectra (leading axes arbitrary) so a solver can process a whole
-grid of Hessians per call.
+Dimension-generic evaluation of the symmetric polynomials S_j, Hessian and
+Hessian-quotient operators on symmetric matrices, and the first spectral
+derivatives that feed the Newton solver. All functions are pure; the
+batched helpers accept stacked spectra (leading axes arbitrary) so a solver
+can process a whole grid of Hessians per call.
 """
 
 from __future__ import annotations
@@ -64,49 +63,6 @@ def complementary_table(lam) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SymmetricSpectrum:
-    """An eigenvalue vector with its cached symmetric polynomial values."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
-        if lam.ndim != 1:
-            raise PreconditionError("spectrum must be a flat vector")
-        if not MIN_DIM <= lam.size <= MAX_DIM:
-            raise PreconditionError(
-                f"spectrum dimension {lam.size} outside {MIN_DIM}..{MAX_DIM}"
-            )
-        if not np.all(np.isfinite(lam)):
-            raise PreconditionError("spectrum entries must be finite")
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_table", esym_table(lam))
-
-    @property
-    def n(self) -> int:
-        return self.lam.size
-
-    def esym(self, j: int) -> float:
-        if not 0 <= j <= self.n:
-            raise PreconditionError(f"order {j} outside 0..{self.n}")
-        return float(self._table[j])
-
-    def table(self) -> np.ndarray:
-        return np.array(self._table)
-
-    def cache_consistent(self, rtol: float = 1e-14) -> bool:
-        fresh = esym_table(self.lam)
-        scale = np.maximum(np.abs(fresh), 1.0)
-        return bool(np.all(np.abs(fresh - self._table) <= rtol * scale))
-
-
-def _as_spectrum(s) -> SymmetricSpectrum:
-    if isinstance(s, SymmetricSpectrum):
-        return s
-    return SymmetricSpectrum(np.asarray(s, dtype=float))
-
-
-@dataclass(frozen=True)
 class SymmetricMatrix:
     """Exactly symmetric n x n matrix stored as a packed upper triangle."""
 
@@ -121,6 +77,8 @@ class SymmetricMatrix:
         n = M.shape[0]
         if not MIN_DIM <= n <= MAX_DIM:
             raise PreconditionError(f"dimension {n} outside {MIN_DIM}..{MAX_DIM}")
+        if not np.all(np.isfinite(M)):
+            raise PreconditionError("matrix entries must be finite")
         scale = np.linalg.norm(M)
         if np.linalg.norm(M - M.T) > sym_rtol * max(scale, 1.0):
             raise PreconditionError("matrix is not symmetric within tolerance")
@@ -150,38 +108,11 @@ class SymmetricMatrix:
             raise NumericError("eigendecomposition reconstruction out of tolerance")
         return w, Q
 
-    def spectrum(self) -> SymmetricSpectrum:
-        w, _ = self.eig()
-        return SymmetricSpectrum(w)
-
 
 def _as_matrix(M) -> SymmetricMatrix:
     if isinstance(M, SymmetricMatrix):
         return M
     return SymmetricMatrix.from_array(M)
-
-
-def elementary_symmetric(s, j: int) -> float:
-    """S_j of a spectrum; S_0 is identically 1."""
-    return _as_spectrum(s).esym(j)
-
-
-def gamma_cone_member(s, k: int) -> bool:
-    """Strict test that S_1..S_k are all positive (zero tolerance)."""
-    sp = _as_spectrum(s)
-    if not 1 <= k <= sp.n:
-        raise PreconditionError(f"cone order {k} outside 1..{sp.n}")
-    return bool(np.all(sp.table()[1 : k + 1] > 0.0))
-
-
-def gamma_cone_member_relaxed(s, k: int, eps: float) -> bool:
-    """Cone test allowing S_j > -eps, for data sitting near the cone boundary."""
-    sp = _as_spectrum(s)
-    if not 1 <= k <= sp.n:
-        raise PreconditionError(f"cone order {k} outside 1..{sp.n}")
-    if eps < 0:
-        raise PreconditionError("eps must be nonnegative")
-    return bool(np.all(sp.table()[1 : k + 1] > -eps))
 
 
 def _check_orders(n: int, k: int, l: int):
@@ -193,22 +124,12 @@ def hessian_operator(M, k: int, l: int = 0) -> float:
     """S_k(lambda(M)) for l=0, otherwise the quotient S_k/S_l."""
     sm = _as_matrix(M)
     _check_orders(sm.n, k, l)
-    t = sm.spectrum().table()
+    t = esym_table(sm.eig()[0])
     if l == 0:
         return float(t[k])
     if t[l] == 0.0:
         raise SingularQuotientError(f"S_{l} vanishes; quotient undefined")
     return float(t[k] / t[l])
-
-
-def log_quotient_operator(M, k: int, l: int) -> float:
-    """log S_k - log S_l, the concave form the solver iterates on."""
-    sm = _as_matrix(M)
-    _check_orders(sm.n, k, l)
-    t = sm.spectrum().table()
-    if t[k] <= 0.0 or t[l] <= 0.0:
-        raise AdmissibilityError("log form requires S_k and S_l positive")
-    return float(np.log(t[k]) - np.log(t[l]))
 
 
 def spectral_gradient(lam, k: int, l: int = 0, log_form: bool = False) -> np.ndarray:
@@ -248,7 +169,7 @@ def operator_gradient(M, k: int, l: int = 0, log_form: bool = False) -> Symmetri
     _check_orders(sm.n, k, l)
     w, Q = sm.eig()
     if l > 0:
-        t = SymmetricSpectrum(w).table()
+        t = esym_table(w)
         if t[l] == 0.0:
             raise SingularQuotientError(f"S_{l} vanishes; quotient undefined")
         if log_form and (t[k] <= 0.0 or t[l] <= 0.0):
@@ -258,25 +179,10 @@ def operator_gradient(M, k: int, l: int = 0, log_form: bool = False) -> Symmetri
     return SymmetricMatrix.from_array(0.5 * (G + G.T))
 
 
-def newton_maclaurin_ratio(s, k: int) -> float:
-    """(S_k / C(n,k))^(1/k); requires the spectrum to lie in Gamma_k."""
-    sp = _as_spectrum(s)
-    if not 1 <= k <= sp.n:
-        raise PreconditionError(f"order {k} outside 1..{sp.n}")
-    if not gamma_cone_member(sp, k):
-        raise AdmissibilityError("spectrum not in the admissible cone")
-    return float((sp.esym(k) / binomial(sp.n, k)) ** (1.0 / k))
-
-
 def maclaurin_trace_bound(n: int, k: int) -> float:
     """Coefficient n * C(n,k)^(-1/k): lower bound on the Laplacian of a
     unit k-Hessian solution, feeding the radial comparison barrier."""
     return n * binomial(n, k) ** (-1.0 / k)
-
-
-def maclaurin_det_bound(n: int, k: int) -> float:
-    """Coefficient C(n,k)^(-n/k): upper bound on det D2u for unit S_k."""
-    return binomial(n, k) ** (-float(n) / k)
 
 
 def radius_bound_coeff(n: int, k: int) -> float:

@@ -250,6 +250,37 @@ def test_report_command(tmp_path):
     assert {"report.json", "manifest.json"} <= names
 
 
+def test_report_lists_sorted_keys(tmp_path):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "b.json").write_text('{"z": 1, "a": {"y": 2}}')
+    (src / "a.json").write_text("{}")
+    (src / "notes.txt").write_text("not json")
+    cfg = {"command": "report", "params": {"dir": str(src)}}
+    assert run_cli(tmp_path, cfg, "rep") == 0
+    summary = json.loads((tmp_path / "rep" / "summary.json").read_text())
+    assert summary == {
+        "entries": [{"file": "a.json", "keys": []}, {"file": "b.json", "keys": ["a", "z"]}]
+    }
+
+
+@pytest.mark.parametrize("text", ['{"a": ', "[1, 2]"], ids=["malformed", "not_an_object"])
+def test_report_bad_json_file_exits_2(tmp_path, capsys, text):
+    src = tmp_path / "in"
+    src.mkdir()
+    (src / "bad.json").write_text(text)
+    cfg = {"command": "report", "params": {"dir": str(src)}}
+    assert run_cli(tmp_path, cfg, "rep") == 2
+    assert "bad.json" in capsys.readouterr().err
+    assert not (tmp_path / "rep" / "summary.json").exists()
+
+
+def test_report_dir_that_is_a_file_exits_2(tmp_path):
+    (tmp_path / "a.json").write_text("{}")
+    cfg = {"command": "report", "params": {"dir": str(tmp_path / "a.json")}}
+    assert run_cli(tmp_path, cfg, "rep") == 2
+
+
 def test_analyze_determinism(tmp_path):
     cfg = {
         "command": "analyze",

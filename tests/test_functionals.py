@@ -43,7 +43,9 @@ def test_iso_ratio_scale_invariant_for_quadratics():
 def test_iso_ratio_denominator_floor(iso_quad, aniso24):
     import hessianlab.polar as polar
 
-    c_n = functionals.layer_cake_floor(2)
+    # layer-cake floor c(n) from the cone over the level set, in the plane:
+    # c(2) = (2 B(2, 3))^(1/2) = 1/sqrt(6)
+    c_n = 1.0 / math.sqrt(6.0)
     for cand in (iso_quad, aniso24):
         for t in (1.0, 10.0):
             s = functionals.iso_ratio(cand, t)
@@ -184,61 +186,6 @@ def test_transformed_quotient_solves_complementary_equation(quotient_ellipse_64)
     T = esym_table(lam)
     res = np.abs(T[:, 1] - 1.0)  # n - l = 1
     assert np.max(res) <= 10.0 * rep.problem.mask.grid.h
-
-
-def test_domain_image_radii_quotient(quotient_ellipse_64):
-    out = functionals.domain_image_radii_check(quotient_ellipse_64)
-    assert out["enclosing_slack"] > 0
-    assert out["image_slack"] > 0
-    # closed forms: enclosing sqrt(2/1.25), image sqrt(1.25)
-    assert out["r_enclosing"] == pytest.approx(math.sqrt(2.0 / 1.25), rel=1e-2)
-    assert out["r_image"] == pytest.approx(math.sqrt(1.25), rel=2e-2)
-
-
-def test_tw_integral_diagnostic_disk(poisson_disk_64):
-    lhs, rhs = functionals.tw_integral_diagnostic(poisson_disk_64, q=1.0, l=0, k=1)
-    # closed form on the unit disk instance: the median region is r < sqrt(1/2)
-    r2 = math.sqrt(0.5)
-    lhs_exact = 2.0 * math.pi * r2**3 / 6.0  # integral of |x|/2
-    assert lhs == pytest.approx(lhs_exact, rel=5e-2)
-    assert rhs > 0
-
-
-def test_tw_integral_trivial_case(poisson_disk_64):
-    lhs, rhs = functionals.tw_integral_diagnostic(poisson_disk_64, q=0.0, l=0, k=1)
-    # q = l = 0 reduces the integral to the region volume
-    assert lhs == pytest.approx(math.pi * 0.5, rel=5e-2)
-
-
-def test_tw_integral_exponent_range():
-    c = candidates.quadratic(np.eye(2), name="quad:iso")
-    g = fields.grid_for_candidate(c, level=1.0, h=1 / 24)
-    f = fields.sample_candidate(c, g, 1.0)
-    with pytest.raises(PreconditionError):
-        functionals.tw_integral_diagnostic(f, q=3.0, l=0, k=1)  # range is [0, 2)
-
-
-def test_tw_integral_refinement_stability():
-    c = candidates.quadratic(np.eye(2), name="quad:iso")
-    vals = []
-    for h in (1 / 32, 1 / 64):
-        g = fields.grid_for_candidate(c, level=1.0, h=h)
-        f = fields.sample_candidate(c, g, 1.0)
-        vals.append(functionals.tw_integral_diagnostic(f, q=1.0, l=1, k=2)[0])
-    assert abs(vals[0] - vals[1]) <= 2e-2 * abs(vals[1])
-
-
-def test_layer_cake_identity_pair(iso_quad, aniso24):
-    for cand in (iso_quad, aniso24):
-        for p in (1.0, 2.0):
-            lhs, rhs = functionals.layer_cake_identity(cand, t=9.0, p=p, m_dirs=360)
-            assert lhs == pytest.approx(rhs, rel=1e-3)
-
-
-def test_radial_gradient_monotone_corpus():
-    for cand in candidates.default_corpus(2):
-        worst = functionals.radial_gradient_monotone(cand)
-        assert worst >= -1e-10
 
 
 def test_growth_verdict_export(tmp_path, iso_quad):

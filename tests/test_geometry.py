@@ -469,13 +469,6 @@ def test_body_exports(tmp_path):
     ppath = tmp_path / "profile.csv"
     prof.export_csv(ppath)
     assert ppath.read_text().splitlines()[0] == "t mu nu"
-    ell = geometry.john_fit(body)
-    jpath = tmp_path / "ellipsoid.json"
-    ell.export_json(jpath)
-    import json
-
-    payload = json.loads(jpath.read_text())
-    assert set(payload) == {"center", "A", "mu", "R"}
 
 
 def test_icosphere_level_from_direction_count():

@@ -206,19 +206,3 @@ def test_report_json_schema(tmp_path):
     assert payload["schema_version"] == pipeline.REPORT_SCHEMA_VERSION
     assert payload["calibration"]
     assert "verdicts" in payload and "quadratic_score" in payload
-
-
-def test_hessian_growth_trend_records():
-    reports = []
-    for semi in ([1.0, 1.0, 1.0], [0.9, 1.0, 1.2]):
-        mask = fields.mask_from_ellipse(semi, h=1 / 9)
-        rep = solver.solve(
-            solver.DirichletProblem(mask=mask, k=2, l=0),
-            solver.SolveOptions(min_resolution=15),
-        )
-        assert rep.converged
-        reports.append(rep)
-    trend = pipeline.hessian_growth_trend(reports)
-    assert len(trend["samples"]) == 2
-    assert all(p["sup_hess"] > 0 for p in trend["samples"])
-    assert np.isfinite(trend["log_hess_per_grad_cubed"])
