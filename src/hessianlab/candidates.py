@@ -29,7 +29,7 @@ class AnalyticCandidate:
     grad_fn: callable
     hess_fn: callable
     anchor: np.ndarray = None
-    # memo of polar.radial_crossings: (iters, dirs shape, dirs bytes) -> {level: radii}
+    # memo of polar.radial_crossings: (dirs shape, dirs bytes) -> {level: radii}
     _crossings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

@@ -53,14 +53,37 @@ _PARAMS_SCHEMA = {
             "p": {"type": "number"},
         },
     },
-    "chain_iso": {"required": ["candidate"]},
+    "chain_iso": {
+        "required": ["candidate"],
+        "properties": {
+            "t": {"type": "number"},
+            "m_dirs": _LEVEL_GRID["m_dirs"],
+            "gamma": {"type": "number"},
+            "interval": {
+                "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2
+            },
+        },
+    },
     "chain_volume": {
         "required": ["domains"],
         "properties": {
-            "domains": {"type": "array", "items": {"type": "object", "required": ["semiaxes"]}}
+            "k": {"type": "integer"},
+            "l": {"type": "integer"},
+            "h": {"type": "number", "exclusiveMinimum": 0},
+            "domains": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "required": ["semiaxes"],
+                    "properties": {
+                        "label": {"type": "string"},
+                        "semiaxes": {"type": "array", "items": {"type": "number"}},
+                    },
+                },
+            },
         },
     },
-    "legendre": {"required": ["field"]},
+    "legendre": {"required": ["field"], "properties": {"region_level": {"type": "number"}}},
     "report": {"required": ["dir"]},
 }
 
@@ -100,6 +123,20 @@ def _write_json(path, payload: dict):
     _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+def _given(params: dict, **casts) -> dict:
+    """The params named in casts that the config sets, each cast, so that
+    the library's defaults fill the rest. int admits 13.0, which JSON
+    Schema counts as an integer; float keeps a value written into an
+    artifact a float."""
+    return {key: cast(params[key]) for key, cast in casts.items() if key in params}
+
+
+def _analyze_config(params: dict) -> pipeline.AnalyzeConfig:
+    return pipeline.AnalyzeConfig(
+        **_given(params, t_min=float, t_max=float, t_points=int, m_dirs=int, p_list=tuple)
+    )
+
+
 def _apply_overrides(config: dict, overrides: list):
     for item in overrides:
         if "=" not in item:
@@ -135,14 +172,7 @@ def _cmd_solve(params, out):
 
 def _cmd_analyze(params, out):
     cand = candidate_from_spec(params["candidate"])
-    cfg = pipeline.AnalyzeConfig(
-        t_min=float(params.get("t_min", 1e2)),
-        t_max=float(params.get("t_max", 1e6)),
-        t_points=int(params.get("t_points", 13)),
-        p_list=tuple(params.get("p_list", (-0.5, 1.0, 2.0))),
-        m_dirs=int(params.get("m_dirs", 360)),
-    )
-    report = pipeline.analyze(cand, cfg)
+    report = pipeline.analyze(cand, _analyze_config(params))
     pipeline.write_report_json(report, os.path.join(out, "report.json"))
     for key, verdict in report.verdicts.items():
         safe = key.replace(":", "_")
@@ -156,17 +186,13 @@ def _cmd_analyze(params, out):
 
 def _cmd_sweep(params, out):
     cand = candidate_from_spec(params["candidate"])
-    t_grid = np.geomspace(
-        float(params.get("t_min", 1e2)),
-        float(params.get("t_max", 1e6)),
-        int(params.get("t_points", 13)),
-    )
+    cfg = _analyze_config(params)
     verdict = functionals.condition_sweep(
         cand,
         Condition(params.get("condition", "volume_growth")),
-        t_grid,
-        p=float(params.get("p", 1.0)),
-        m_dirs=int(params.get("m_dirs", 360)),
+        cfg.t_grid(),
+        m_dirs=cfg.m_dirs,
+        **_given(params, p=float),
     )
     verdict.export_csv(os.path.join(out, "sweep.csv"))
     _write_json(os.path.join(out, "verdict.json"), verdict.to_json_dict())
@@ -176,13 +202,12 @@ def _cmd_sweep(params, out):
 def _cmd_chain_iso(params, out):
     cand = candidate_from_spec(params["candidate"])
     t = float(params.get("t", 100.0))
-    m_dirs = int(params.get("m_dirs", 360))
+    dirs = _given(params, m_dirs=int)
     gamma = params.get("gamma")
     if gamma is None:
-        gamma = pipeline.measured_iso_claim(cand, t, m_dirs=m_dirs)
-    interval = tuple(params.get("interval", (1.0 / 3.0, 0.5)))
+        gamma = pipeline.measured_iso_claim(cand, t, **dirs)
     report = pipeline.iso_to_roundness_chain(
-        cand, t, float(gamma), interval=interval, m_dirs=m_dirs
+        cand, t, float(gamma), **dirs, **_given(params, interval=tuple)
     )
     pipeline.write_report_json(report, os.path.join(out, "chain.json"))
     return 0 if report.all_passed() else 3
@@ -192,13 +217,12 @@ def _cmd_chain_volume(params, out):
     from .fields import mask_from_ellipse
 
     k = int(params.get("k", 2))
-    l = int(params.get("l", 0))
-    h = float(params.get("h", 1.0 / 48.0))
+    h = float(params.get("h", 1.0 / 48.0))    # float: written into each report
     domains = []
     for spec in params["domains"]:
         semi = spec["semiaxes"]
         domains.append((spec.get("label", json.dumps(semi)), mask_from_ellipse(semi, h)))
-    reports = pipeline.volume_to_roundness_experiment(domains, k, l)
+    reports = pipeline.volume_to_roundness_experiment(domains, k, **_given(params, l=int))
     payload = {
         "schema_version": pipeline.REPORT_SCHEMA_VERSION,
         "calibration": calibration_hash(),
@@ -211,8 +235,7 @@ def _cmd_chain_volume(params, out):
 
 def _cmd_legendre(params, out):
     f = load_hsf1(params["field"])
-    region = params.get("region_level")
-    v = functionals.legendre_transform(f, None if region is None else float(region))
+    v = functionals.legendre_transform(f, **_given(params, region_level=float))
     save_hsf1(v, os.path.join(out, "transform.hsf1"))
     st = v.mask.stencils()
     H = v.hessian_stack()

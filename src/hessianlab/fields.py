@@ -333,19 +333,13 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
 # rasterization
 
 
-def rasterize(
-    phi,
-    grid: Grid,
-    boundary_value,
-    bisect_iters: int = 90,
-    theta_min: float = THETA_MIN,
-) -> DomainMask:
+def rasterize(phi, grid: Grid, boundary_value) -> DomainMask:
     """Shortley-Weller mask of the region {phi < 0}.
 
     phi is a vectorized level function on (N, n) point arrays, negative
     strictly inside and monotone along any grid segment leaving the region
     (true for convex regions). Nodes whose boundary cut would fall within
-    theta_min of the node are demoted to outside, which removes
+    THETA_MIN of the node are demoted to outside, which removes
     ill-conditioned slivers at a negligible geometric cost.
     """
     n = grid.n
@@ -380,13 +374,13 @@ def rasterize(
                 step[0, d] = s * grid.h
                 lo = np.zeros(ok.sum())
                 hi = np.ones(ok.sum())
-                for _ in range(bisect_iters):
+                for _ in range(90):
                     mid = 0.5 * (lo + hi)
                     neg = phi(base + mid[:, None] * step) < 0.0
                     lo = np.where(neg, mid, lo)
                     hi = np.where(neg, hi, mid)
                 th = np.minimum(0.5 * (lo + hi), 1.0 - 1e-9)
-                demote[ok] |= th < theta_min
+                demote[ok] |= th < THETA_MIN
                 sel = (np.full(ok.sum(), d), np.full(ok.sum(), sdir)) + tuple(
                     idx[ok].T
                 )
@@ -399,7 +393,7 @@ def rasterize(
     return DomainMask(grid=grid, inside=inside, theta=theta, bval=bval)
 
 
-def mask_from_ellipse(semiaxes, h, center=None, margin=3) -> DomainMask:
+def mask_from_ellipse(semiaxes, h, center=None) -> DomainMask:
     """Mask of the open ellipsoid sum((x_i-c_i)^2/s_i^2) < 1."""
     s = np.asarray(semiaxes, dtype=float)
     n = s.size
@@ -408,10 +402,10 @@ def mask_from_ellipse(semiaxes, h, center=None, margin=3) -> DomainMask:
     def phi(X):
         return np.sum(((X - c) / s) ** 2, axis=-1) - 1.0
 
-    return _mask_from_phi(phi, lo=c - s, hi=c + s, h=h, margin=margin)
+    return _mask_from_phi(phi, lo=c - s, hi=c + s, h=h)
 
 
-def mask_from_polygon(vertices, h, margin=3) -> DomainMask:
+def mask_from_polygon(vertices, h) -> DomainMask:
     """Mask of an open convex polygon given by counterclockwise vertices."""
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[1] != 2:
@@ -431,12 +425,12 @@ def mask_from_polygon(vertices, h, margin=3) -> DomainMask:
     def phi(X):
         return np.max(X @ N.T - O, axis=-1)
 
-    return _mask_from_phi(phi, lo=V.min(axis=0), hi=V.max(axis=0), h=h, margin=margin)
+    return _mask_from_phi(phi, lo=V.min(axis=0), hi=V.max(axis=0), h=h)
 
 
-def _mask_from_phi(phi, lo, hi, h, margin) -> DomainMask:
-    lo = np.asarray(lo, dtype=float) - margin * h
-    hi = np.asarray(hi, dtype=float) + margin * h
+def _mask_from_phi(phi, lo, hi, h) -> DomainMask:
+    lo = np.asarray(lo, dtype=float) - 3 * h
+    hi = np.asarray(hi, dtype=float) + 3 * h
     dims = tuple(int(math.ceil((b - a) / h)) + 1 for a, b in zip(lo, hi))
     grid = Grid(n=len(dims), dims=dims, origin=lo, h=h)
     return rasterize(phi, grid, boundary_value=1.0)
@@ -602,15 +596,15 @@ def sample_candidate(cand, grid: Grid, level: float) -> ScalarField:
     )
 
 
-def grid_for_candidate(cand, level: float, h: float, margin: int = 4) -> Grid:
+def grid_for_candidate(cand, level: float, h: float) -> Grid:
     """Axis-aligned grid box guaranteed to contain the open sub-level set."""
     from .polar import directions_2d, sphere_mesh, radial_crossings
 
     dirs = directions_2d(256) if cand.n == 2 else sphere_mesh(3)[0]
     rho = radial_crossings(cand, level, dirs)
     pts = cand.anchor + rho[:, None] * dirs
-    lo = pts.min(axis=0) - margin * h
-    hi = pts.max(axis=0) + margin * h
+    lo = pts.min(axis=0) - 4 * h
+    hi = pts.max(axis=0) + 4 * h
     dims = tuple(int(math.ceil((b - a) / h)) + 1 for a, b in zip(lo, hi))
     return Grid(n=cand.n, dims=dims, origin=lo, h=h)
 

@@ -73,19 +73,18 @@ class GrowthVerdict:
 EPS_SLOPE = 0.02                   # fitted slopes up to this count as bounded
 
 
-def iso_ratio(source, t: float, m_dirs: int = 720, n_r: int = 48) -> IsoperimetricSample:
+def iso_ratio(source, t: float, m_dirs: int = 720) -> IsoperimetricSample:
     """Gradient integral over the layer-cake norm at one level."""
     if t <= 0:
         raise PreconditionError("level must be positive")
     if isinstance(source, AnalyticCandidate):
         n = source.n
         num = polar.integrate_sublevel(
-            source, t, lambda X: np.linalg.norm(source.grad(X), axis=1),
-            m_dirs=m_dirs, n_r=n_r,
+            source, t, lambda X: np.linalg.norm(source.grad(X), axis=1), m_dirs=m_dirs
         )
         den_raw = polar.integrate_sublevel(
             source, t, lambda X: np.abs(t - source.value(X)) ** (n / (n - 1.0)),
-            m_dirs=m_dirs, n_r=n_r,
+            m_dirs=m_dirs,
         )
     elif isinstance(source, ScalarField):
         n = source.mask.n
@@ -195,9 +194,7 @@ def pogorelov_normalize(source, t0: float):
 # convex conjugate on grids
 
 
-def legendre_transform(
-    f: ScalarField, region_level: float | None = None, out_dims: int | None = None
-) -> ScalarField:
+def legendre_transform(f: ScalarField, region_level: float | None = None) -> ScalarField:
     """Grid conjugate sup_x (x . y - u(x)) over a sub-level region.
 
     Brute-force supremum over sample points followed by one projected
@@ -229,7 +226,7 @@ def legendre_transform(
     hull = ConvexHull(G)
     lo, hi = G.min(axis=0), G.max(axis=0)
     span = float(np.max(hi - lo))
-    dims0 = out_dims or max(int(np.median(mask.extents())), 33)
+    dims0 = max(int(np.median(mask.extents())), 33)
     h_out = span / (dims0 - 1)
     margin = 2.0 * h_out
     eqs = hull.equations

@@ -94,16 +94,11 @@ class ConvexBody:
     def max_vertex_distance(self, x) -> float:
         return float(np.max(np.linalg.norm(self.vertices - np.asarray(x), axis=1)))
 
-    def vertices_extreme(self, rtol: float = 1e-9) -> bool:
-        """Every vertex within rtol * diameter of the hull of the vertex set."""
+    def vertices_extreme(self) -> bool:
+        """Every vertex within 1e-9 * diameter of the hull of the vertex set."""
         A, b = self._hull_eqs[:, :-1], self._hull_eqs[:, -1]
         viol = np.max(self.vertices @ A.T + b, axis=1)
-        return bool(np.max(np.abs(np.minimum(viol, 0.0))) <= rtol * self.diameter())
-
-    def export_csv(self, path):
-        with open(path, "w") as fh:
-            for v in self.vertices:
-                fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
+        return bool(np.max(np.abs(np.minimum(viol, 0.0))) <= 1e-9 * self.diameter())
 
 
 def _polygon_equations(V) -> np.ndarray:
@@ -260,11 +255,12 @@ class BallFit:
     R: float
     gamma: float
 
-    def verify(self, body: ConvexBody, slack: float = 1e-6) -> bool:
+    def verify(self, body: ConvexBody) -> bool:
+        """Certify both balls, each to a relative slack of 1e-6."""
         r_in = body.boundary_distance(self.center)
         r_out = body.max_vertex_distance(self.center)
-        ok_in = self.R / self.gamma <= r_in * (1.0 + slack) + 1e-300
-        ok_out = r_out <= self.gamma * self.R * (1.0 + slack)
+        ok_in = self.R / self.gamma <= r_in * (1.0 + 1e-6) + 1e-300
+        ok_out = r_out <= self.gamma * self.R * (1.0 + 1e-6)
         return bool(ok_in and ok_out)
 
 
@@ -326,17 +322,17 @@ class EllipsoidFit:
     def aspect(self) -> float:
         return float(math.sqrt(self.mu[-1] / self.mu[0]))
 
-    def verify(self, body: "ConvexBody", slack: float = 1e-4) -> bool:
+    def verify(self, body: "ConvexBody") -> bool:
         """Certify the mapped body sits between balls whose radius ratio is
-        within the dimensional sandwich factor n (plus slack)."""
+        within the dimensional sandwich factor n, to a relative slack of 1e-4."""
         Y = (body.vertices - self.center) @ self.A.T
         r_out = float(np.max(np.linalg.norm(Y, axis=1)))
         mapped = ConvexBody(n=body.n, vertices=Y) if body.n == 2 else ConvexBody(
             n=body.n, vertices=Y, interior_point=np.zeros(body.n)
         )
         r_in = mapped.boundary_distance(np.zeros(body.n))
-        ok_R = r_out <= self.R * (1.0 + slack)
-        ok_ratio = r_out <= body.n * r_in * (1.0 + slack)
+        ok_R = r_out <= self.R * (1.0 + 1e-4)
+        ok_ratio = r_out <= body.n * r_in * (1.0 + 1e-4)
         return bool(ok_R and ok_ratio and r_in > 0)
 
 
@@ -349,15 +345,15 @@ def _leverages(Q, u):
     return Vinv, np.einsum("ij,jk,ik->i", Q, Vinv, Q)
 
 
-def mvee(points, tol: float = 1e-7, max_iters: int = 200_000):
+def mvee(points, tol: float = 1e-7):
     """Minimum-volume enclosing ellipsoid (x-c)' E (x-c) <= 1.
 
     Khachiyan's barycentric ascent with away steps; tol bounds the relative
-    optimality gap max_j M_j / (d+1) - 1. Each step moves the moment matrix
-    V by a rank-one term, so V^-1 and the leverages M follow by
-    Sherman-Morrison (Todd & Yildirim 2007) instead of a fresh inverse; they
-    are recomputed from the weights when the update denominator is not
-    positive, and before the stopping test accepts a gap.
+    optimality gap max_j M_j / (d+1) - 1, within 200,000 steps. Each step
+    moves the moment matrix V by a rank-one term, so V^-1 and the leverages
+    M follow by Sherman-Morrison (Todd & Yildirim 2007) instead of a fresh
+    inverse; they are recomputed from the weights when the update
+    denominator is not positive, and before the stopping test accepts a gap.
     """
     P = np.asarray(points, dtype=float)
     N, d = P.shape
@@ -368,7 +364,7 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 200_000):
     dp1 = d + 1
     Vinv, M = _leverages(Q, u)
     fresh = True
-    for _ in range(max_iters):
+    for _ in range(200_000):
         j_add = int(M.argmax())
         m_add = float(M[j_add])
         gap = m_add / dp1 - 1.0
@@ -421,18 +417,18 @@ def mvee(points, tol: float = 1e-7, max_iters: int = 200_000):
     return E, c
 
 
-def john_fit(body: ConvexBody, tol: float = 1e-7, max_vertices: int = 2000) -> EllipsoidFit:
+def john_fit(body: ConvexBody) -> EllipsoidFit:
     """Minimum-volume enclosing ellipsoid, returned as a det-1 linear map.
 
     The map sends the enclosing ellipsoid to the ball of radius R equal to
     the geometric mean of its semi-axes; the eigenvalues mu of the map are
-    reported ascending, so sqrt(mu_n / mu_1) is the aspect ratio. Dense
-    boundary clouds are subsampled uniformly before the ascent.
+    reported ascending, so sqrt(mu_n / mu_1) is the aspect ratio. Boundary
+    clouds over 2000 vertices are subsampled uniformly before the ascent.
     """
     verts = body.vertices
-    if verts.shape[0] > max_vertices:
-        verts = verts[:: verts.shape[0] // max_vertices + 1]
-    E, c = mvee(verts, tol=tol)
+    if verts.shape[0] > 2000:
+        verts = verts[:: verts.shape[0] // 2000 + 1]
+    E, c = mvee(verts)
     w, Qm = np.linalg.eigh(E)
     if np.any(w <= 0):
         raise NonConvergenceError("enclosing ellipsoid not positive definite")
@@ -472,15 +468,9 @@ class LevelProfile:
     def nu_at(self, s: float) -> float:
         return float(np.interp(s, self.levels, self.nu))
 
-    def integrate_nu(self, a: float, b: float, samples: int = 2000) -> float:
-        s = np.linspace(a, b, samples)
+    def integrate_nu(self, a: float, b: float) -> float:
+        s = np.linspace(a, b, 2000)
         return float(np.trapezoid(np.interp(s, self.levels, self.nu), s))
-
-    def export_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t mu nu\n")
-            for t, m, v in zip(self.levels, self.mu, self.nu):
-                fh.write(f"{t:.17g} {m:.17g} {v:.17g}\n")
 
 
 def level_profile(source, levels, m_dirs: int | None = None) -> LevelProfile:

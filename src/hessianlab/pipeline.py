@@ -130,15 +130,16 @@ class ChainReport:
 # per-candidate analysis
 
 
-def quadratic_test(source, probe_level: float = 1.0) -> tuple:
+def quadratic_test(source) -> tuple:
     """(hessian variation score, third-derivative contraction score).
 
     Both vanish exactly when the function is a quadratic: the first is the
     largest normalized Hessian difference over probe pairs, the second the
     largest entry of (D2u)^-1 contracted with the third-derivative tensor.
+    Candidates are probed inside their sub-level set at level 1.
     """
     if isinstance(source, AnalyticCandidate):
-        pts = _probe_points(source, probe_level)
+        pts = _probe_points(source, 1.0)
         H = source.hess(pts)
         scale = 1e-4 * max(float(np.max(np.linalg.norm(pts, axis=1))), 1.0)
         T3 = _third_order_fd(source, pts, scale)
@@ -322,13 +323,12 @@ def iso_to_roundness_chain(
     gamma_claim: float,
     interval: tuple = (1.0 / 3.0, 0.5),
     m_dirs: int = 360,
-    n_levels: int = 30,
-    calib: dict | None = None,
 ) -> ChainReport:
     """Walk the chain: premise at level t, first normalization, profile
-    bound, mean-value level, perimeter bound there, enclosing-ellipsoid
-    aspect bound, and the roundness of the intermediate sub-level set."""
-    calib = calib or get_constants()
+    bound over 30 levels, mean-value level, perimeter bound there,
+    enclosing-ellipsoid aspect bound, and the roundness of the
+    intermediate sub-level set."""
+    calib = get_constants()
     n = cand.n
     a, b = interval
     if not 0 < a < b <= 1:
@@ -356,7 +356,7 @@ def iso_to_roundness_chain(
             meta=_chain_meta(t, gamma_claim, interval, violated="premise"),
         )
 
-    levels = np.linspace(0.0, 1.0, n_levels + 1)[1:] ** 2
+    levels = np.linspace(0.0, 1.0, 31)[1:] ** 2
     profile = geometry.level_profile(norm, levels, m_dirs=m_eff)
 
     # profile form of the premise: integral of nu against the weighted
@@ -431,12 +431,12 @@ def _adaptive_dirs(norm_cand, m_dirs: int) -> int:
     return int(min(8192, m_dirs * max(1.0, fit.gamma**2 / 6.0)))
 
 
-def measured_iso_claim(cand, t: float, m_dirs: int = 360, headroom: float = 1.01) -> float:
+def measured_iso_claim(cand, t: float, m_dirs: int = 360) -> float:
     """Aspect-adaptive measurement of the gradient-integral ratio at one
-    level, padded with headroom so it is a valid premise constant."""
+    level, padded by 1 % so it is a valid premise constant."""
     norm = functionals.pogorelov_normalize(cand, t)
     m_eff = _adaptive_dirs(norm, m_dirs)
-    return functionals.iso_ratio(norm, 1.0, m_dirs=m_eff).ratio * headroom
+    return functionals.iso_ratio(norm, 1.0, m_dirs=m_eff).ratio * 1.01
 
 
 def _chain_meta(t, gamma_claim, interval, violated=None) -> dict:
@@ -455,16 +455,10 @@ def _chain_meta(t, gamma_claim, interval, violated=None) -> dict:
 # solver-backed experiment: volume controls roundness
 
 
-def volume_to_roundness_experiment(
-    domains: list,
-    k: int,
-    l: int = 0,
-    opts: solver.SolveOptions | None = None,
-    calib: dict | None = None,
-) -> list:
+def volume_to_roundness_experiment(domains: list, k: int, l: int = 0) -> list:
     """For each (label, mask): solve, compare against both ellipsoid
     barriers, check the radius sandwich and the volume-to-roundness bound."""
-    calib = calib or get_constants()
+    calib = get_constants()
     reports = []
     for label, mask in domains:
         n = mask.n
@@ -472,7 +466,7 @@ def volume_to_roundness_experiment(
         links = []
         meta = {"label": label, "calibration": calibration_hash(), "h": h}
         try:
-            rep = solver.solve(solver.DirichletProblem(mask=mask, k=k, l=l), opts)
+            rep = solver.solve(solver.DirichletProblem(mask=mask, k=k, l=l))
         except HessianLabError as exc:
             reports.append(
                 ChainReport(label=label, links=[], meta={**meta, "error": str(exc)})
@@ -530,20 +524,17 @@ def volume_to_roundness_experiment(
 
 
 def recenter_invariance(
-    cand: AnalyticCandidate,
-    n_centers: int = 5,
-    seed: int = 7,
-    config: AnalyzeConfig | None = None,
-    radius: float = 1.0,
+    cand: AnalyticCandidate, n_centers: int = 5, config: AnalyzeConfig | None = None
 ) -> bool:
-    """Boundedness verdicts survive subtracting tangent planes at random
-    points; returns True when every verdict matches the base run."""
+    """Boundedness verdicts survive subtracting tangent planes at points
+    drawn (seed 7) from the cube [-1, 1]^n; returns True when every verdict
+    matches the base run."""
     config = config or AnalyzeConfig(t_points=12, m_dirs=180)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     base = analyze(cand, config)
     base_verdicts = {k: v.verdict for k, v in base.verdicts.items()}
     for _ in range(n_centers):
-        x0 = rng.uniform(-radius, radius, size=cand.n)
+        x0 = rng.uniform(-1.0, 1.0, size=cand.n)
         moved = shifted(cand, x0)
         rep = analyze(moved, config)
         for key, v in rep.verdicts.items():

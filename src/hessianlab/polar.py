@@ -68,18 +68,18 @@ def sphere_mesh(subdiv: int):
     return V, np.asarray(faces, dtype=int)
 
 
-def radial_crossings(cand, t: float, dirs: np.ndarray, iters: int = 90) -> np.ndarray:
+def radial_crossings(cand, t: float, dirs: np.ndarray) -> np.ndarray:
     """Radius where the candidate reaches level t along each direction.
 
     Results are memoized on the candidate (`AnalyticCandidate._crossings`),
-    keyed on `iters` and the direction set, then on the exact level, and
-    returned read-only: every growth functional and body extraction of one
-    analysis probes the same sub-level sets, and each is bisected once.
+    keyed on the direction set, then on the exact level, and returned
+    read-only: every growth functional and body extraction of one analysis
+    probes the same sub-level sets, and each is bisected once.
     """
     if t <= 0:
         raise PreconditionError("level must be positive")
     dirs = np.asarray(dirs, dtype=float)
-    rays = (iters, dirs.shape, dirs.tobytes())
+    rays = (dirs.shape, dirs.tobytes())
     level = float(t)
     levels = cand._crossings.get(rays, {})
     if level in levels:
@@ -98,7 +98,7 @@ def radial_crossings(cand, t: float, dirs: np.ndarray, iters: int = 90) -> np.nd
         if np.any(hi > R_CAP):
             raise UnboundedSublevelError("sub-level set escaped the probe range")
     lo = np.zeros_like(hi)
-    for _ in range(iters):
+    for _ in range(90):
         mid = 0.5 * (lo + hi)
         below = val(mid) < t
         lo = np.where(below, mid, lo)
@@ -110,9 +110,10 @@ def radial_crossings(cand, t: float, dirs: np.ndarray, iters: int = 90) -> np.nd
 
 
 @functools.lru_cache(maxsize=None)
-def _gl_nodes(n_r: int):
-    """Gauss-Legendre nodes and weights mapped to [0, 1], read-only (shared)."""
-    x, w = np.polynomial.legendre.leggauss(n_r)
+def _gl_nodes():
+    """The 48 Gauss-Legendre nodes and weights mapped to [0, 1], read-only
+    (shared)."""
+    x, w = np.polynomial.legendre.leggauss(48)
     q, wq = 0.5 * (x + 1.0), 0.5 * w
     q.flags.writeable = False
     wq.flags.writeable = False
@@ -140,17 +141,17 @@ def _polar_rule(n: int, m_dirs: int):
     return dirs, wdir
 
 
-def integrate_sublevel(cand, t: float, integrand, m_dirs: int = 720, n_r: int = 48) -> float:
+def integrate_sublevel(cand, t: float, integrand, m_dirs: int = 720) -> float:
     """Integral of integrand(points) over the open sub-level set at t.
 
-    Polar rule (`_polar_rule`) over directions, Gauss-Legendre radially.
-    Relative accuracy is far below 1e-4 for smooth data.
+    Polar rule (`_polar_rule`) over directions, 48-point Gauss-Legendre
+    radially. Relative accuracy is far below 1e-4 for smooth data.
     """
     n = cand.n
     dirs, wdir = _polar_rule(n, m_dirs)
     rho = radial_crossings(cand, t, dirs)
-    q, wq = _gl_nodes(n_r)
-    R = rho[:, None] * q[None, :]                       # (M, n_r)
+    q, wq = _gl_nodes()
+    R = rho[:, None] * q[None, :]                       # (M, 48)
     pts = cand.anchor[None, None, :] + R[..., None] * dirs[:, None, :]
     f = integrand(pts.reshape(-1, n)).reshape(R.shape)
     radial = np.sum(f * R ** (n - 1) * wq[None, :], axis=1) * rho

@@ -59,7 +59,7 @@ class DirichletProblem:
     l: int = 0
     boundary_value: float = 1.0
     rhs: float = 1.0
-    anchor: tuple | None = None
+    anchor: tuple = dc_field(init=False)   # the inside node nearest the origin
 
     def __post_init__(self):
         n = self.mask.n
@@ -69,10 +69,7 @@ class DirichletProblem:
             )
         if self.rhs <= 0:
             raise PreconditionError("right-hand side must be positive")
-        if self.anchor is None:
-            self.anchor = self.mask.node_nearest(np.zeros(n))
-        if self.mask.unknown[tuple(self.anchor)] < 0:
-            raise PreconditionError("anchor node must be strictly interior")
+        self.anchor = self.mask.node_nearest(np.zeros(n))
 
 
 @dataclass
@@ -80,7 +77,6 @@ class SolveOptions:
     tol: float = 1e-9
     max_iters: int = 100
     min_resolution: int = 33
-    fd_jacobian: bool = False
 
 
 @dataclass
@@ -191,43 +187,8 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             f"domain spans fewer than {opts.min_resolution} nodes across"
         )
 
-    eq_rows = ~st.is_closure                      # equation rows
     enforce = st.is_full                          # admissibility enforcement set
-    log_form = l > 0
-    target = math.log(problem.rhs) if log_form else problem.rhs
-
-    hess_keys = sorted(st.hess.keys())
-    sym_factor = {key: (1.0 if key[0] == key[1] else 2.0) for key in hess_keys}
-
-    def residual(u):
-        H = st.hessian_stack(u)
-        lam = np.linalg.eigvalsh(H)
-        T = esym_table(lam)
-        if log_form:
-            G = np.log(np.maximum(T[:, k], _LOG_FLOOR)) - np.log(
-                np.maximum(T[:, l], _LOG_FLOOR)
-            )
-        else:
-            G = T[:, k]
-        F_eq = (G - target)[eq_rows]
-        F_cl = st.closure_matrix @ u - st.closure_rhs
-        return np.concatenate([F_eq, F_cl]), lam
-
-    # the equation rows of each stencil, sliced once per solve
-    hess_eq = {key: st.hess[key][0][eq_rows] for key in hess_keys}
-
-    def jacobian(u):
-        # spectra on the equation rows only: closure rows are linear, and
-        # their S_k may vanish
-        lam, Q = np.linalg.eigh(st.hessian_stack(u)[eq_rows])
-        g = spectral_gradient(lam, k, l, log_form=log_form)
-        W = np.einsum("nij,nj,nkj->nik", Q, g, Q)
-        J_eq = None
-        for key in hess_keys:
-            p, q = key
-            term = sp.diags(sym_factor[key] * W[:, p, q]) @ hess_eq[key]
-            J_eq = term if J_eq is None else J_eq + term
-        return sp.vstack([J_eq, st.closure_matrix]).tocsr()
+    residual, jacobian = _equations(st, k, l, problem.rhs)
 
     def admissible(lam, where):
         T = esym_table(lam[where])
@@ -272,7 +233,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             converged = True
             iters -= 1
             break
-        J = _fd_jacobian(residual, u) if opts.fd_jacobian else jacobian(u)
+        J = jacobian(u)
         delta, inner = _krylov_step(J, F, lu) if lu is not None else (None, None)
         if delta is None:
             lu = None     # GMRES fell short: this and every later step go direct
@@ -317,6 +278,51 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     return _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged)
 
 
+def _equations(st, k: int, l: int, rhs: float):
+    """The discrete system of S_k/S_l (D2u) = rhs on one stencil set:
+    residual(u) -> (F, spectra at every inside node), the equation rows
+    first, then the closure rows; jacobian(u) -> dF/du as a CSR matrix.
+    Quotients (l > 0) use the log form log S_k - log S_l = log rhs."""
+    eq_rows = ~st.is_closure                      # equation rows
+    log_form = l > 0
+    target = math.log(rhs) if log_form else rhs
+
+    hess_keys = sorted(st.hess.keys())
+    sym_factor = {key: (1.0 if key[0] == key[1] else 2.0) for key in hess_keys}
+
+    def residual(u):
+        H = st.hessian_stack(u)
+        lam = np.linalg.eigvalsh(H)
+        T = esym_table(lam)
+        if log_form:
+            G = np.log(np.maximum(T[:, k], _LOG_FLOOR)) - np.log(
+                np.maximum(T[:, l], _LOG_FLOOR)
+            )
+        else:
+            G = T[:, k]
+        F_eq = (G - target)[eq_rows]
+        F_cl = st.closure_matrix @ u - st.closure_rhs
+        return np.concatenate([F_eq, F_cl]), lam
+
+    # the equation rows of each stencil, sliced once per solve
+    hess_eq = {key: st.hess[key][0][eq_rows] for key in hess_keys}
+
+    def jacobian(u):
+        # spectra on the equation rows only: closure rows are linear, and
+        # their S_k may vanish
+        lam, Q = np.linalg.eigh(st.hessian_stack(u)[eq_rows])
+        g = spectral_gradient(lam, k, l, log_form=log_form)
+        W = np.einsum("nij,nj,nkj->nik", Q, g, Q)
+        J_eq = None
+        for key in hess_keys:
+            p, q = key
+            term = sp.diags(sym_factor[key] * W[:, p, q]) @ hess_eq[key]
+            J_eq = term if J_eq is None else J_eq + term
+        return sp.vstack([J_eq, st.closure_matrix]).tocsr()
+
+    return residual, jacobian
+
+
 def _trace_factor(st):
     """LU factor of the linear trace(D2u) system (the summed pure second
     differences on the equation rows, stacked over the closure rows) and
@@ -352,17 +358,6 @@ def _krylov_step(J, F, lu):
     if info != 0:
         return None, None
     return lu.solve(y), len(residuals)
-
-
-def _fd_jacobian(residual, u, step=1e-7):
-    cols = []
-    F0, _ = residual(u)
-    for j in range(u.size):
-        du = u.copy()
-        du[j] += step
-        Fj, _ = residual(du)
-        cols.append((Fj - F0) / step)
-    return sp.csr_matrix(np.stack(cols, axis=1))
 
 
 def _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged):
@@ -544,14 +539,15 @@ def problem_from_spec(spec: dict) -> tuple:
         level = float(dom["params"].get("level", 1.0))
         grid = grid_for_candidate(cand, level, h)
         mask = sample_candidate(cand, grid, level).mask
+
+    def given(casts):
+        """The keys among casts that the spec sets, each cast: float keeps
+        report.json's boundary_value and rhs floats, and int admits 100.0,
+        which JSON Schema counts as an integer."""
+        return {key: cast(spec[key]) for key, cast in casts.items() if key in spec}
+
     problem = DirichletProblem(
-        mask=mask, k=k, l=l,
-        boundary_value=float(spec.get("boundary_value", 1.0)),
-        rhs=float(spec.get("rhs", 1.0)),
+        mask=mask, k=k, l=l, **given({"boundary_value": float, "rhs": float})
     )
-    opts = SolveOptions(
-        tol=float(spec.get("tol", 1e-9)),
-        max_iters=int(spec.get("max_iters", 100)),
-        min_resolution=int(spec.get("min_resolution", 33)),
-    )
+    opts = SolveOptions(**given({"tol": float, "max_iters": int, "min_resolution": int}))
     return problem, opts

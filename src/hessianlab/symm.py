@@ -70,7 +70,7 @@ class SymmetricMatrix:
     n: int
 
     @classmethod
-    def from_array(cls, M, sym_rtol: float = 1e-12) -> "SymmetricMatrix":
+    def from_array(cls, M) -> "SymmetricMatrix":
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise PreconditionError("matrix must be square")
@@ -80,7 +80,7 @@ class SymmetricMatrix:
         if not np.all(np.isfinite(M)):
             raise PreconditionError("matrix entries must be finite")
         scale = np.linalg.norm(M)
-        if np.linalg.norm(M - M.T) > sym_rtol * max(scale, 1.0):
+        if np.linalg.norm(M - M.T) > 1e-12 * max(scale, 1.0):
             raise PreconditionError("matrix is not symmetric within tolerance")
         sym = 0.5 * (M + M.T)
         iu = np.triu_indices(n)

@@ -97,21 +97,37 @@ def test_malformed_candidate_spec_exits_2(tmp_path, spec):
     assert run_cli(tmp_path, cfg, "x") == 2
 
 
+QUAD = {"candidate": "quad:diag(2,0.5)"}
+DISK = {"domains": [{"semiaxes": [1.0, 1.0]}]}
+
+
 @pytest.mark.parametrize(
     "command,params",
     [
-        ("analyze", {"t_min": "small"}),
-        ("analyze", {"t_max": 0}),
-        ("analyze", {"t_points": "many"}),
-        ("analyze", {"m_dirs": 0}),
-        ("analyze", {"p_list": [1.0, "two"]}),
-        ("sweep", {"condition": "volume"}),
-        ("sweep", {"m_dirs": 36.5}),
-        ("sweep", {"p": "one"}),
+        ("analyze", {**QUAD, "t_min": "small"}),
+        ("analyze", {**QUAD, "t_max": 0}),
+        ("analyze", {**QUAD, "t_points": "many"}),
+        ("analyze", {**QUAD, "m_dirs": 0}),
+        ("analyze", {**QUAD, "p_list": [1.0, "two"]}),
+        ("sweep", {**QUAD, "condition": "volume"}),
+        ("sweep", {**QUAD, "m_dirs": 36.5}),
+        ("sweep", {**QUAD, "p": "one"}),
+        ("chain_iso", {**QUAD, "t": "abc"}),
+        ("chain_iso", {**QUAD, "m_dirs": 36.5}),
+        ("chain_iso", {**QUAD, "gamma": "big"}),
+        ("chain_iso", {**QUAD, "interval": 5}),
+        ("chain_iso", {**QUAD, "interval": [0.3]}),
+        ("chain_iso", {**QUAD, "interval": [0.3, "half"]}),
+        ("chain_volume", {**DISK, "k": "two"}),
+        ("chain_volume", {**DISK, "l": 0.5}),
+        ("chain_volume", {**DISK, "h": "fine"}),
+        ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "label": 3}]}),
+        ("chain_volume", {"domains": [{"semiaxes": [1.0, "wide"]}]}),
+        ("legendre", {"field": "solution.hsf1", "region_level": "half"}),
     ],
 )
 def test_mistyped_optional_params_exit_2(tmp_path, command, params):
-    cfg = {"command": command, "params": {"candidate": "quad:diag(2,0.5)", **params}}
+    cfg = {"command": command, "params": params}
     assert run_cli(tmp_path, cfg, "x") == 2
     assert not (tmp_path / "x" / "manifest.json").exists()
 

@@ -180,11 +180,13 @@ def test_volume_experiment_quotient_instance():
             assert ln.passed, ln.check_id
 
 
-def test_volume_experiment_records_nonconvergence():
-    domains = [("disk", fields.mask_from_ellipse([1.0, 1.0], h=1 / 40))]
-    reports = pipeline.volume_to_roundness_experiment(
-        domains, k=2, l=0, opts=solver.SolveOptions(max_iters=1)
+def test_volume_experiment_records_nonconvergence(monkeypatch):
+    solve = solver.solve
+    monkeypatch.setattr(
+        solver, "solve", lambda problem: solve(problem, solver.SolveOptions(max_iters=1))
     )
+    domains = [("disk", fields.mask_from_ellipse([1.0, 1.0], h=1 / 40))]
+    reports = pipeline.volume_to_roundness_experiment(domains, k=2, l=0)
     assert reports[0].meta.get("converged") is False
 
 

@@ -5,6 +5,9 @@ referenced (as a bare name or an attribute) somewhere outside its own
 definition: in the package itself, in the benchmark scripts, or in the
 acceptance gate. A name whose only caller is its own unit test is dead
 code and should be deleted with that test.
+
+References are matched by bare name, so a method that shares its name
+with a live one (say, `export_csv` on two classes) escapes the check.
 """
 
 import ast

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hessianlab import fields, geometry, solver
+from hessianlab import candidates, fields, geometry, solver
 from hessianlab.errors import PreconditionError
 from hessianlab.symm import esym_table
 
@@ -77,15 +77,39 @@ def test_solver_nonconvergence_report():
     assert rep.newton_iters == 1
 
 
-def test_fd_jacobian_agrees_on_small_problem():
-    mask = fields.mask_from_ellipse([1.0, 1.3], h=1 / 18)
-    opts = solver.SolveOptions(min_resolution=20)
-    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0), opts)
-    opts_fd = solver.SolveOptions(min_resolution=20, fd_jacobian=True, max_iters=30)
-    rep_fd = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0), opts_fd)
-    assert rep_fd.converged
-    d = np.max(np.abs(rep.field.inside_values() - rep_fd.field.inside_values()))
-    assert d <= 1e-7
+def _central_difference_jacobian(residual, u, step=1e-7):
+    """dF/du column by column from central differences of the residual."""
+    cols = []
+    for j in range(u.size):
+        e = np.zeros_like(u)
+        e[j] = step
+        cols.append((residual(u + e)[0] - residual(u - e)[0]) / (2.0 * step))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize(
+    "n,k,l,h",
+    [(2, 2, 0, 1 / 10), (2, 2, 1, 1 / 10), (3, 3, 1, 1 / 5)],
+    ids=["ma2d", "quotient2d", "quotient3d"],
+)
+def test_jacobian_matches_central_differences(n, k, l, h):
+    # q = x'Ax/2 with off-diagonal A (so the mixed terms count), sampled on
+    # {q < 1}; u = q + (q - 1)^2 / 5 keeps the Dirichlet data and is convex
+    # with a Hessian that varies from node to node, and S_k / S_l of it
+    # ranges well away from 1 (so the log form counts)
+    A = np.full((n, n), 0.6) + np.diag(np.arange(n, 0, -1) + 0.5)
+    c = candidates.quadratic(A)
+    f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, h), 1.0)
+    st = f.mask.stencils()
+    q = f.inside_values()
+    u = q + 0.2 * (q - 1.0) ** 2
+    residual, jacobian = solver._equations(st, k, l, 2.0)
+    # an admissible iterate: S_1..S_k positive on every equation row
+    lam = residual(u)[1]
+    assert np.min(esym_table(lam[~st.is_closure])[:, 1 : k + 1]) > 0
+    J = jacobian(u).toarray()
+    J_fd = _central_difference_jacobian(residual, u)
+    assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
 
 
 def test_barrier_construction_worked():
@@ -299,6 +323,21 @@ def test_unfactorable_trace_system_solves_directly(monkeypatch):
     assert rep.converged and rep.newton_iters >= 1
     assert not calls
     assert rep.linear_iters == [None] * rep.newton_iters
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the barrier start alone ends in a damping collapse (19 steps, residual 1e-3)",
+)
+def test_barrier_start_converges(monkeypatch):
+    # without a trace factor the solve starts from the ellipsoid barrier
+    def splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver.spla, "splu", splu)
+    mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 24)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert rep.converged
 
 
 def test_quotient_3d_ball_fine_without_warnings():
