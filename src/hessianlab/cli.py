@@ -38,16 +38,22 @@ _LEVEL_GRID = {
 }
 
 # the commands, each with what it reads from its params without a default,
-# and the types of the optional params read with one
+# and every key it reads, typed where an optional one is read with a default;
+# a key not listed is an error, so a misspelled param cannot fall back silently
 _PARAMS_SCHEMA = {
-    "solve": {"required": ["problem"]},
+    "solve": {"required": ["problem"], "properties": {"problem": {}}},
     "analyze": {
         "required": ["candidate"],
-        "properties": {**_LEVEL_GRID, "p_list": {"type": "array", "items": {"type": "number"}}},
+        "properties": {
+            "candidate": {},
+            **_LEVEL_GRID,
+            "p_list": {"type": "array", "items": {"type": "number"}},
+        },
     },
     "sweep": {
         "required": ["candidate"],
         "properties": {
+            "candidate": {},
             **_LEVEL_GRID,
             "condition": {"enum": [c.value for c in Condition]},
             "p": {"type": "number"},
@@ -56,6 +62,7 @@ _PARAMS_SCHEMA = {
     "chain_iso": {
         "required": ["candidate"],
         "properties": {
+            "candidate": {},
             "t": {"type": "number"},
             "m_dirs": _LEVEL_GRID["m_dirs"],
             "gamma": {"type": "number"},
@@ -75,6 +82,7 @@ _PARAMS_SCHEMA = {
                 "items": {
                     "type": "object",
                     "required": ["semiaxes"],
+                    "additionalProperties": False,
                     "properties": {
                         "label": {"type": "string"},
                         "semiaxes": {"type": "array", "items": {"type": "number"}},
@@ -83,8 +91,11 @@ _PARAMS_SCHEMA = {
             },
         },
     },
-    "legendre": {"required": ["field"], "properties": {"region_level": {"type": "number"}}},
-    "report": {"required": ["dir"]},
+    "legendre": {
+        "required": ["field"],
+        "properties": {"field": {}, "region_level": {"type": "number"}},
+    },
+    "report": {"required": ["dir"], "properties": {"dir": {}}},
 }
 
 CONFIG_SCHEMA = {
@@ -98,7 +109,10 @@ CONFIG_SCHEMA = {
     "allOf": [
         {
             "if": {"properties": {"command": {"const": cmd}}},
-            "then": {"required": ["params"], "properties": {"params": sub}},
+            "then": {
+                "required": ["params"],
+                "properties": {"params": {**sub, "additionalProperties": False}},
+            },
         }
         for cmd, sub in _PARAMS_SCHEMA.items()
     ],
@@ -309,7 +323,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _apply_overrides(config, args.override)
-        jsonschema.validate(config, CONFIG_SCHEMA)
+        solver.validate_spec(config, CONFIG_SCHEMA)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
         _write_json(

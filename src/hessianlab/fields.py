@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ClippingError,
@@ -75,6 +75,23 @@ def _axis_offset(n, d, s):
     return e
 
 
+def _component_count(ins: np.ndarray) -> int:
+    """Number of face-connected components of the True entries: the graph
+    joins every pair of True neighbours along each axis."""
+    size = int(np.count_nonzero(ins))
+    index = np.full(ins.shape, -1)
+    index[ins] = np.arange(size)
+    src, dst = [], []
+    for d in range(ins.ndim):
+        a = np.moveaxis(index, d, 0)
+        both = (a[:-1] >= 0) & (a[1:] >= 0)
+        src.append(a[:-1][both])
+        dst.append(a[1:][both])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = sp.coo_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size))
+    return int(connected_components(graph, directed=False)[0])
+
+
 @dataclass
 class DomainMask:
     """Inside/outside flags plus Shortley-Weller cut data for one grid."""
@@ -119,8 +136,7 @@ class DomainMask:
             runs_ok = counts[has] == (last[has] - first[has] + 1)
             if not runs_ok.all():
                 raise PreconditionError("mask not axis-convex on the grid")
-        _, num = scipy.ndimage.label(ins)
-        if num != 1:
+        if _component_count(ins) != 1:
             raise PreconditionError("mask not grid-connected")
 
     # -- basic queries ---------------------------------------------------

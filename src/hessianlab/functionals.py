@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import polar
 from .candidates import AnalyticCandidate, rescaled
@@ -202,6 +201,8 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
     covering the gradient image, masked by its convex hull, and is pinned
     to value zero at the origin.
     """
+    from scipy.spatial import ConvexHull
+
     mask = f.mask
     st = mask.stencils()
     n = mask.n

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-from scipy.spatial import ConvexHull
 
 from .candidates import AnalyticCandidate
 from .errors import (
@@ -46,6 +44,8 @@ class ConvexBody:
         if self.n == 2:
             self._hull_eqs = _polygon_equations(self.vertices)
         else:
+            from scipy.spatial import ConvexHull
+
             hull = ConvexHull(self.vertices)
             self._hull_eqs = hull.equations
             if self.faces is None:
@@ -162,6 +162,8 @@ def _icosphere_level(m_dirs: int | None) -> int:
 
 def body_from_mask(mask) -> ConvexBody:
     """Body whose boundary is the mask's own Dirichlet cut cloud."""
+    from scipy.spatial import ConvexHull
+
     st = mask.stencils()
     pts = st.cut_points
     if pts.shape[0] < mask.n + 2:
@@ -178,6 +180,8 @@ def _extract_from_field(f: ScalarField, t: float) -> ConvexBody:
     """Contour of {u < t} on a sampled field. A field with a finite level
     holds its sub-level sets inside the domain; on one without, a set that
     reaches the domain edge has no known boundary and raises."""
+    from scipy.spatial import ConvexHull
+
     level = f.level
     if math.isfinite(level) and t > level + 1e-12:
         raise PreconditionError("requested level exceeds the sampled range")
@@ -271,6 +275,8 @@ def ball_fit(body: ConvexBody) -> BallFit:
     centroid and the Chebyshev center), so the reported gamma is an upper
     bound for the true minimal ratio; the containment itself is certified.
     """
+    from scipy.optimize import minimize
+
     seeds = [body.centroid()]
     cheb = _chebyshev_center(body)
     if cheb is not None:
@@ -284,7 +290,7 @@ def ball_fit(body: ConvexBody) -> BallFit:
 
     best = None
     for seed in seeds:
-        res = scipy.optimize.minimize(
+        res = minimize(
             ratio, seed, method="Nelder-Mead",
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 800},
         )
@@ -297,12 +303,14 @@ def ball_fit(body: ConvexBody) -> BallFit:
 
 
 def _chebyshev_center(body: ConvexBody):
+    from scipy.optimize import linprog
+
     A, b = body._hull_eqs[:, :-1], body._hull_eqs[:, -1]
     n = body.n
     c = np.zeros(n + 1)
     c[-1] = -1.0
     A_ub = np.column_stack([A, np.ones(A.shape[0])])
-    res = scipy.optimize.linprog(
+    res = linprog(
         c, A_ub=A_ub, b_ub=-b, bounds=[(None, None)] * n + [(0, None)], method="highs"
     )
     if not res.success:
@@ -565,6 +573,8 @@ def normal_map_area(f: ScalarField) -> float:
 
 def forward_image_area(f: ScalarField) -> float:
     """Volume of the convex hull of the discrete gradient image."""
+    from scipy.spatial import ConvexHull
+
     st = f.mask.stencils()
     H = f.hessian_stack()
     lam = np.linalg.eigvalsh(H)

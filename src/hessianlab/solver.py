@@ -489,6 +489,7 @@ _DOMAIN_PARAM = {"ellipse": "semiaxes", "polygon": "vertices", "candidate_level"
 PROBLEM_SCHEMA = {
     "type": "object",
     "required": ["n", "k", "l", "domain", "h"],
+    "additionalProperties": False,
     "properties": {
         "n": {"type": "integer", "enum": [2, 3]},
         "k": {"type": "integer", "minimum": 1},
@@ -518,11 +519,21 @@ PROBLEM_SCHEMA = {
 }
 
 
+def validate_spec(instance, schema: dict):
+    """jsonschema.validate without its check of the schema against the
+    metaschema: our schemas are constants, and the tests check them once.
+    Raises the same best-matching ValidationError."""
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+
+    error = best_match(Draft202012Validator(schema).iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def problem_from_spec(spec: dict) -> tuple:
     """Build (DirichletProblem, SolveOptions) from the JSON wire format."""
-    import jsonschema
-
-    jsonschema.validate(spec, PROBLEM_SCHEMA)
+    validate_spec(spec, PROBLEM_SCHEMA)
     n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
     if not (0 <= l < k <= n):
         raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}")

@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import textwrap
 
+import jsonschema
 import pytest
 
-from hessianlab import cli, fields, pipeline
+from hessianlab import cli, fields, pipeline, solver
 
 
 def run_cli(tmp_path, config: dict, out: str, extra=()):
@@ -98,6 +102,7 @@ def test_malformed_candidate_spec_exits_2(tmp_path, spec):
 
 
 QUAD = {"candidate": "quad:diag(2,0.5)"}
+ANISO_FIELD = os.path.join(os.path.dirname(__file__), "data", "field_aniso2d.hsf1")
 DISK = {"domains": [{"semiaxes": [1.0, 1.0]}]}
 
 
@@ -130,6 +135,93 @@ def test_mistyped_optional_params_exit_2(tmp_path, command, params):
     cfg = {"command": command, "params": params}
     assert run_cli(tmp_path, cfg, "x") == 2
     assert not (tmp_path / "x" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command,params",
+    [
+        ("chain_volume", {**DISK, "K": 3, "hh": 0.01}),
+        ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "lable": "disk"}]}),
+        ("analyze", {**QUAD, "t_point": 12}),
+        ("legendre", {"field": ANISO_FIELD, "region": 0.5}),
+        ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "tol_": 1e-6}}),
+    ],
+)
+def test_misspelled_params_exit_2(tmp_path, command, params):
+    cfg = {"command": command, "params": params}
+    assert run_cli(tmp_path, cfg, "x") == 2
+    # solve checks its problem after the manifest is written, the rest before
+    out = tmp_path / "x"
+    assert not out.exists() or os.listdir(out) == ["manifest.json"]
+
+
+@pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, solver.PROBLEM_SCHEMA], ids=["config", "problem"])
+def test_schemas_are_valid_draft_2020_12(schema):
+    jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_config_error_message(tmp_path, capsys):
+    cfg = {"command": "chain_iso", "params": {**QUAD, "t": "abc"}}
+    assert run_cli(tmp_path, cfg, "x") == 2
+    assert capsys.readouterr().err == (
+        "error: 'abc' is not of type 'number'\n\n"
+        "Failed validating 'type' in "
+        "schema['allOf'][3]['then']['properties']['params']['properties']['t']:\n"
+        "    {'type': 'number'}\n\n"
+        "On instance['params']['t']:\n"
+        "    'abc'\n"
+    )
+
+
+def test_disconnected_hsf1_mask_exits_2(tmp_path, capsys):
+    # two 2x2 blocks that share one corner: axis-convex, not face-connected
+    inside = {(i, j) for i in (2, 3) for j in (2, 3)} | {(i, j) for i in (4, 5) for j in (4, 5)}
+    lines = ["HSF1 n=2", "dims=9,9", "origin=0,0", "h=0.125", "level=nan"]
+    lines += [f"{i} {j} 1 1" if (i, j) in inside else f"{i} {j} 0" for i in range(9) for j in range(9)]
+    (tmp_path / "split.hsf1").write_text("\n".join(lines) + "\n")
+    cfg = {"command": "legendre", "params": {"field": str(tmp_path / "split.hsf1")}}
+    assert run_cli(tmp_path, cfg, "x") == 2
+    assert "mask not grid-connected" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "transform.hsf1").exists()
+
+
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import json, sys
+    from hessianlab import cli
+
+    def loaded():
+        heavy = ("scipy.ndimage", "scipy.optimize", "scipy.spatial")
+        return sorted({m for m in heavy if m in sys.modules})
+
+    codes, seen = [], []
+    for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+        codes.append(cli.main(["--config", config, "--out", out]))
+        seen.append(loaded())
+    print(json.dumps([codes, seen]))
+    """
+)
+
+
+def test_commands_load_only_the_scipy_subpackages_they_run(tmp_path):
+    solve = tmp_path / "solve.json"
+    solve.write_text(json.dumps({**SOLVE_CFG, "params": {"problem": {
+        **SOLVE_CFG["params"]["problem"], "h": 1 / 16}}}))
+    legendre = tmp_path / "legendre.json"
+    legendre.write_text(json.dumps(
+        {"command": "legendre", "params": {"field": str(tmp_path / "s" / "solution.hsf1")}}
+    ))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE,
+         str(solve), str(tmp_path / "s"), str(legendre), str(tmp_path / "l")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    codes, (after_solve, after_legendre) = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0]
+    assert after_solve == []
+    assert after_legendre == ["scipy.spatial"]
 
 
 @pytest.mark.parametrize(

@@ -176,6 +176,50 @@ def test_mask_convexity_validation():
         fields.DomainMask(grid=g, inside=inside, theta=theta, bval=bval)
 
 
+def _blobs(n, kind):
+    """Cubes of side 2 on a 9^n grid: one, two apart, or two that share
+    only a corner (face-connectivity splits them, full connectivity not)."""
+    inside = np.zeros((9,) * n, dtype=bool)
+    inside[(slice(2, 4),) * n] = True
+    if kind == "two":
+        inside[(slice(5, 7),) * n] = True
+    elif kind == "diagonal":
+        inside[(slice(4, 6),) * n] = True
+    return inside
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind,count", [("one", 1), ("two", 2), ("diagonal", 2)])
+def test_component_count_matches_ndimage_label(n, kind, count):
+    from scipy import ndimage
+
+    inside = _blobs(n, kind)
+    assert fields._component_count(inside) == ndimage.label(inside)[1] == count
+    full = ndimage.label(inside, structure=np.ones((3,) * n))[1]
+    assert full == (1 if kind == "diagonal" else count)
+
+
+@pytest.mark.parametrize("shape", [(23, 19), (11, 10, 9)])
+def test_component_count_matches_ndimage_label_on_random_masks(shape):
+    from scipy import ndimage
+
+    rng = np.random.default_rng(len(shape))
+    for density in (0.3, 0.5, 0.6, 0.8):
+        inside = rng.random(shape) < density
+        assert fields._component_count(inside) == ndimage.label(inside)[1]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["two", "diagonal"])
+def test_mask_not_grid_connected(n, kind):
+    # both masks are axis-convex, so the connectivity check is what rejects them
+    g = fields.Grid(n=n, dims=(9,) * n, origin=np.zeros(n), h=1.0)
+    theta = np.ones((n, 2) + g.dims)
+    bval = np.full((n, 2) + g.dims, np.nan)
+    with pytest.raises(PreconditionError, match="not grid-connected"):
+        fields.DomainMask(grid=g, inside=_blobs(n, kind), theta=theta, bval=bval)
+
+
 def test_normalized_flag_check():
     _, f = sample_disk()
     assert f.normalized and f.check_normalized()
