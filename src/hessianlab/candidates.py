@@ -53,6 +53,12 @@ class AnalyticCandidate:
         return self.hess_fn(np.atleast_2d(np.asarray(X, dtype=float)))
 
 
+def require_candidate(source):
+    """The sub-level-set measurements take closed-form candidates only."""
+    if not isinstance(source, AnalyticCandidate):
+        raise PreconditionError("source must be an analytic candidate")
+
+
 def quadratic(A, name=None) -> AnalyticCandidate:
     """u(x) = x' A x / 2 for symmetric positive definite A."""
     A = np.asarray(A, dtype=float)

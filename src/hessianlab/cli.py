@@ -41,7 +41,7 @@ _LEVEL_GRID = {
 # and every key it reads, typed where an optional one is read with a default;
 # a key not listed is an error, so a misspelled param cannot fall back silently
 _PARAMS_SCHEMA = {
-    "solve": {"required": ["problem"], "properties": {"problem": {}}},
+    "solve": {"required": ["problem"], "properties": {"problem": solver.PROBLEM_SCHEMA}},
     "analyze": {
         "required": ["candidate"],
         "properties": {
@@ -101,6 +101,7 @@ _PARAMS_SCHEMA = {
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["command"],
+    "additionalProperties": False,
     "properties": {
         "command": {"type": "string", "enum": list(_PARAMS_SCHEMA)},
         "seed": {"type": "integer"},
@@ -117,6 +118,17 @@ CONFIG_SCHEMA = {
         for cmd, sub in _PARAMS_SCHEMA.items()
     ],
 }
+
+
+def validate_spec(instance, schema: dict):
+    """jsonschema.validate without its check of the schema against the
+    metaschema: our schemas are constants, and the tests check them once.
+    Raises the same best-matching ValidationError."""
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft202012Validator(schema).iter_errors(instance)
+    )
+    if error is not None:
+        raise error
 
 
 def _write_text(path, text: str):
@@ -323,7 +335,7 @@ def main(argv=None) -> int:
         return 2
     try:
         config = _apply_overrides(config, args.override)
-        solver.validate_spec(config, CONFIG_SCHEMA)
+        validate_spec(config, CONFIG_SCHEMA)
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
         _write_json(

@@ -11,10 +11,8 @@ neighbor lookups give every arm's column or cut, each row family (gradient,
 pure and mixed second difference, closure row) is weighted for every node
 in one expression and becomes one sparse matrix.
 
-Fields interpolate all points at once, multilinear with ghost values behind
-cuts and exact cut data on grid lines, and say which points the domain
-covers; 3D sub-level sets are contoured by radial bisection of this
-interpolant, 2D ones by marching squares.
+Fields carry node values over a mask and take their derivatives from its
+stencils; they are read and written in the HSF1 text format.
 """
 
 from __future__ import annotations
@@ -472,7 +470,6 @@ class ScalarField:
             raise PreconditionError("values shape must match the grid")
         if not np.all(np.isfinite(self.inside_values())):
             raise PreconditionError("field values must be finite inside")
-        self._ghost = None
 
     @property
     def grid(self) -> Grid:
@@ -496,94 +493,6 @@ class ScalarField:
 
     def gradient_stack(self) -> np.ndarray:
         return self.mask.stencils().gradient_stack(self.inside_values())
-
-    # -- interpolation -----------------------------------------------------
-
-    def _ghost_values(self) -> np.ndarray:
-        """Extrapolated values at outside nodes adjacent to the mask, NaN
-        at every other node.
-
-        Each outside neighbor takes the value extending the inside node
-        linearly through its sharpest cut (the first cut record on ties),
-        which keeps multilinear interpolation consistent with the
-        Dirichlet data.
-        """
-        if self._ghost is None:
-            st = self.mask.stencils()
-            u = self.inside_values()[st.cut_node]
-            out = self.mask.inside_idx[st.cut_node]
-            out[np.arange(out.shape[0]), st.cut_axis] += st.cut_dir
-            flat = np.ravel_multi_index(tuple(out.T), self.grid.dims)
-            order = np.lexsort((np.arange(flat.size), st.cut_theta))
-            nodes, first = np.unique(flat[order], return_index=True)
-            pick = order[first]
-            u, bv, th = u[pick], st.cut_bval[pick], st.cut_theta[pick]
-            self._ghost = np.full(self.grid.dims, np.nan)
-            self._ghost.flat[nodes] = u + (bv - u) / th
-        return self._ghost
-
-    def interpolate(self, x) -> float:
-        """Multilinear interpolation; exact for affine data and returning
-        the stored Dirichlet value exactly at cut points on grid lines."""
-        return float(self.interpolate_many(np.asarray(x, dtype=float)[None, :])[0])
-
-    def interpolate_many(self, X) -> np.ndarray:
-        values, inside = self._interpolate(X)
-        if not inside.all():
-            raise PreconditionError("interpolation point outside the domain")
-        return values
-
-    def _interpolate(self, X):
-        """(values, inside) at every point of X, values NaN outside.
-
-        Points with exactly one off-lattice coordinate follow their grid
-        line and honor its cut data; every other point is multilinear over
-        its cell, with ghost values standing in for outside corners. A
-        point is outside when a corner it weighs has neither.
-        """
-        X = np.asarray(X, dtype=float)
-        g, ins = self.grid, self.mask.inside
-        t = (X - g.origin) / g.h
-        top = np.asarray(g.dims) - 2
-        cell = np.clip(np.floor(t).astype(int), 0, top)
-        frac = t - cell
-        bump = (frac > 1.0 - 1e-12) & (cell + 1 <= top)
-        cell = cell + bump.astype(int)
-        frac = np.where(bump, 0.0, frac)
-        off = np.abs(frac) >= 1e-12
-
-        known = np.where(ins, self.values, self._ghost_values())
-        acc = np.zeros(X.shape[0])
-        inside = np.ones(X.shape[0], dtype=bool)
-        for corner in itertools.product((0, 1), repeat=g.n):
-            w = np.ones(X.shape[0])
-            for d in range(g.n):
-                w *= frac[:, d] if corner[d] else 1.0 - frac[:, d]
-            v = known[tuple((cell + corner).T)]
-            used = w != 0.0
-            acc = np.where(used, acc + w * v, acc)
-            inside &= ~used | ~np.isnan(v)
-
-        # grid-line points: a (cell) to b (next node along the free axis d)
-        line = off.sum(axis=1) == 1
-        d = off[line].argmax(axis=1)
-        a = cell[line]
-        b = a.copy()
-        b[np.arange(a.shape[0]), d] += 1
-        s = frac[line, d]
-        a, b = tuple(a.T), tuple(b.T)
-        ina, inb = ins[a], ins[b]
-        va, vb = self.values[a], self.values[b]
-        th_a, bv_a = self.mask.theta[(d, 1) + a], self.mask.bval[(d, 1) + a]
-        th_b, bv_b = self.mask.theta[(d, 0) + b], self.mask.bval[(d, 0) + b]
-        cases = [ina & inb, ina, inb]
-        acc[line] = np.select(cases, [
-            (1 - s) * va + s * vb,
-            va + (bv_a - va) * (s / th_a),
-            vb + (bv_b - vb) * ((1.0 - s) / th_b),
-        ])
-        inside[line] = np.select(cases, [True, s <= th_a + 1e-12, 1.0 - s <= th_b + 1e-12], False)
-        return np.where(inside, acc, np.nan), inside
 
     def check_normalized(self) -> bool:
         """Anchor-node value within 2h * max|Du| of zero."""

@@ -1,9 +1,11 @@
-"""Growth functionals over convex candidates and solved fields.
+"""Growth functionals of analytic convex candidates, and the convex
+conjugate of sampled fields.
 
-Implements the ratio of the gradient integral to the layer-cake norm on
-sub-level sets, the volume-growth and weighted-integrability scalars with
-log-log slope fits, the first (Pogorelov-style) normalization and the
-convex conjugate on grids.
+The ratio of the gradient integral to the layer-cake norm on sub-level
+sets, and the volume-growth and weighted-integrability scalars with log-log
+slope fits, come from polar quadrature of a candidate; the first
+(Pogorelov-style) normalization rescales one. The convex conjugate works on
+grid fields.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from enum import Enum
 import numpy as np
 
 from . import polar
-from .candidates import AnalyticCandidate, rescaled
+from .candidates import AnalyticCandidate, require_candidate, rescaled
 from .errors import AdmissibilityError, PreconditionError
-from .fields import DomainMask, Grid, ScalarField
+from .fields import Grid, ScalarField
 
 
 class Condition(str, Enum):
@@ -76,26 +78,15 @@ def iso_ratio(source, t: float, m_dirs: int = 720) -> IsoperimetricSample:
     """Gradient integral over the layer-cake norm at one level."""
     if t <= 0:
         raise PreconditionError("level must be positive")
-    if isinstance(source, AnalyticCandidate):
-        n = source.n
-        num = polar.integrate_sublevel(
-            source, t, lambda X: np.linalg.norm(source.grad(X), axis=1), m_dirs=m_dirs
-        )
-        den_raw = polar.integrate_sublevel(
-            source, t, lambda X: np.abs(t - source.value(X)) ** (n / (n - 1.0)),
-            m_dirs=m_dirs,
-        )
-    elif isinstance(source, ScalarField):
-        n = source.mask.n
-        st = source.mask.stencils()
-        u = source.inside_values()
-        sel = u < t
-        w = st.weights[sel]
-        g = np.linalg.norm(source.gradient_stack()[sel], axis=1)
-        num = float(np.sum(w * g))
-        den_raw = float(np.sum(w * np.abs(t - u[sel]) ** (n / (n - 1.0))))
-    else:
-        raise PreconditionError("source must be a candidate or a sampled field")
+    require_candidate(source)
+    n = source.n
+    num = polar.integrate_sublevel(
+        source, t, lambda X: np.linalg.norm(source.grad(X), axis=1), m_dirs=m_dirs
+    )
+    den_raw = polar.integrate_sublevel(
+        source, t, lambda X: np.abs(t - source.value(X)) ** (n / (n - 1.0)),
+        m_dirs=m_dirs,
+    )
     den = den_raw ** ((n - 1.0) / n)
     if num <= 0 or den <= 0:
         raise PreconditionError("degenerate integrals at this level")
@@ -167,26 +158,8 @@ def pogorelov_normalize(source, t0: float):
     """First normalization u(sqrt(t0) x) / t0: level t0 becomes level 1."""
     if t0 <= 0:
         raise PreconditionError("normalization level must be positive")
-    if isinstance(source, AnalyticCandidate):
-        return rescaled(source, t0)
-    if isinstance(source, ScalarField):
-        s = math.sqrt(t0)
-        g = source.grid
-        grid = Grid(n=g.n, dims=g.dims, origin=g.origin / s, h=g.h / s)
-        mask = DomainMask(
-            grid=grid,
-            inside=source.mask.inside.copy(),
-            theta=source.mask.theta.copy(),
-            bval=source.mask.bval / t0,
-        )
-        return ScalarField(
-            mask=mask,
-            values=source.values / t0,
-            level=source.level / t0,
-            normalized=source.normalized,
-            anchor=source.anchor,
-        )
-    raise PreconditionError("source must be a candidate or a sampled field")
+    require_candidate(source)
+    return rescaled(source, t0)
 
 
 # ---------------------------------------------------------------------------

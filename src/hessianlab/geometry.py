@@ -1,8 +1,8 @@
 """Convex-body measurements of sub-level sets.
 
 Bodies come from ray-shooting analytic candidates (spectrally accurate in
-the radial direction) or from contouring solver output fields. On top of
-them sit the concentric two-ball roundness fit, the minimum-volume
+the radial direction) or from the boundary cut cloud of a domain mask. On
+top of them sit the concentric two-ball roundness fit, the minimum-volume
 enclosing ellipsoid normalized to a volume-preserving map, level profiles
 (volume and boundary measure per level), and the gradient-image area
 identities for convex functions.
@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .candidates import AnalyticCandidate
+from .candidates import require_candidate
 from .errors import (
     AdmissibilityError,
     DegenerateDomainError,
     NonConvergenceError,
     PreconditionError,
-    UnboundedSublevelError,
 )
 from .fields import ScalarField
 from .polar import directions_2d, radial_crossings, sphere_mesh
@@ -123,31 +122,25 @@ def _polygon_equations(V) -> np.ndarray:
 def extract_body(source, t: float, m_dirs: int | None = None) -> ConvexBody:
     """Boundary of the open sub-level set at level t.
 
-    Analytic candidates are ray-shot from their anchor (unique crossing by
+    The candidate is ray-shot from its anchor (unique crossing by
     monotonicity of the radial derivative) along m_dirs directions; in 3D
     these are the vertices of the coarsest icosphere with at least m_dirs
     of them (10 * 4**s + 2 at subdivision s, capped at s = 5, the default).
-    Sampled fields are contoured: marching squares in the plane, radial
-    bisection of the interpolant in space; the vertex cloud is convexified
-    afterward.
     """
     if t <= 0:
         raise PreconditionError("level must be positive")
-    if isinstance(source, AnalyticCandidate):
-        if source.n == 2:
-            dirs = directions_2d(m_dirs or 720)
-            rho = radial_crossings(source, t, dirs)
-            verts = source.anchor + rho[:, None] * dirs
-            return ConvexBody(n=2, vertices=verts, interior_point=source.anchor.copy())
-        verts_dir, faces = sphere_mesh(_icosphere_level(m_dirs))
-        rho = radial_crossings(source, t, verts_dir)
-        verts = source.anchor + rho[:, None] * verts_dir
-        return ConvexBody(
-            n=3, vertices=verts, faces=faces, interior_point=source.anchor.copy()
-        )
-    if isinstance(source, ScalarField):
-        return _extract_from_field(source, t)
-    raise PreconditionError("source must be a candidate or a sampled field")
+    require_candidate(source)
+    if source.n == 2:
+        dirs = directions_2d(m_dirs or 720)
+        rho = radial_crossings(source, t, dirs)
+        verts = source.anchor + rho[:, None] * dirs
+        return ConvexBody(n=2, vertices=verts, interior_point=source.anchor.copy())
+    verts_dir, faces = sphere_mesh(_icosphere_level(m_dirs))
+    rho = radial_crossings(source, t, verts_dir)
+    verts = source.anchor + rho[:, None] * verts_dir
+    return ConvexBody(
+        n=3, vertices=verts, faces=faces, interior_point=source.anchor.copy()
+    )
 
 
 def _icosphere_level(m_dirs: int | None) -> int:
@@ -174,77 +167,6 @@ def body_from_mask(mask) -> ConvexBody:
         return ConvexBody(n=2, vertices=verts)
     hull = ConvexHull(pts)
     return ConvexBody(n=3, vertices=pts, faces=hull.simplices)
-
-
-def _extract_from_field(f: ScalarField, t: float) -> ConvexBody:
-    """Contour of {u < t} on a sampled field. A field with a finite level
-    holds its sub-level sets inside the domain; on one without, a set that
-    reaches the domain edge has no known boundary and raises."""
-    from scipy.spatial import ConvexHull
-
-    level = f.level
-    if math.isfinite(level) and t > level + 1e-12:
-        raise PreconditionError("requested level exceeds the sampled range")
-    if math.isfinite(level) and abs(t - level) <= 1e-12:
-        return body_from_mask(f.mask)
-    if f.mask.n == 2:
-        # the cut records sit on the inside nodes next to the domain edge
-        if not math.isfinite(level) and np.any(
-            f.inside_values()[f.mask.stencils().cut_node] < t
-        ):
-            raise UnboundedSublevelError("sub-level set reaches the domain edge")
-        pts = _marching_squares(f, t)
-        if pts.shape[0] < 4:
-            raise DegenerateDomainError("contour too small on this grid")
-        hull = ConvexHull(pts)
-        return ConvexBody(n=2, vertices=pts[hull.vertices])
-    # n = 3: radial bisection on the interpolant from the anchor
-    anchor_idx = f.anchor or f.mask.node_nearest(f.grid.coords(f.mask.inside_idx).mean(axis=0))
-    a = f.grid.coords(np.asarray(anchor_idx))
-    dirs, faces = sphere_mesh(2)
-    rho_max = f.mask.inside_coords() - a
-    r_hi = np.linalg.norm(rho_max, axis=1).max()
-    lo = np.zeros(dirs.shape[0])
-    hi = np.full(dirs.shape[0], r_hi)
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        values, inside = f._interpolate(a + mid[:, None] * dirs)
-        below = inside & (values < t)
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    if not math.isfinite(level) and not f._interpolate(a + hi[:, None] * dirs)[1].all():
-        raise UnboundedSublevelError("sub-level set reaches the domain edge")
-    verts = a + (0.5 * (lo + hi))[:, None] * dirs
-    return ConvexBody(n=3, vertices=verts, faces=faces, interior_point=a)
-
-
-def _marching_squares(f: ScalarField, t: float) -> np.ndarray:
-    """Level-t crossing points on grid edges between inside nodes.
-
-    The contour of a convex sub-level set is convex, so the unordered
-    crossing cloud plus a hull is equivalent to chained marching squares.
-    """
-    g = f.grid
-    ins = f.mask.inside
-    v = f.values - t
-    pts = []
-    for d in range(2):
-        sl_a = [slice(None)] * 2
-        sl_b = [slice(None)] * 2
-        sl_a[d] = slice(None, -1)
-        sl_b[d] = slice(1, None)
-        both = ins[tuple(sl_a)] & ins[tuple(sl_b)]
-        va, vb = v[tuple(sl_a)], v[tuple(sl_b)]
-        cross = both & (va * vb <= 0) & ((va != 0) | (vb != 0)) & (va != vb)
-        ii, jj = np.nonzero(cross)
-        s = va[cross] / (va[cross] - vb[cross])
-        base = np.stack([ii, jj], axis=1).astype(float)
-        base[:, d] += s
-        pts.append(g.origin + base * g.h)
-    P = np.vstack([p for p in pts if p.size]) if pts else np.zeros((0, 2))
-    if P.shape[0] == 0:
-        raise DegenerateDomainError("no contour at this level")
-    return np.unique(np.round(P, 12), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +404,15 @@ class LevelProfile:
 
 
 def level_profile(source, levels, m_dirs: int | None = None) -> LevelProfile:
+    require_candidate(source)
     levels = np.asarray(levels, dtype=float)
     mu = np.empty(levels.size)
     nu = np.empty(levels.size)
-    ndim = source.n if hasattr(source, "n") else source.mask.n
     for i, t in enumerate(levels):
         body = extract_body(source, float(t), m_dirs=m_dirs)
         mu[i] = body.volume()
         nu[i] = body.surface()
-    return LevelProfile(levels=levels, mu=mu, nu=nu, ndim=ndim)
+    return LevelProfile(levels=levels, mu=mu, nu=nu, ndim=source.n)
 
 
 def cone_lower_bound(profile: LevelProfile, s: float, t: float, tol: float = 1e-9):

@@ -25,9 +25,8 @@ from .calibration import (
     level_perimeter_bound,
     profile_integral_bound,
 )
-from .candidates import AnalyticCandidate, shifted
+from .candidates import AnalyticCandidate, require_candidate, shifted
 from .errors import HessianLabError, PreconditionError
-from .fields import ScalarField
 from .functionals import Condition
 from .polar import directions_2d
 
@@ -136,64 +135,19 @@ def quadratic_test(source) -> tuple:
     Both vanish exactly when the function is a quadratic: the first is the
     largest normalized Hessian difference over probe pairs, the second the
     largest entry of (D2u)^-1 contracted with the third-derivative tensor.
-    Candidates are probed inside their sub-level set at level 1.
+    The candidate is probed inside its sub-level set at level 1.
     """
-    if isinstance(source, AnalyticCandidate):
-        pts = _probe_points(source, 1.0)
-        H = source.hess(pts)
-        scale = 1e-4 * max(float(np.max(np.linalg.norm(pts, axis=1))), 1.0)
-        T3 = _third_order_fd(source, pts, scale)
-    elif isinstance(source, ScalarField):
-        st = source.mask.stencils()
-        H_all = source.hessian_stack()
-        pick = _interior_probe_rows(source.mask, st)
-        if pick.size > 400:
-            pick = pick[:: max(1, pick.size // 400)]
-        H = H_all[pick]
-        T3 = _third_order_field(source, pick, H_all)
-    else:
-        raise PreconditionError("source must be a candidate or a sampled field")
-    nrm = np.linalg.norm(H, axis=(1, 2))
+    require_candidate(source)
+    pts = _probe_points(source, 1.0)
+    H = source.hess(pts)
+    scale = 1e-4 * max(float(np.max(np.linalg.norm(pts, axis=1))), 1.0)
+    T3 = _third_order_fd(source, pts, scale)
     diff = 0.0
-    sub = H[:: max(1, H.shape[0] // 120)]
-    subn = np.linalg.norm(sub, axis=(1, 2))
-    for i in range(sub.shape[0]):
-        d = np.linalg.norm(sub - sub[i], axis=(1, 2)) / (1.0 + subn[i])
+    nrm = np.linalg.norm(H, axis=(1, 2))
+    for i in range(H.shape[0]):
+        d = np.linalg.norm(H - H[i], axis=(1, 2)) / (1.0 + nrm[i])
         diff = max(diff, float(np.max(d)))
     return diff, T3
-
-
-def _eroded(a: np.ndarray, depth: int) -> np.ndarray:
-    """a after depth erosions by the face-neighbour cross, with everything
-    outside the array counted as False: an entry survives a round when it
-    and each of its 2n face neighbours are True."""
-    for _ in range(depth):
-        out = a.copy()
-        for d in range(a.ndim):
-            ad, od = np.moveaxis(a, d, 0), np.moveaxis(out, d, 0)
-            od[1:] &= ad[:-1]
-            od[:-1] &= ad[1:]
-            od[0] = od[-1] = False
-        a = out
-    return a
-
-
-def _interior_probe_rows(mask, st) -> np.ndarray:
-    """Complete-stencil nodes away from the boundary layer.
-
-    The boundary interpolation closure leaves grid-scale noise whose
-    amplitude decays per layer, so probes erode inward proportionally to
-    the domain's node extent."""
-    full_grid = np.zeros(mask.grid.dims, dtype=bool)
-    full_grid[tuple(mask.inside_idx[st.is_full].T)] = True
-    depth = max(4, int(np.min(mask.extents())) // 5)
-    while depth > 0:
-        eroded = _eroded(full_grid, depth)
-        rows = np.nonzero(eroded[tuple(mask.inside_idx.T)])[0]
-        if rows.size >= 16:
-            return rows
-        depth //= 2
-    return np.nonzero(st.is_full)[0]
 
 
 def _probe_points(cand, level) -> np.ndarray:
@@ -231,41 +185,6 @@ def _third_order_fd(cand, pts, step) -> float:
         dinv = -inv @ dH @ inv
         T += inv[:, :, l, None, None] * dinv[:, None, :, :]
     return float(np.max(np.abs(T)))
-
-
-def _third_order_field(f, pick, H_all) -> float:
-    mask = f.mask
-    h = f.grid.h
-    unknown = mask.unknown
-    idxs = mask.inside_idx
-    worst = 0.0
-    n = mask.n
-    count = 0
-    for r in pick:
-        idx = idxs[r]
-        H0 = H_all[r]
-        try:
-            inv = np.linalg.inv(H0)
-        except np.linalg.LinAlgError:
-            continue
-        ok = True
-        T = np.zeros((n, n, n))
-        for l in range(n):
-            e = np.zeros(n, dtype=int)
-            e[l] = 1
-            rp = unknown[tuple(idx + e)]
-            rm = unknown[tuple(idx - e)]
-            if rp < 0 or rm < 0:
-                ok = False
-                break
-            dH = (H_all[rp] - H_all[rm]) / (2.0 * h)
-            dinv = -inv @ dH @ inv
-            T += inv[:, l, None, None] * dinv[None, :, :]
-        if not ok:
-            continue
-        worst = max(worst, float(np.max(np.abs(T))))
-        count += 1
-    return worst if count else math.nan
 
 
 def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> ConditionReport:

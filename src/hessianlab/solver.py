@@ -483,8 +483,12 @@ def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dic
 # ---------------------------------------------------------------------------
 # problem specs (JSON wire format)
 
-# the domain types, each with the params key it is built from
-_DOMAIN_PARAM = {"ellipse": "semiaxes", "polygon": "vertices", "candidate_level": "candidate"}
+# the domain types, each with the params keys it reads, the required one first
+_DOMAIN_PARAMS = {
+    "ellipse": ("semiaxes", "center"),
+    "polygon": ("vertices",),
+    "candidate_level": ("candidate", "level"),
+}
 
 PROBLEM_SCHEMA = {
     "type": "object",
@@ -504,36 +508,33 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "required": ["type", "params"],
             "properties": {
-                "type": {"type": "string", "enum": list(_DOMAIN_PARAM)},
+                "type": {"type": "string", "enum": list(_DOMAIN_PARAMS)},
                 "params": {},
             },
             "allOf": [
                 {
                     "if": {"properties": {"type": {"const": kind}}},
-                    "then": {"properties": {"params": {"type": "object", "required": [key]}}},
+                    "then": {
+                        "properties": {
+                            "params": {
+                                "type": "object",
+                                "required": [keys[0]],
+                                "additionalProperties": False,
+                                "properties": {key: {} for key in keys},
+                            }
+                        }
+                    },
                 }
-                for kind, key in _DOMAIN_PARAM.items()
+                for kind, keys in _DOMAIN_PARAMS.items()
             ],
         },
     },
 }
 
 
-def validate_spec(instance, schema: dict):
-    """jsonschema.validate without its check of the schema against the
-    metaschema: our schemas are constants, and the tests check them once.
-    Raises the same best-matching ValidationError."""
-    from jsonschema import Draft202012Validator
-    from jsonschema.exceptions import best_match
-
-    error = best_match(Draft202012Validator(schema).iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 def problem_from_spec(spec: dict) -> tuple:
-    """Build (DirichletProblem, SolveOptions) from the JSON wire format."""
-    validate_spec(spec, PROBLEM_SCHEMA)
+    """Build (DirichletProblem, SolveOptions) from the JSON wire format;
+    the caller has checked spec against PROBLEM_SCHEMA."""
     n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
     if not (0 <= l < k <= n):
         raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}")

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from hessianlab import cli, fields, pipeline, solver
+from hessianlab.calibration import calibration_hash
 
 
 def run_cli(tmp_path, config: dict, out: str, extra=()):
@@ -47,6 +48,11 @@ def test_solve_determinism_bitwise(tmp_path):
         ba = (tmp_path / "a" / name).read_bytes()
         bb = (tmp_path / "b" / name).read_bytes()
         assert ba == bb, name
+
+
+def test_calibration_hash_is_frozen():
+    # every artifact carries this hash; calibration_data.json is read, never rewritten
+    assert calibration_hash() == "07b40796f6fef2f8"
 
 
 def test_invalid_order_exits_2(tmp_path):
@@ -145,14 +151,18 @@ def test_mistyped_optional_params_exit_2(tmp_path, command, params):
         ("analyze", {**QUAD, "t_point": 12}),
         ("legendre", {"field": ANISO_FIELD, "region": 0.5}),
         ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "tol_": 1e-6}}),
+        ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "domain": {
+            "type": "ellipse", "params": {"semiaxes": [1.0, 2.0], "centre": [0.5, 0.0]}}}}),
+        # a dict names the config's whole top level, not just its command
+        pytest.param({"command": "report", "sead": 5}, {"dir": "."}, id="report-sead"),
     ],
 )
 def test_misspelled_params_exit_2(tmp_path, command, params):
-    cfg = {"command": command, "params": params}
-    assert run_cli(tmp_path, cfg, "x") == 2
-    # solve checks its problem after the manifest is written, the rest before
+    top = command if isinstance(command, dict) else {"command": command}
+    assert run_cli(tmp_path, {**top, "params": params}, "x") == 2
+    # every config error is found before the first artifact is written
     out = tmp_path / "x"
-    assert not out.exists() or os.listdir(out) == ["manifest.json"]
+    assert not out.exists() or os.listdir(out) == []
 
 
 @pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, solver.PROBLEM_SCHEMA], ids=["config", "problem"])

@@ -134,37 +134,6 @@ def test_sample_candidate_aniso_extents():
     assert np.max(np.abs(X[:, 1])) == pytest.approx(1.0, abs=0.06)
 
 
-def test_interpolate_affine_exact_and_boundary():
-    _, f = sample_disk(h=1 / 16)
-    # affine data interpolates exactly
-    X = f.mask.inside_coords()
-    aff = f.with_values(1.3 + 0.7 * X[:, 0] - 0.2 * X[:, 1])
-    pt = np.array([0.234, -0.519])
-    assert aff.interpolate(pt) == pytest.approx(1.3 + 0.7 * pt[0] - 0.2 * pt[1], abs=1e-12)
-    # cut points reproduce the Dirichlet value exactly
-    st = f.mask.stencils()
-    for i in (0, len(st.cut_theta) // 2, len(st.cut_theta) - 1):
-        assert f.interpolate(st.cut_points[i]) == pytest.approx(
-            st.cut_bval[i], abs=1e-10
-        )
-
-
-def test_interpolate_quadratic_error_bound():
-    _, f = sample_disk(h=1 / 64)
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-0.5, 0.5, size=(100, 2))
-    vals = f.interpolate_many(pts)
-    exact = 0.5 * np.sum(pts**2, axis=1)
-    h = f.grid.h
-    assert np.max(np.abs(vals - exact)) <= h**2 / 4.0 * 1.0 + 1e-12
-
-
-def test_interpolate_outside_raises():
-    _, f = sample_disk(h=1 / 16)
-    with pytest.raises(PreconditionError):
-        f.interpolate(np.array([5.0, 5.0]))
-
-
 def test_mask_convexity_validation():
     g = fields.Grid(n=2, dims=(9, 9), origin=np.zeros(2), h=1.0)
     inside = np.zeros((9, 9), dtype=bool)

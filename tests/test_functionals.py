@@ -104,14 +104,6 @@ def test_pogorelov_invariance_of_iso_ratio(aniso24, pow32):
             assert moved == pytest.approx(base, rel=1e-3)
 
 
-def test_pogorelov_normalize_field(iso_quad):
-    g = fields.grid_for_candidate(iso_quad, level=1.0, h=1 / 24)
-    f = fields.sample_candidate(iso_quad, g, 1.0)
-    fn = functionals.pogorelov_normalize(f, 2.0)
-    assert fn.level == pytest.approx(0.5)
-    assert fn.grid.h == pytest.approx(f.grid.h / math.sqrt(2.0))
-
-
 def test_recenter_properties():
     c = candidates.aniso_sum([1.0, 1.0], [4.0, 2.0])
     x0 = np.array([1.0, 0.0])

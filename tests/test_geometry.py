@@ -1,12 +1,11 @@
 import math
-import os
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
-from hessianlab import candidates, fields, geometry, polar
+from hessianlab import candidates, fields, functionals, geometry, pipeline, polar
 from hessianlab.calibration import get_constants
 from hessianlab.errors import PreconditionError, UnboundedSublevelError
 
@@ -40,6 +39,23 @@ def test_extract_aniso_extents(aniso24):
 def test_extract_rejects_bad_levels(disk_quad):
     with pytest.raises(PreconditionError):
         geometry.extract_body(disk_quad, -1.0)
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        lambda f: geometry.extract_body(f, 0.5),
+        lambda f: geometry.level_profile(f, [0.25, 0.5]),
+        lambda f: functionals.iso_ratio(f, 0.5),
+        lambda f: functionals.pogorelov_normalize(f, 2.0),
+        pipeline.quadratic_test,
+    ],
+    ids=["extract_body", "level_profile", "iso_ratio", "pogorelov_normalize", "quadratic_test"],
+)
+def test_sublevel_measurements_reject_sampled_fields(disk_quad, measure):
+    f = fields.sample_candidate(disk_quad, fields.grid_for_candidate(disk_quad, 1.0, 1 / 16), 1.0)
+    with pytest.raises(PreconditionError, match="source must be an analytic candidate"):
+        measure(f)
 
 
 def test_extract_unbounded_detection():
@@ -78,69 +94,6 @@ def test_extract_body_3d_ball():
 
 TILTED2 = np.array([[1.5, 0.4], [0.4, 0.8]])
 TILTED3 = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, 0.2], [0.0, 0.2, 0.5]])
-
-
-def test_extract_body_2d_field_area():
-    # marching squares on a sampled quadratic; {x'Ax/2 < t} has area 2 pi t / sqrt(det A)
-    h = 1 / 32
-    c = candidates.quadratic(TILTED2, name="quad:tilted")
-    f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, h), 1.0)
-    for t in (0.3, 0.6):
-        exact = 2.0 * math.pi * t / math.sqrt(np.linalg.det(TILTED2))
-        # O(h^2): the inscribed polygon through linearly interpolated edge
-        # crossings loses about 1.14 h^2 of area here
-        assert abs(geometry.extract_body(f, t).volume() - exact) <= 2.0 * h**2
-
-
-def test_extract_body_3d_field_radii():
-    # radial bisection of the trilinear interpolant from the anchor node,
-    # which sits at the candidate's anchor (the origin) on this grid
-    h, k = 1 / 12, 20
-    c = candidates.quadratic(TILTED3, name="quad:tilted3d")
-    grid = fields.Grid(n=3, dims=(2 * k + 1,) * 3, origin=np.full(3, -k * h), h=h)
-    f = fields.sample_candidate(c, grid, 0.5)
-    assert np.array_equal(grid.coords(np.asarray(f.anchor)), np.zeros(3))
-    dirs = polar.sphere_mesh(2)[0]
-    for t in (0.2, 0.4):
-        body = geometry.extract_body(f, t)
-        radii = np.linalg.norm(body.vertices, axis=1)
-        # O(h^2): interpolation error over |grad u|, measured up to 0.84 h^2 here
-        assert np.max(np.abs(radii - polar.radial_crossings(c, t, dirs))) <= 1.5 * h**2
-
-
-def test_extract_body_field_rejects_level_above_sampled():
-    c = candidates.quadratic(TILTED2, name="quad:tilted")
-    f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, 1 / 16), 1.0)
-    with pytest.raises(PreconditionError):
-        geometry.extract_body(f, 1.01)
-
-
-DATA = os.path.join(os.path.dirname(__file__), "data")
-
-
-def test_extract_body_3d_field_raises_at_domain_edge():
-    # no boundary level; largest inside value 0.108, smallest value on a
-    # node next to the domain edge 0.0153
-    f = fields.load_hsf1(os.path.join(DATA, "field_noisy3d.hsf1"))
-    assert math.isnan(f.level)
-    for t in (0.5, 0.06):
-        with pytest.raises(UnboundedSublevelError):
-            geometry.extract_body(f, t, m_dirs=162)
-    body = geometry.extract_body(f, 0.01, m_dirs=162)
-    assert 0 < body.volume() < 0.176        # the ellipsoid domain's volume
-
-
-def test_extract_body_2d_field_raises_at_domain_edge():
-    # the aniso2d field without its boundary level: the smallest value next
-    # to the domain edge is 0.187
-    f = fields.load_hsf1(os.path.join(DATA, "field_aniso2d.hsf1"))
-    free = fields.ScalarField(mask=f.mask, values=f.values)
-    assert math.isnan(free.level)
-    with pytest.raises(UnboundedSublevelError):
-        geometry.extract_body(free, 0.25)
-    assert np.array_equal(
-        geometry.extract_body(free, 0.15).vertices, geometry.extract_body(f, 0.15).vertices
-    )
 
 
 def test_ball_fit_worked_shapes():

@@ -22,13 +22,6 @@ def test_quadratic_test_scores():
     assert score_nq >= 1.0  # the quartic Hessian swings by 12 over the probes
 
 
-def test_quadratic_test_on_solved_field(ma_ellipse_64):
-    score, third = pipeline.quadratic_test(ma_ellipse_64.field)
-    h = ma_ellipse_64.problem.mask.grid.h
-    assert score <= 10.0 * h**2
-    assert third <= 1.0  # noisy but finite on the discrete instance
-
-
 def test_analyze_3d_quadratic_finishes_bounded():
     # m_dirs is a direction count in 3D too: 162 rays is icosphere level 2
     q = candidates.candidate_from_spec("quad:diag(1,2,0.5)")
@@ -208,22 +201,3 @@ def test_report_json_schema(tmp_path):
     assert payload["schema_version"] == pipeline.REPORT_SCHEMA_VERSION
     assert payload["calibration"]
     assert "verdicts" in payload and "quadratic_score" in payload
-
-
-def _erosion_masks(shape):
-    """A mask that fills the array but for a few holes (it touches every
-    edge), a centred ellipsoid clear of the edges, and a random mask."""
-    rng = np.random.default_rng(len(shape))
-    edge = rng.random(shape) > 0.02
-    X = np.meshgrid(*[np.linspace(-1.0, 1.0, d) for d in shape], indexing="ij")
-    ball = sum(x**2 for x in X) < 0.8
-    return [edge, ball, rng.random(shape) < 0.85]
-
-
-@pytest.mark.parametrize("depth", [1, 2, 4, 8])
-@pytest.mark.parametrize("shape", [(40, 37), (21, 20, 19)])
-def test_eroded_matches_binary_erosion(shape, depth):
-    from scipy import ndimage
-
-    for a in _erosion_masks(shape):
-        assert np.array_equal(pipeline._eroded(a, depth), ndimage.binary_erosion(a, iterations=depth))

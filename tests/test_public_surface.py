@@ -22,7 +22,6 @@ TEST_CHECKERS = {
     "EllipsoidFit.verify",
     "ConvexBody.vertices_extreme",
     "ScalarField.check_normalized",
-    "ScalarField.interpolate",
     "ScalarField.with_values",
 }
 
