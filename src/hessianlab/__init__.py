@@ -22,7 +22,6 @@ from .errors import (
     NonConvergenceError,
     NumericError,
     PreconditionError,
-    SafeguardError,
     SingularQuotientError,
     StencilError,
     UnboundedSublevelError,

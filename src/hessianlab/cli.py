@@ -184,15 +184,15 @@ def _apply_overrides(config: dict, overrides: list):
     return config
 
 
-def _cmd_solve(params, out):
-    problem, opts = solver.problem_from_spec(params["problem"])
-    report = solver.solve(problem, opts)
+def _cmd_solve(built, out):
+    """built: the (DirichletProblem, SolveOptions) of the config's problem."""
+    report = solver.solve(*built)
     save_hsf1(report.field, os.path.join(out, "solution.hsf1"))
     payload = report.to_json_dict()
     payload["calibration"] = calibration_hash()
     _write_json(os.path.join(out, "report.json"), payload)
     if not report.converged:
-        raise NonConvergenceError("solver did not converge", report=report)
+        raise NonConvergenceError("solver did not converge")
     return 0
 
 
@@ -336,20 +336,26 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(config, args.override)
         validate_spec(config, CONFIG_SCHEMA)
+        command, params = config["command"], config.get("params", {})
+        # a solve's problem is built before the first artifact, so that its
+        # precondition checks leave no manifest.json behind either
+        job = solver.problem_from_spec(params["problem"]) if command == "solve" else params
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
         _write_json(
             os.path.join(args.out, "manifest.json"),
             {
-                "command": config["command"],
-                "params": config.get("params", {}),
+                "command": command,
+                "params": params,
                 "seed": seed,
                 "calibration": calibration_hash(),
             },
         )
-        handler = _DISPATCH[config["command"]]
-        return handler(config.get("params", {}), args.out)
-    except (PreconditionError, jsonschema.ValidationError, FileNotFoundError) as exc:
+        return _DISPATCH[command](job, args.out)
+    except jsonschema.ValidationError as exc:
+        print(f"error: {exc.json_path}: {exc.message}", file=sys.stderr)
+        return 2
+    except (PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -42,18 +42,5 @@ class UnboundedSublevelError(PreconditionError):
     """A sub-level set escaped the probe range during extraction."""
 
 
-class SafeguardError(NumericError):
-    """Damped Newton could not take any admissible step."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
-
 class NonConvergenceError(NumericError):
     """Iteration cap reached before the tolerance was met."""
-
-    def __init__(self, message, report=None, gap=None):
-        super().__init__(message)
-        self.report = report
-        self.gap = gap

@@ -152,12 +152,6 @@ class DomainMask:
     def extents(self) -> np.ndarray:
         return self.inside_idx.max(axis=0) - self.inside_idx.min(axis=0) + 1
 
-    def node_nearest(self, point) -> tuple:
-        """Inside node closest to a physical point."""
-        pts = self.inside_coords()
-        r = np.linalg.norm(pts - np.asarray(point, dtype=float), axis=1)
-        return tuple(self.inside_idx[int(np.argmin(r))])
-
     def stencils(self) -> "StencilSet":
         if self._stencils is None:
             self._stencils = _build_stencils(self)
@@ -461,8 +455,6 @@ class ScalarField:
     mask: DomainMask
     values: np.ndarray               # full array, meaningful on inside nodes
     level: float = math.nan          # boundary level for sub-level-set fields
-    normalized: bool = False
-    anchor: tuple | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -481,10 +473,7 @@ class ScalarField:
     def with_values(self, values_in) -> "ScalarField":
         full = np.zeros(self.grid.dims)
         full[tuple(self.mask.inside_idx.T)] = values_in
-        return ScalarField(
-            mask=self.mask, values=full, level=self.level,
-            normalized=self.normalized, anchor=self.anchor,
-        )
+        return ScalarField(mask=self.mask, values=full, level=self.level)
 
     # -- differential operators ------------------------------------------
 
@@ -493,13 +482,6 @@ class ScalarField:
 
     def gradient_stack(self) -> np.ndarray:
         return self.mask.stencils().gradient_stack(self.inside_values())
-
-    def check_normalized(self) -> bool:
-        """Anchor-node value within 2h * max|Du| of zero."""
-        if self.anchor is None:
-            return False
-        gmax = float(np.max(np.linalg.norm(self.gradient_stack(), axis=1)))
-        return abs(self.values[tuple(self.anchor)]) <= 2.0 * self.grid.h * max(gmax, 1e-30)
 
 
 def sample_candidate(cand, grid: Grid, level: float) -> ScalarField:
@@ -515,10 +497,7 @@ def sample_candidate(cand, grid: Grid, level: float) -> ScalarField:
         raise DegenerateDomainError("sub-level set too small for this grid")
     full = np.zeros(grid.dims)
     full[tuple(mask.inside_idx.T)] = cand.value(mask.inside_coords())
-    anchor = mask.node_nearest(cand.anchor)
-    return ScalarField(
-        mask=mask, values=full, level=level, normalized=True, anchor=anchor
-    )
+    return ScalarField(mask=mask, values=full, level=level)
 
 
 def grid_for_candidate(cand, level: float, h: float) -> Grid:

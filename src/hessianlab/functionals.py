@@ -258,7 +258,4 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
     vals[tuple(out_mask.inside_idx.T)] = v_in - v0
     bshift = out_mask.bval - v0
     out_mask.bval = bshift
-    anchor = out_mask.node_nearest(np.zeros(n))
-    return ScalarField(
-        mask=out_mask, values=vals, level=math.nan, normalized=True, anchor=anchor
-    )
+    return ScalarField(mask=out_mask, values=vals, level=math.nan)

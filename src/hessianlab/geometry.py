@@ -337,9 +337,7 @@ def mvee(points, tol: float = 1e-7):
             Vinv, M = _leverages(Q, u)
             fresh = True
     else:
-        raise NonConvergenceError(
-            "ellipsoid ascent exceeded the iteration cap", gap=gap
-        )
+        raise NonConvergenceError("ellipsoid ascent exceeded the iteration cap")
     c = u @ P
     S = P.T @ (P * u[:, None]) - np.outer(c, c)
     E = np.linalg.inv(S) / d

@@ -13,8 +13,10 @@ Quotient problems iterate on log S_k - log S_l (concave, better
 conditioned); the line search keeps every enforced node's discrete
 Hessian inside the admissibility cone. One LU factor of the linear trace
 system per solve gives the warm start and right-preconditions GMRES at
-every Newton step; a step GMRES cannot finish switches the rest of the
-solve to direct sparse solves.
+every Newton step. The steps are inexact Newton steps (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 1982): GMRES runs one restart cycle, its
+last iterate is the step, and the line search decides whether the step
+helps. Every stop, converged or not, returns a report.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import scipy.sparse.linalg as spla
 
 from . import geometry
 from .candidates import candidate_from_spec
-from .errors import NumericError, PreconditionError, SafeguardError
+from .errors import NumericError, PreconditionError
 from .fields import (
     DomainMask,
     ScalarField,
@@ -47,7 +49,8 @@ from .symm import (
 _LOG_FLOOR = 1e-300
 _MAX_HALVINGS = 30                # line-search step halvings per Newton step
 _GMRES_RTOL = 1e-10               # relative true residual of each Newton step
-_GMRES_RESTART = 100              # GMRES iterations per step before the direct fallback
+_GMRES_RESTART = 100              # GMRES iterations per step: one cycle, no restart
+_START_BLENDS = (0.0, 0.1, 0.25, 0.5, 0.75)   # barrier weights tried on the trace start
 
 
 @dataclass
@@ -59,7 +62,6 @@ class DirichletProblem:
     l: int = 0
     boundary_value: float = 1.0
     rhs: float = 1.0
-    anchor: tuple = dc_field(init=False)   # the inside node nearest the origin
 
     def __post_init__(self):
         n = self.mask.n
@@ -69,7 +71,6 @@ class DirichletProblem:
             )
         if self.rhs <= 0:
             raise PreconditionError("right-hand side must be positive")
-        self.anchor = self.mask.node_nearest(np.zeros(n))
 
 
 @dataclass
@@ -90,7 +91,7 @@ class SolveReport:
     problem: DirichletProblem
     u_min: float = math.nan
     collar_margin: float = math.nan
-    linear_iters: list = dc_field(default_factory=list)   # GMRES count, None if direct
+    linear_iters: list = dc_field(default_factory=list)   # GMRES count per step
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,91 +191,65 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     enforce = st.is_full                          # admissibility enforcement set
     residual, jacobian = _equations(st, k, l, problem.rhs)
 
-    def admissible(lam, where):
-        T = esym_table(lam[where])
-        if T.shape[0] == 0:
-            return True, math.inf
-        margin = float(np.min(T[:, 1 : k + 1]))
-        return margin > 0.0, margin
+    def admissible(lam):
+        T = esym_table(lam[enforce])
+        return T.shape[0] == 0 or float(np.min(T[:, 1 : k + 1])) > 0.0
 
     # initial iterate: the linear trace problem with the same boundary rows
     # (exactly consistent with the Dirichlet data, admissible on convex
-    # domains in practice); the ellipsoid barrier is the admissible fallback
+    # domains in practice, and the discrete solution when k = 1), blended
+    # with the ellipsoid barrier if it is not admissible
     c0, Q0, mu0, R0 = _john_of_mask(mask)
     b0 = EllipsoidBarrier(
         center=c0, mu=mu0, R=R0, sign="upper", k=k, l=l, rhs=problem.rhs,
         boundary_value=problem.boundary_value, axes=Q0,
     )
     u_bar = b0.evaluate(mask.inside_coords())
-    u = u_bar
     # one factor of the trace system serves the warm start and preconditions
-    # every Newton step; without it each step is a direct sparse solve
+    # every Newton step
     lu, trace_const = _trace_factor(st)
-    if k > 1 and lu is not None:
-        alpha = float(np.trace(b0.hessian.array))
-        u_lin = lu.solve(np.concatenate([alpha - trace_const, st.closure_rhs]))
-        # smallest barrier blend that clears the admissibility cone keeps
-        # the boundary mismatch (and with it the damping) minimal
-        for w in (0.0, 0.1, 0.25, 0.5, 0.75):
-            u_try = (1.0 - w) * u_lin + w * u_bar
-            lam0 = np.linalg.eigvalsh(st.hessian_stack(u_try))
-            ok0, _ = admissible(lam0, enforce)
-            if ok0:
-                u = u_try
-                break
+    alpha = float(np.trace(b0.hessian.array))
+    u_lin = lu.solve(np.concatenate([alpha - trace_const, st.closure_rhs]))
+    # smallest barrier blend that clears the admissibility cone keeps the
+    # boundary mismatch (and with it the damping) minimal
+    u = u_bar
+    for w in _START_BLENDS:
+        u_try = (1.0 - w) * u_lin + w * u_bar
+        if admissible(np.linalg.eigvalsh(st.hessian_stack(u_try))):
+            u = u_try
+            break
 
     F, lam = residual(u)
     history = [float(np.max(np.abs(F)))]
     linear_iters = []
-    converged = False
     iters = 0
-    for iters in range(1, opts.max_iters + 1):
-        if history[-1] <= opts.tol:
-            converged = True
-            iters -= 1
-            break
-        J = jacobian(u)
-        delta, inner = _krylov_step(J, F, lu) if lu is not None else (None, None)
-        if delta is None:
-            lu = None     # GMRES fell short: this and every later step go direct
-            try:
-                delta = spla.spsolve(J.tocsc(), -F)
-            except RuntimeError as exc:
-                raise NumericError(f"linear solve failed: {exc}") from exc
+    while history[-1] > opts.tol and iters < opts.max_iters:
+        iters += 1
+        delta, inner = _krylov_step(jacobian(u), F, lu)
+        if not np.all(np.isfinite(delta)):
+            raise NumericError(f"Newton step {iters} is not finite")
         linear_iters.append(inner)
         base = float(np.linalg.norm(F))
         s = 1.0
-        accepted = False
-        saw_admissible = False
         for _ in range(_MAX_HALVINGS + 1):
             u_try = u + s * delta
             F_try, lam_try = residual(u_try)
-            ok, _ = admissible(lam_try, enforce)
-            if ok:
-                saw_admissible = True
-                if float(np.linalg.norm(F_try)) <= (1.0 - 1e-4 * s) * base:
-                    u, F, lam = u_try, F_try, lam_try
-                    accepted = True
-                    break
+            if admissible(lam_try) and float(np.linalg.norm(F_try)) <= (1.0 - 1e-4 * s) * base:
+                break
             s *= 0.5
-        if not accepted:
-            history.append(float(np.max(np.abs(F))))
-            report = _make_report(problem, st, u, F, lam, history, linear_iters, iters, False)
-            if not saw_admissible:
-                raise SafeguardError(
-                    "no admissible damped step from this iterate", report=report
-                )
-            return report
+        else:
+            # no admissible step decreases the residual
+            history.append(history[-1])
+            break
+        u, F, lam = u_try, F_try, lam_try
         history.append(float(np.max(np.abs(F))))
         # damping collapse: heavily damped steps that barely move the
         # residual will not recover; report honestly instead of burning
         # the iteration cap
-        if len(history) > 8 and history[-1] > 0.98 * history[-9] and history[-1] > opts.tol:
-            return _make_report(problem, st, u, F, lam, history, linear_iters, iters, False)
-    else:
-        iters = opts.max_iters
-        converged = history[-1] <= opts.tol
+        if len(history) > 8 and history[-1] > 0.98 * history[-9]:
+            break
 
+    converged = history[-1] <= opts.tol
     return _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged)
 
 
@@ -326,8 +301,7 @@ def _equations(st, k: int, l: int, rhs: float):
 def _trace_factor(st):
     """LU factor of the linear trace(D2u) system (the summed pure second
     differences on the equation rows, stacked over the closure rows) and
-    the Dirichlet constants of its trace rows. The factor is None when the
-    system is singular."""
+    the Dirichlet constants of its trace rows."""
     eq_rows = ~st.is_closure
     n = max(p for p, _ in st.hess) + 1
     A = None
@@ -339,24 +313,23 @@ def _trace_factor(st):
     M = sp.vstack([A.tocsr()[eq_rows], st.closure_matrix]).tocsc()
     try:
         lu = spla.splu(M, permc_spec="COLAMD")
-    except RuntimeError:
-        lu = None
+    except RuntimeError as exc:
+        raise NumericError(f"trace system factor failed: {exc}") from exc
     return lu, const[eq_rows]
 
 
 def _krylov_step(J, F, lu):
-    """Newton step from GMRES on (J M^-1) y = -F, delta = M^-1 y, with M the
-    trace factor. Preconditioning on the right keeps GMRES's stopping test
-    on the true residual of J delta = -F. Returns the step and its inner
-    iteration count, or (None, None) when one restart cycle falls short."""
+    """Inexact Newton step from GMRES on (J M^-1) y = -F, delta = M^-1 y,
+    with M the trace factor. Preconditioning on the right keeps GMRES's
+    stopping test on the true residual of J delta = -F. The last iterate of
+    one restart cycle is the step, whether or not it met the tolerance.
+    Returns the step and its inner iteration count."""
     residuals = []                 # one per inner iteration
     op = spla.LinearOperator(J.shape, matvec=lambda v: J @ lu.solve(v), dtype=float)
-    y, info = spla.gmres(
+    y, _ = spla.gmres(
         op, -F, rtol=_GMRES_RTOL, atol=0.0, restart=_GMRES_RESTART, maxiter=1,
         callback=residuals.append, callback_type="pr_norm",
     )
-    if info != 0:
-        return None, None
     return lu.solve(y), len(residuals)
 
 
@@ -376,9 +349,7 @@ def _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged
     collar_margin = float(np.min(T_oth[:, 1 : k + 1])) if T_oth is not None else math.nan
     full = np.zeros(mask.grid.dims)
     full[tuple(mask.inside_idx.T)] = u
-    fld = ScalarField(
-        mask=mask, values=full, level=problem.boundary_value, anchor=problem.anchor
-    )
+    fld = ScalarField(mask=mask, values=full, level=problem.boundary_value)
     return SolveReport(
         field=fld,
         residual_max=res_full,

@@ -69,6 +69,24 @@ def test_invalid_order_exits_2(tmp_path):
     assert not (tmp_path / "bad" / "report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"k": 1, "l": 1},
+        {"domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 2.0, 3.0]}}},
+        {"domain": {"type": "candidate_level", "params": {"candidate": "quad:diag(1,x)"}}},
+    ],
+    ids=["order", "semiaxes-length", "candidate-spec"],
+)
+def test_problem_precondition_exits_2_without_files(tmp_path, change):
+    # the problem passes the schema but not problem_from_spec's checks
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["params"]["problem"].update(change)
+    assert run_cli(tmp_path, cfg, "x") == 2
+    out = tmp_path / "x"
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_unknown_command_exits_2(tmp_path):
     assert run_cli(tmp_path, {"command": "nonsense"}, "x") == 2
 
@@ -173,13 +191,11 @@ def test_schemas_are_valid_draft_2020_12(schema):
 def test_config_error_message(tmp_path, capsys):
     cfg = {"command": "chain_iso", "params": {**QUAD, "t": "abc"}}
     assert run_cli(tmp_path, cfg, "x") == 2
+    assert capsys.readouterr().err == "error: $.params.t: 'abc' is not of type 'number'\n"
+    # a one-word mistake at the top level is one line, not the whole schema
+    assert run_cli(tmp_path, {"command": "report", "sead": 5, "params": {"dir": "."}}, "y") == 2
     assert capsys.readouterr().err == (
-        "error: 'abc' is not of type 'number'\n\n"
-        "Failed validating 'type' in "
-        "schema['allOf'][3]['then']['properties']['params']['properties']['t']:\n"
-        "    {'type': 'number'}\n\n"
-        "On instance['params']['t']:\n"
-        "    'abc'\n"
+        "error: $: Additional properties are not allowed ('sead' was unexpected)\n"
     )
 
 

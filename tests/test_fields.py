@@ -41,7 +41,8 @@ def test_hessian_quartic_taylor_bound():
     c = candidates.aniso_sum([1.0, 1.0], [4.0, 2.0])
     g = fields.grid_for_candidate(c, level=2.2, h=0.01)
     f = fields.sample_candidate(c, g, 2.2)
-    node = f.mask.node_nearest([1.0, 0.0])
+    i = np.argmin(np.linalg.norm(f.mask.inside_coords() - [1.0, 0.0], axis=1))
+    node = tuple(f.mask.inside_idx[i])   # the inside node nearest [1.0, 0.0]
     H = f.hessian_stack()[f.mask.unknown[node]]
     x = f.grid.coords(np.asarray(node))
     assert H[0, 0] == pytest.approx(12.0 * x[0] ** 2, abs=1e-3)
@@ -52,7 +53,8 @@ def test_mixed_derivative_exact():
     c = candidates.quadratic(A, name="quad:mixed")
     g = fields.grid_for_candidate(c, level=1.0, h=1 / 16)
     f = fields.sample_candidate(c, g, 1.0)
-    node = f.mask.node_nearest([0.1, 0.05])
+    i = np.argmin(np.linalg.norm(f.mask.inside_coords() - [0.1, 0.05], axis=1))
+    node = tuple(f.mask.inside_idx[i])   # the inside node nearest [0.1, 0.05]
     r = f.mask.unknown[node]
     H = f.hessian_stack()[r]
     assert H[0, 1] == pytest.approx(1.0, abs=1e-10)
@@ -187,11 +189,6 @@ def test_mask_not_grid_connected(n, kind):
     bval = np.full((n, 2) + g.dims, np.nan)
     with pytest.raises(PreconditionError, match="not grid-connected"):
         fields.DomainMask(grid=g, inside=_blobs(n, kind), theta=theta, bval=bval)
-
-
-def test_normalized_flag_check():
-    _, f = sample_disk()
-    assert f.normalized and f.check_normalized()
 
 
 def test_hsf1_roundtrip_bit_exact(tmp_path):

@@ -21,7 +21,6 @@ TEST_CHECKERS = {
     "BallFit.verify",
     "EllipsoidFit.verify",
     "ConvexBody.vertices_extreme",
-    "ScalarField.check_normalized",
     "ScalarField.with_values",
 }
 

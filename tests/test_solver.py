@@ -1,11 +1,13 @@
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
-from hessianlab import candidates, fields, geometry, solver
-from hessianlab.errors import PreconditionError
+from hessianlab import candidates, cli, fields, geometry, solver
+from hessianlab.errors import NumericError, PreconditionError
 from hessianlab.symm import esym_table
 
 from conftest import ma_exact, quotient_exact
@@ -257,17 +259,9 @@ def test_sigma2_3d_ellipsoids_converge():
         assert rep.converged
 
 
-def _direct_only(monkeypatch):
-    """Make every GMRES call fall short, so each Newton step solves directly.
-    Returns a list that gains one entry per GMRES call."""
-    calls = []
-
-    def gmres(A, b, *args, **kwargs):
-        calls.append(b.size)
-        return np.zeros_like(b), 1
-
-    monkeypatch.setattr(solver.spla, "gmres", gmres)
-    return calls
+def _direct_step(J, F, lu):
+    """The Newton step from a direct sparse solve, the reference for GMRES's."""
+    return spla.spsolve(J.tocsc(), -F), 0
 
 
 @pytest.mark.parametrize("case", ["quotient3d", "ma2d"])
@@ -285,10 +279,8 @@ def test_krylov_steps_match_direct_steps(case, monkeypatch):
     assert rep.converged
     assert len(rep.linear_iters) == rep.newton_iters
     assert all(isinstance(i, int) and i > 0 for i in rep.linear_iters)
-    calls = _direct_only(monkeypatch)
+    monkeypatch.setattr(solver, "_krylov_step", _direct_step)
     rep_direct = solver.solve(problem, opts)
-    assert len(calls) == 1           # the switch to direct steps is sticky
-    assert rep_direct.linear_iters == [None] * rep_direct.newton_iters
     assert rep_direct.newton_iters == rep.newton_iters
     assert rep_direct.converged == rep.converged
     du = np.max(np.abs(rep.field.inside_values() - rep_direct.field.inside_values()))
@@ -311,18 +303,65 @@ def test_krylov_steps_meet_the_linear_tolerance(monkeypatch):
     assert max(rel) <= 1e-10
 
 
-def test_unfactorable_trace_system_solves_directly(monkeypatch):
+def test_step_is_taken_when_gmres_reports_a_shortfall(monkeypatch):
+    # GMRES's iterate is the step whatever its info says; the line search
+    # alone decides whether the step helps
+    mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 24)
+    problem = solver.DirichletProblem(mask=mask, k=2, l=0)
+    rep = solver.solve(problem)
+    gmres = solver.spla.gmres
+
+    def short(*args, **kwargs):
+        y, _ = gmres(*args, **kwargs)
+        return y, 1
+
+    monkeypatch.setattr(solver.spla, "gmres", short)
+    rep_short = solver.solve(problem)
+    assert rep_short.converged and rep_short.newton_iters == rep.newton_iters >= 1
+    assert rep_short.linear_iters == rep.linear_iters
+    assert np.array_equal(rep_short.field.values, rep.field.values)
+
+
+def _write_solve_config(tmp_path, semiaxes, h):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"command": "solve", "params": {"problem": {
+        "n": 2, "k": 2, "l": 0, "h": h,
+        "domain": {"type": "ellipse", "params": {"semiaxes": semiaxes}},
+    }}}))
+    return str(cfg)
+
+
+def test_unfactorable_trace_system_raises(monkeypatch, tmp_path):
     def splu(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(solver.spla, "splu", splu)
-    calls = _direct_only(monkeypatch)
-    # k = 1 starts from the barrier, which needs no trace solve
     mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 24)
-    rep = solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
-    assert rep.converged and rep.newton_iters >= 1
-    assert not calls
-    assert rep.linear_iters == [None] * rep.newton_iters
+    with pytest.raises(NumericError, match="trace system"):
+        solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
+    cfg = _write_solve_config(tmp_path, [1.0, 1.5], 1 / 24)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x" / "report.json").exists()
+
+
+def test_no_admissible_step_returns_a_report(monkeypatch, tmp_path):
+    # a steeply concave step leaves the admissibility cone at every damping
+    semiaxes, h = [1.0, 1.5], 1 / 24
+    mask = fields.mask_from_ellipse(semiaxes, h=h)
+    X = mask.inside_coords()
+
+    def concave_step(J, F, lu):
+        return -1e15 * np.sum(X**2, axis=1), 0
+
+    monkeypatch.setattr(solver, "_krylov_step", concave_step)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert not rep.converged and rep.newton_iters == 1
+    assert rep.residual_history[1] == rep.residual_history[0] > 0
+    cfg = _write_solve_config(tmp_path, semiaxes, h)
+    assert cli.main(["--config", cfg, "--out", str(tmp_path / "x")]) == 3
+    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    assert report["converged"] is False and report["newton_iters"] == 1
+    assert (tmp_path / "x" / "solution.hsf1").exists()
 
 
 @pytest.mark.xfail(
@@ -330,11 +369,8 @@ def test_unfactorable_trace_system_solves_directly(monkeypatch):
     reason="the barrier start alone ends in a damping collapse (19 steps, residual 1e-3)",
 )
 def test_barrier_start_converges(monkeypatch):
-    # without a trace factor the solve starts from the ellipsoid barrier
-    def splu(*args, **kwargs):
-        raise RuntimeError("Factor is exactly singular")
-
-    monkeypatch.setattr(solver.spla, "splu", splu)
+    # with no blend weight to try, the solve starts from the ellipsoid barrier
+    monkeypatch.setattr(solver, "_START_BLENDS", ())
     mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 24)
     rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
     assert rep.converged
