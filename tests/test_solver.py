@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hessianlab import candidates, cli, fields, geometry, solver
@@ -332,10 +333,10 @@ def _write_solve_config(tmp_path, semiaxes, h):
 
 
 def test_unfactorable_trace_system_raises(monkeypatch, tmp_path):
-    def splu(*args, **kwargs):
+    def spilu(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(solver.spla, "splu", splu)
+    monkeypatch.setattr(solver.spla, "spilu", spilu)
     mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 24)
     with pytest.raises(NumericError, match="trace system"):
         solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
@@ -376,13 +377,15 @@ def test_barrier_start_converges(monkeypatch):
     assert rep.converged
 
 
-def test_quotient_3d_ball_fine_without_warnings():
-    # S_3/S_1 = 1 on a ball at h = radius/16 (17k unknowns). The Jacobian
-    # takes spectra on equation rows only, so the closure nodes whose S_k
-    # vanishes in late Newton steps raise no divide-by-zero warnings.
+@pytest.mark.parametrize("cells", [16, 24])
+def test_quotient_3d_ball_fine_without_warnings(cells):
+    # S_3/S_1 = 1 on a ball at h = radius/16 and radius/24 (17k and 58k
+    # unknowns). The Jacobian takes spectra on equation rows only, so the
+    # closure nodes whose S_k vanishes in late Newton steps raise no
+    # divide-by-zero warnings.
     c = math.sqrt(3.0)
     radius = math.sqrt(2.0 / c)
-    mask = fields.mask_from_ellipse([radius] * 3, h=radius / 16)
+    mask = fields.mask_from_ellipse([radius] * 3, h=radius / cells)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         rep = solver.solve(
@@ -394,3 +397,36 @@ def test_quotient_3d_ball_fine_without_warnings():
     exact = 0.5 * c * np.sum(X**2, axis=1)
     err = np.max(np.abs(rep.field.inside_values() - exact))
     assert err <= 30.0 * mask.grid.h ** 2
+    # every step met its tolerance inside one GMRES cycle
+    assert all(i < solver._GMRES_RESTART for i in rep.linear_iters)
+
+
+@pytest.mark.parametrize(
+    "semiaxes,h",
+    [([1.0, 1.5], 1 / 24), ([0.9, 1.0, 1.2], 1 / 9)],
+    ids=["ellipse", "ellipsoid"],
+)
+def test_factored_trace_matrix_is_row_aligned(semiaxes, h, monkeypatch):
+    # the matrix handed to the incomplete factor, which pivots on its
+    # diagonal: every row's diagonal is nonzero and no larger off-diagonal
+    factored = []
+    spilu = solver.spla.spilu
+
+    def recorded(A, **kwargs):
+        factored.append(A)
+        return spilu(A, **kwargs)
+
+    monkeypatch.setattr(solver.spla, "spilu", recorded)
+    mask = fields.mask_from_ellipse(semiaxes, h=h)
+    solver._trace_factor(mask.stencils())
+    (A,) = factored
+    assert A.shape == (mask.inside_count(),) * 2
+    diag = np.abs(A.diagonal())
+    off = abs(A - sp.diags(A.diagonal())).max(axis=1).toarray().ravel()
+    assert np.all(diag > 0)
+    assert np.all(off <= diag)
+
+
+def test_poisson_trace_start_is_the_discrete_solution(poisson_disk_64):
+    # for k = 1 the trace system is the discrete problem: no Newton step
+    assert poisson_disk_64.newton_iters == 0
