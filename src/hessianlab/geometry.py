@@ -271,78 +271,124 @@ def _leverages(Q, u):
     try:
         Vinv = np.linalg.inv(Q.T @ (Q * u[:, None]))
     except np.linalg.LinAlgError:
-        raise NonConvergenceError("ellipsoid ascent hit a singular moment matrix")
+        raise NonConvergenceError("ellipsoid fit hit a singular moment matrix")
     return Vinv, np.einsum("ij,jk,ik->i", Q, Vinv, Q)
 
 
-def mvee(points, tol: float = 1e-7):
+def _core_set(P) -> list:
+    """Kumar-Yildirim core set: the two extreme points along x_1, then along
+    each direction orthogonal to the differences of the pairs already taken;
+    full-dimensional whenever the cloud is."""
+    d = P.shape[1]
+    S, W = [], np.zeros((d, 0))
+    for _ in range(d):
+        # eigenvectors of W W' for its least eigenvalue, 0, are orthogonal
+        # to the columns of W; with no column yet the first is x_1
+        y = P @ np.linalg.eigh(W @ W.T)[1][:, 0]
+        i, j = int(y.argmax()), int(y.argmin())
+        S += [i, j]
+        W = np.column_stack([W, P[i] - P[j]])
+    return S
+
+
+def _restricted_dual(Q, gap: float) -> np.ndarray:
+    """Weights u on the simplex maximizing log det V(u) over the rows q_i of
+    Q, until the leverages M_i = q_i' V^-1 q_i satisfy
+    max_i M_i <= (d+1)(1 + gap).
+
+    Primal-dual Newton with Mehrotra's predictor-corrector on the KKT system
+    M(u) + z - lam = 0, u_i z_i = sigma mu, sum u = 1, in the scaled step
+    du = u dv, for which the Newton matrix is U (K o K) U + diag(u z) with
+    K = Q V^-1 Q'.
+    """
+    m, dp1 = Q.shape
+    u = np.full(m, 1.0 / m)
+    Vinv, M = _leverages(Q, u)
+    lam = float(M.max()) + 1.0
+    z = lam - M
+    for _ in range(50):
+        if M.max() <= dp1 * (1.0 + gap):
+            return u
+        K = Q @ Vinv @ Q.T
+        B = (K * K) * np.outer(u, u)
+        B[np.diag_indices(m)] += u * z
+        try:
+            Binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            raise NonConvergenceError("ellipsoid fit hit a singular Newton matrix")
+        y = Binv @ u
+        r = u * (M + z - lam)
+        mu = float(u @ z) / m
+
+        def step(rc):
+            # solve B dv + dlam u = r + rc with u'dv = 0, then go 99 % of
+            # the way to the boundary of u > 0, z > 0 at most
+            x = Binv @ (r + rc)
+            dlam = float(u @ x) / float(u @ y)
+            dv = x - dlam * y
+            dz = rc / u - z * dv
+            a = min(1.0, 0.99 / max(-dv.min(), 1e-300), 0.99 / max(-(dz / z).min(), 1e-300))
+            return dv, dz, dlam, a
+
+        dv, dz, _, a = step(-u * z)
+        sigma = (float((u + a * u * dv) @ (z + a * dz)) / (m * mu)) ** 3
+        dv, dz, dlam, a = step(sigma * mu - u * z - u * dv * dz)
+        u = u + a * u * dv
+        u /= u.sum()
+        z = z + a * dz
+        lam += a * dlam
+        Vinv, M = _leverages(Q, u)
+    raise NonConvergenceError("ellipsoid fit exceeded its Newton steps")
+
+
+def mvee(points):
     """Minimum-volume enclosing ellipsoid (x-c)' E (x-c) <= 1.
 
-    Khachiyan's barycentric ascent with away steps; tol bounds the relative
-    optimality gap max_j M_j / (d+1) - 1, within 200,000 steps. Each step
-    moves the moment matrix V by a rank-one term, so V^-1 and the leverages
-    M follow by Sherman-Morrison (Todd & Yildirim 2007) instead of a fresh
-    inverse; they are recomputed from the weights when the update
-    denominator is not positive, and before the stopping test accepts a gap.
+    Active-set solve of the dual, max log det V(u) over weights u on the
+    simplex (Todd, Minimum-Volume Ellipsoids, SIAM 2016, ch. 3-4). The
+    support S starts as the Kumar-Yildirim core set. Each round solves the
+    dual restricted to S by primal-dual Newton, recomputes the leverages
+    M_j of all points from scratch, and stops when the optimality gap
+    max_j M_j / (d+1) - 1 is at most 1e-12. Otherwise the most violated
+    points join S, as many as a support can hold ((d+1)(d+2)/2), and points
+    whose weight fell below 1e-9 leave it. At most 50 rounds of at most 50
+    Newton steps each; past that, on a flat cloud or on a singular moment
+    matrix, the fit raises NonConvergenceError.
     """
     P = np.asarray(points, dtype=float)
     N, d = P.shape
     if N < d + 1:
         raise PreconditionError("need at least d+1 points for an ellipsoid")
+    # the fit is affine-equivariant: solve it for the whitened cloud
+    shift = P.mean(axis=0)
+    try:
+        L = np.linalg.cholesky(np.cov(P, rowvar=False, bias=True))
+    except np.linalg.LinAlgError:
+        raise NonConvergenceError("ellipsoid fit got a flat point cloud")
+    P = np.linalg.solve(L, (P - shift).T).T
     Q = np.column_stack([P, np.ones(N)])
-    u = np.full(N, 1.0 / N)
     dp1 = d + 1
-    Vinv, M = _leverages(Q, u)
-    fresh = True
-    for _ in range(200_000):
-        j_add = int(M.argmax())
-        m_add = float(M[j_add])
-        gap = m_add / dp1 - 1.0
-        if gap <= tol:
-            if fresh:
-                break
-            Vinv, M = _leverages(Q, u)
-            fresh = True
-            continue
-        j_away = int(np.where(u > 1e-12, M, np.inf).argmin())
-        m_away, u_away = float(M[j_away]), float(u[j_away])
-        kappa_add = (m_add - dp1) / (dp1 * (m_add - 1.0))
-        kappa_away = min(
-            (dp1 - m_away) / (dp1 * (m_away - 1.0)) if m_away > 1.0 + 1e-14 else math.inf,
-            u_away / (1.0 - u_away) if u_away < 1.0 else math.inf,
-        )
-        # take whichever step makes the larger first-order progress; the
-        # weights become a u + b e_j, and V becomes a V + b q_j q_j'
-        if kappa_add * (m_add - dp1) >= kappa_away * (dp1 - m_away):
-            j, m_j, a, b = j_add, m_add, 1.0 - kappa_add, kappa_add
-        else:
-            j, m_j, a, b = j_away, m_away, 1.0 + kappa_away, -kappa_away
-        u *= a
-        u[j] += b
-        np.maximum(u, 0.0, out=u)
-        u /= u.sum()
-        denom = a + b * m_j
-        if denom > 0.0:
-            w = Vinv @ Q[j]
-            g = Q @ w
-            s = b / denom
-            Vinv -= w[:, None] * (s * w)
-            Vinv /= a
-            g *= g
-            g *= s
-            M -= g
-            M /= a
-            fresh = False
-        else:
-            Vinv, M = _leverages(Q, u)
-            fresh = True
+    active = np.zeros(N, dtype=bool)
+    active[_core_set(P)] = True
+    for _ in range(50):
+        S = np.flatnonzero(active)
+        # S is solved below the certified gap, so only points outside S
+        # can fail the certificate
+        u = np.zeros(N)
+        u[S] = _restricted_dual(Q[S], 1e-13)
+        _, M = _leverages(Q, u)
+        if M.max() <= dp1 * (1.0 + 1e-12):
+            break
+        add = np.argsort(-M)[: dp1 * (d + 2) // 2]
+        active &= u > 1e-9
+        active[add[M[add] > dp1 * (1.0 + 1e-12)]] = True
     else:
-        raise NonConvergenceError("ellipsoid ascent exceeded the iteration cap")
+        raise NonConvergenceError("ellipsoid fit exceeded its rounds")
     c = u @ P
-    S = P.T @ (P * u[:, None]) - np.outer(c, c)
-    E = np.linalg.inv(S) / d
+    cov = P.T @ (P * u[:, None]) - np.outer(c, c)
+    E = np.linalg.inv(L @ cov @ L.T) / d
     E = 0.5 * (E + E.T)
-    return E, c
+    return E, shift + L @ c
 
 
 def john_fit(body: ConvexBody) -> EllipsoidFit:

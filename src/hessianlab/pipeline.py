@@ -209,13 +209,16 @@ def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> Con
             errors[key] = str(exc)
 
     gamma_samples, aspect_samples = [], []
-    try:
-        for t in np.geomspace(config.t_min, config.t_max, config.gamma_points):
+    for t in np.geomspace(config.t_min, config.t_max, config.gamma_points):
+        try:
             body = geometry.extract_body(cand, float(t), m_dirs=config.m_dirs)
-            gamma_samples.append((float(t), geometry.ball_fit(body).gamma))
-            aspect_samples.append((float(t), geometry.john_fit(body).aspect()))
-    except HessianLabError as exc:
-        errors["roundness"] = str(exc)
+            gamma = geometry.ball_fit(body).gamma
+            aspect = geometry.john_fit(body).aspect()
+        except HessianLabError as exc:
+            errors[f"roundness@t={t:g}"] = str(exc)
+            continue
+        gamma_samples.append((float(t), gamma))
+        aspect_samples.append((float(t), aspect))
     if len(gamma_samples) >= 3:
         ts = np.log([a for a, _ in gamma_samples])
         gs = np.log([b for _, b in gamma_samples])

@@ -180,7 +180,7 @@ def _john_of_mask(mask: DomainMask):
     """Center, frame, semi-axes and radius of the enclosing ellipsoid of the
     mask's cut cloud."""
     pts = mask.stencils().cut_points
-    E, c = geometry.mvee(pts, tol=1e-6)
+    E, c = geometry.mvee(pts)
     w, Q = np.linalg.eigh(E)
     semi = 1.0 / np.sqrt(w)
     R = float(np.prod(semi) ** (1.0 / mask.n))

@@ -435,10 +435,10 @@ def test_analyze_determinism(tmp_path):
     ],
 )
 def test_analyze_report_matches_fixture(tmp_path, spec, fixture):
-    """report.json at CLI defaults against a fixture written before radial
-    crossings were memoized and mvee took rank-one steps. Every field but
+    """report.json at CLI defaults against a stored fixture. Every field but
     john_aspect_samples is byte-identical; those enclosing-ellipsoid aspects
-    may move in the last digits, because the ascent's roundoff changed."""
+    are compared to a relative 1e-12, the scale of the fit's certified gap,
+    so that roundoff in the fit may move their last digits."""
     assert run_cli(tmp_path, {"command": "analyze", "params": {"candidate": spec}}, "an") == 0
     with open(os.path.join(os.path.dirname(__file__), "data", fixture)) as fh:
         ref = json.load(fh)

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.special
 
 from hessianlab import candidates, fields, functionals, geometry, pipeline, polar
 from hessianlab.calibration import get_constants
-from hessianlab.errors import PreconditionError, UnboundedSublevelError
+from hessianlab.errors import NonConvergenceError, PreconditionError, UnboundedSublevelError
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +160,9 @@ def test_john_fit_certificate_and_optimality():
         assert np.max(r) > ell.R * (1.0 - 1e-4)
 
 
-def _mvee_reference(points, tol=1e-7, max_iters=200_000):
-    """The Khachiyan ascent with a fresh inverse of the moment matrix at
-    every step, as mvee computed it before its rank-one updates."""
+def _mvee_reference(points, tol, max_iters=200_000):
+    """Khachiyan's barycentric ascent with away steps and a fresh inverse of
+    the moment matrix at every step, stopped at a gap of tol."""
     P = np.asarray(points, dtype=float)
     N, d = P.shape
     Q = np.column_stack([P, np.ones(N)])
@@ -201,8 +202,8 @@ def _mvee_reference(points, tol=1e-7, max_iters=200_000):
 
 
 def _mvee_clouds():
-    # the nine bodies analyze fits for aniso:c=1,1;p=2,4 at CLI defaults
-    # (about 6.5k ascent steps at t = 100), and seeded 3D Gaussian clouds
+    # the nine bodies analyze fits for aniso:c=1,1;p=2,4 at CLI defaults,
+    # and seeded 3D Gaussian clouds
     aniso = candidates.candidate_from_spec("aniso:c=1,1;p=2,4")
     for t in np.geomspace(1e2, 1e6, 9):
         yield f"aniso-t{t:g}", geometry.extract_body(aniso, float(t), m_dirs=360).vertices
@@ -211,21 +212,38 @@ def _mvee_clouds():
         yield f"gauss3d-{seed}", rng.normal(size=(300, 3)) @ np.diag(rng.uniform(0.5, 3.0, 3))
 
 
+def _fresh_gap(P, E, c):
+    """Optimality gap max_i M_i / (d+1) - 1 of a returned fit, with the
+    leverages recomputed from scratch: q_i' V^-1 q_i = d (x_i - c)' E (x_i - c) + 1."""
+    d = P.shape[1]
+    Y = P - c
+    M = d * np.einsum("ij,jk,ik->i", Y, E, Y) + 1.0
+    return np.max(M) / (d + 1) - 1.0
+
+
 def test_mvee_matches_full_inverse_reference():
-    tol = 1e-7
     for label, P in _mvee_clouds():
-        E, c = geometry.mvee(P, tol=tol)
-        E_ref, _ = _mvee_reference(P, tol=tol)
-        # symmetric bodies tie at mirrored points, where roundoff can pick the
-        # mirror image of the reference step: E then differs at the gap's scale
+        E, c = geometry.mvee(P)
+        E_ref, _ = _mvee_reference(P, tol=1e-11)
+        # the reference stops at a gap of 1e-11, so E agrees at that scale
         assert np.linalg.norm(E - E_ref) <= 1e-8 * np.linalg.norm(E_ref), label
         assert abs(np.linalg.slogdet(E)[1] - np.linalg.slogdet(E_ref)[1]) <= 1e-12, label
-        # the stopping test on leverages computed from scratch: with the
-        # returned fit, q_i' V^-1 q_i = d (x_i - c)' E (x_i - c) + 1
-        d = P.shape[1]
-        Y = P - c
-        M = d * np.einsum("ij,jk,ik->i", Y, E, Y) + 1.0
-        assert np.max(M) / (d + 1) - 1.0 <= tol, label
+        assert _fresh_gap(P, E, c) <= 1e-12, label
+
+
+def test_mvee_converges_on_near_round_polygons():
+    # five 120-gons of the recentred pownorm:c=1,p=1.5,n=2 that
+    # recenter_invariance fits at t_points=12, m_dirs=120, gamma_points=3,
+    # t_max=1e5; Khachiyan's ascent stalled on them at gaps of 4.8e-6 to 9.5e-6
+    clouds = np.load(os.path.join(os.path.dirname(__file__), "data", "mvee_stall_clouds.npz"))
+    for i, P in enumerate(clouds["clouds"]):
+        E, c = geometry.mvee(P)
+        assert _fresh_gap(P, E, c) <= 1e-12, i
+
+
+def test_mvee_rejects_a_flat_cloud():
+    with pytest.raises(NonConvergenceError):
+        geometry.mvee(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
 
 
 def test_radial_crossings_memo_is_read_only_and_repeatable():

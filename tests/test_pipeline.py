@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hessianlab import candidates, fields, functionals, pipeline, solver
+from hessianlab import candidates, fields, functionals, geometry, pipeline, solver
+from hessianlab.errors import NonConvergenceError
 from hessianlab.symm import esym_table
 
 
@@ -58,6 +59,47 @@ def test_analyze_power_radial(quick_cfg):
     # radially symmetric: every sub-level set is a ball
     for _, g in rep.gamma_samples:
         assert g == pytest.approx(1.0, abs=1e-3)
+
+
+def test_analyze_roundness_continues_past_a_failed_fit(monkeypatch):
+    cfg = pipeline.AnalyzeConfig(t_points=12, m_dirs=120, gamma_points=3)
+    levels = [float(t) for t in np.geomspace(cfg.t_min, cfg.t_max, 3)]
+    real_fit = geometry.john_fit
+    calls = []
+
+    def fit_failing_at_the_middle_level(body):
+        calls.append(body)
+        if len(calls) == 2:
+            raise NonConvergenceError("stub failure")
+        return real_fit(body)
+
+    monkeypatch.setattr(geometry, "john_fit", fit_failing_at_the_middle_level)
+    rep = pipeline.analyze(candidates.aniso_sum([1.0, 1.0], [2.0, 4.0]), cfg)
+    assert len(calls) == 3
+    assert rep.errors == {f"roundness@t={levels[1]:g}": "stub failure"}
+    assert [t for t, _ in rep.gamma_samples] == [levels[0], levels[2]]
+    assert [t for t, _ in rep.john_aspect_samples] == [levels[0], levels[2]]
+
+
+def test_recentred_pownorm_analyses_fit_every_level(monkeypatch):
+    # the analyses of criterion-09's recenter_invariance run on the power norm
+    cfg = pipeline.AnalyzeConfig(t_points=12, m_dirs=120, gamma_points=3, t_max=1e5)
+    real_analyze = pipeline.analyze
+    reports = []
+
+    def recording_analyze(cand, config):
+        reports.append(real_analyze(cand, config))
+        return reports[-1]
+
+    monkeypatch.setattr(pipeline, "analyze", recording_analyze)
+    assert pipeline.recenter_invariance(
+        candidates.power_norm(1.0, 1.5, 2), n_centers=5, config=cfg
+    )
+    assert len(reports) == 6
+    for rep in reports:
+        assert rep.errors == {}
+        assert len(rep.gamma_samples) == 3
+        assert len(rep.john_aspect_samples) == 3
 
 
 def test_corpus_consistency(quick_cfg):
