@@ -33,6 +33,9 @@ class AnalyticCandidate:
     _crossings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # polar probing and the hull geometry work in the plane and in space
+        if self.n not in (2, 3):
+            raise PreconditionError(f"candidate {self.name} has dimension {self.n}, not 2 or 3")
         if self.anchor is None:
             self.anchor = np.zeros(self.n)
         self.anchor = np.asarray(self.anchor, dtype=float)

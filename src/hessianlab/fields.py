@@ -504,7 +504,7 @@ def grid_for_candidate(cand, level: float, h: float) -> Grid:
     """Axis-aligned grid box guaranteed to contain the open sub-level set."""
     from .polar import directions_2d, sphere_mesh, radial_crossings
 
-    dirs = directions_2d(256) if cand.n == 2 else sphere_mesh(3)[0]
+    dirs = directions_2d(256) if cand.n == 2 else sphere_mesh(3)
     rho = radial_crossings(cand, level, dirs)
     pts = cand.anchor + rho[:, None] * dirs
     lo = pts.min(axis=0) - 4 * h
@@ -549,22 +549,26 @@ def load_hsf1(path) -> ScalarField:
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines[0].startswith("HSF1 n="):
+    if not lines or not lines[0].startswith("HSF1 n="):
         raise PreconditionError("not an HSF1 file")
-    n = int(lines[0].split("=")[1])
-    dims = tuple(int(v) for v in lines[1].split("=")[1].split(","))
-    origin = np.array([float(v) for v in lines[2].split("=")[1].split(",")])
-    h = float(lines[3].split("=")[1])
-    level = float(lines[4].split("=")[1])
-    grid = Grid(n=n, dims=dims, origin=origin, h=h)
-    inside = np.zeros(dims, dtype=bool)
-    values = np.zeros(dims)
-    rows = [ln.split() for ln in lines[5:]]
-    rows = [r for r in rows if r[n] == "1"]
-    if rows:
-        idx = tuple(np.array([list(map(int, r[:n])) for r in rows]).T)
-        inside[idx] = True
-        values[idx] = [float(r[n + 1]) for r in rows]
+    try:
+        n = int(lines[0].split("=")[1])
+        dims = tuple(int(v) for v in lines[1].split("=")[1].split(","))
+        origin = np.array([float(v) for v in lines[2].split("=")[1].split(",")])
+        h = float(lines[3].split("=")[1])
+        level = float(lines[4].split("=")[1])
+        grid = Grid(n=n, dims=dims, origin=origin, h=h)
+        inside = np.zeros(dims, dtype=bool)
+        values = np.zeros(dims)
+        rows = [ln.split() for ln in lines[5:]]
+        rows = [r for r in rows if r[n] == "1"]
+        if rows:
+            idx = tuple(np.array([list(map(int, r[:n])) for r in rows]).T)
+            inside[idx] = True
+            values[idx] = [float(r[n + 1]) for r in rows]
+    except (IndexError, ValueError) as exc:
+        # a missing header line, a short node row or an unparsable number
+        raise PreconditionError(f"malformed HSF1 file: {exc}") from exc
     theta = np.ones((n, 2) + dims)
     bval = np.full((n, 2) + dims, np.nan)
     lvl = level if math.isfinite(level) else None

@@ -28,51 +28,33 @@ from .polar import directions_2d, radial_crossings, sphere_mesh
 
 @dataclass
 class ConvexBody:
-    """Boundary polyline (n=2) or triangle mesh (n=3) of a convex body."""
+    """Convex hull of a vertex cloud in R^n (n = 2 or 3).
+
+    One Qhull hull gives the outward facet equations a.x + b <= 0 (unit
+    normals a), the volume and the boundary measure (length for n=2, area
+    for n=3). A cloud with no interior raises DegenerateDomainError.
+    """
 
     n: int
     vertices: np.ndarray
-    faces: np.ndarray | None = None     # triangle index triples, n=3 only
-    interior_point: np.ndarray = None
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.interior_point is None:
-            self.interior_point = self.vertices.mean(axis=0)
-        self.interior_point = np.asarray(self.interior_point, dtype=float)
-        if self.n == 2:
-            self._hull_eqs = _polygon_equations(self.vertices)
-        else:
-            from scipy.spatial import ConvexHull
+        from scipy.spatial import ConvexHull, QhullError
 
-            hull = ConvexHull(self.vertices)
-            self._hull_eqs = hull.equations
-            if self.faces is None:
-                self.faces = hull.simplices
-        if self.volume() <= 0:
-            raise DegenerateDomainError("body has nonpositive volume")
+        self.vertices = np.asarray(self.vertices, dtype=float)
+        try:
+            self._hull = ConvexHull(self.vertices)
+        except (QhullError, ValueError) as exc:  # ValueError: no points
+            raise DegenerateDomainError("body has no interior") from exc
 
     # -- measures ---------------------------------------------------------
 
     def volume(self) -> float:
-        if self.n == 2:
-            x, y = self.vertices[:, 0], self.vertices[:, 1]
-            return 0.5 * abs(
-                float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-            )
-        a = self.vertices[self.faces[:, 0]] - self.interior_point
-        b = self.vertices[self.faces[:, 1]] - self.interior_point
-        c = self.vertices[self.faces[:, 2]] - self.interior_point
-        return float(np.abs(np.einsum("ij,ij->i", a, np.cross(b, c))).sum() / 6.0)
+        return float(self._hull.volume)
 
     def surface(self) -> float:
-        """Boundary length (n=2) or mesh area (n=3)."""
-        if self.n == 2:
-            d = np.roll(self.vertices, -1, axis=0) - self.vertices
-            return float(np.linalg.norm(d, axis=1).sum())
-        a = self.vertices[self.faces[:, 1]] - self.vertices[self.faces[:, 0]]
-        b = self.vertices[self.faces[:, 2]] - self.vertices[self.faces[:, 0]]
-        return float(0.5 * np.linalg.norm(np.cross(a, b), axis=1).sum())
+        """Boundary length (n=2) or area (n=3)."""
+        return float(self._hull.area)
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -87,32 +69,17 @@ class ConvexBody:
         """Distance from an interior point to the boundary (min over facet
         planes, exact for interior points of a convex polytope)."""
         x = np.asarray(x, dtype=float)
-        A, b = self._hull_eqs[:, :-1], self._hull_eqs[:, -1]
+        A, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
         return float(np.min(-(A @ x + b)))
 
     def max_vertex_distance(self, x) -> float:
         return float(np.max(np.linalg.norm(self.vertices - np.asarray(x), axis=1)))
 
     def vertices_extreme(self) -> bool:
-        """Every vertex within 1e-9 * diameter of the hull of the vertex set."""
-        A, b = self._hull_eqs[:, :-1], self._hull_eqs[:, -1]
+        """Every vertex within 1e-9 * diameter of the hull boundary."""
+        A, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
         viol = np.max(self.vertices @ A.T + b, axis=1)
         return bool(np.max(np.abs(np.minimum(viol, 0.0))) <= 1e-9 * self.diameter())
-
-
-def _polygon_equations(V) -> np.ndarray:
-    """Outward facet equations [a, b] with a.x + b <= 0 inside, CCW input."""
-    c = V.mean(axis=0)
-    e = np.roll(V, -1, axis=0) - V
-    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
-    ln = np.linalg.norm(nrm, axis=1)
-    keep = ln > 1e-300
-    nrm = nrm[keep] / ln[keep, None]
-    off = np.einsum("ij,ij->i", nrm, V[keep])
-    flip = nrm @ c - off > 0
-    nrm[flip] *= -1.0
-    off = np.where(flip, -off, off)
-    return np.column_stack([nrm, -off])
 
 
 # ---------------------------------------------------------------------------
@@ -132,15 +99,10 @@ def extract_body(source, t: float, m_dirs: int | None = None) -> ConvexBody:
     require_candidate(source)
     if source.n == 2:
         dirs = directions_2d(m_dirs or 720)
-        rho = radial_crossings(source, t, dirs)
-        verts = source.anchor + rho[:, None] * dirs
-        return ConvexBody(n=2, vertices=verts, interior_point=source.anchor.copy())
-    verts_dir, faces = sphere_mesh(_icosphere_level(m_dirs))
-    rho = radial_crossings(source, t, verts_dir)
-    verts = source.anchor + rho[:, None] * verts_dir
-    return ConvexBody(
-        n=3, vertices=verts, faces=faces, interior_point=source.anchor.copy()
-    )
+    else:
+        dirs = sphere_mesh(_icosphere_level(m_dirs))
+    rho = radial_crossings(source, t, dirs)
+    return ConvexBody(n=source.n, vertices=source.anchor + rho[:, None] * dirs)
 
 
 def _icosphere_level(m_dirs: int | None) -> int:
@@ -155,18 +117,7 @@ def _icosphere_level(m_dirs: int | None) -> int:
 
 def body_from_mask(mask) -> ConvexBody:
     """Body whose boundary is the mask's own Dirichlet cut cloud."""
-    from scipy.spatial import ConvexHull
-
-    st = mask.stencils()
-    pts = st.cut_points
-    if pts.shape[0] < mask.n + 2:
-        raise DegenerateDomainError("not enough cut points to form a body")
-    if mask.n == 2:
-        hull = ConvexHull(pts)
-        verts = pts[hull.vertices]
-        return ConvexBody(n=2, vertices=verts)
-    hull = ConvexHull(pts)
-    return ConvexBody(n=3, vertices=pts, faces=hull.simplices)
+    return ConvexBody(n=mask.n, vertices=mask.stencils().cut_points)
 
 
 # ---------------------------------------------------------------------------
@@ -191,53 +142,60 @@ class BallFit:
 
 
 def ball_fit(body: ConvexBody) -> BallFit:
-    """Minimal concentric-ratio ball pair by multistart local descent.
+    """Concentric ball pair of least radius ratio, by one convex solve.
 
-    The optimum center search is heuristic (simplex descent seeded at the
-    centroid and the Chebyshev center), so the reported gamma is an upper
-    bound for the true minimal ratio; the containment itself is certified.
+    The ratio r_out(x) / r_in(x) of the farthest-vertex distance (convex)
+    to the boundary distance (concave, positive inside) is quasiconvex in
+    the center x. With x = y / s (Charnes-Cooper) the square of its least
+    value is the optimum of the convex program
+
+        min z  subject to  -(A y + b s) >= 1,  z >= |s v_i - y|^2,
+
+    over the facet equations [A, b] (the first constraint is
+    s r_in(x) >= 1) and the hull vertices v_i. The body is moved to its
+    centroid c and scaled by r_in(c), so the start y = 0, s = 1 lies on the
+    linear constraint. One SLSQP solve with analytic Jacobians follows, and
+    its last iterate is taken whatever the exit status: SLSQP may report a
+    failed line search at the optimum. Both radii are measured at that
+    center, so the containment is certified; a center outside the body
+    raises NonConvergenceError.
     """
     from scipy.optimize import minimize
 
-    seeds = [body.centroid()]
-    cheb = _chebyshev_center(body)
-    if cheb is not None:
-        seeds.append(cheb)
+    n = body.n
+    A, b = body._hull.equations[:, :-1], body._hull.equations[:, -1]
+    c = body.centroid()
+    rho = body.boundary_distance(c)
+    V = (body.vertices[body._hull.vertices] - c) / rho
+    b = (b + A @ c) / rho
+    lin_jac = np.column_stack([-A, -b, np.zeros(b.size)])
+    e_z = np.zeros(n + 2)
+    e_z[-1] = 1.0
 
-    def ratio(x):
-        r_in = body.boundary_distance(x)
-        if r_in <= 0:
-            return 1e12
-        return body.max_vertex_distance(x) / r_in
+    def gaps(w):
+        y, s, z = w[:n], w[n], w[-1]
+        D = s * V - y
+        return np.concatenate([-(A @ y + b * s) - 1.0, z - np.einsum("ij,ij->i", D, D)])
 
-    best = None
-    for seed in seeds:
-        res = minimize(
-            ratio, seed, method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 800},
+    def gaps_jac(w):
+        D = w[n] * V - w[:n]
+        quad_jac = np.column_stack(
+            [2.0 * D, -2.0 * np.einsum("ij,ij->i", D, V), np.ones(V.shape[0])]
         )
-        if best is None or res.fun < best.fun:
-            best = res
-    x0 = best.x
+        return np.vstack([lin_jac, quad_jac])
+
+    w0 = np.concatenate([np.zeros(n), [1.0, np.max(np.einsum("ij,ij->i", V, V))]])
+    res = minimize(
+        lambda w: w[-1], w0, jac=lambda w: e_z, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": gaps, "jac": gaps_jac}],
+        options={"ftol": 1e-12},
+    )
+    x0 = c + rho * res.x[:n] / res.x[n]
     r_in = body.boundary_distance(x0)
+    if not r_in > 0:
+        raise NonConvergenceError("ball fit center left the body")
     r_out = body.max_vertex_distance(x0)
     return BallFit(center=x0, R=math.sqrt(r_out * r_in), gamma=math.sqrt(r_out / r_in))
-
-
-def _chebyshev_center(body: ConvexBody):
-    from scipy.optimize import linprog
-
-    A, b = body._hull_eqs[:, :-1], body._hull_eqs[:, -1]
-    n = body.n
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.column_stack([A, np.ones(A.shape[0])])
-    res = linprog(
-        c, A_ub=A_ub, b_ub=-b, bounds=[(None, None)] * n + [(0, None)], method="highs"
-    )
-    if not res.success:
-        return None
-    return res.x[:n]
 
 
 @dataclass
@@ -257,10 +215,7 @@ class EllipsoidFit:
         within the dimensional sandwich factor n, to a relative slack of 1e-4."""
         Y = (body.vertices - self.center) @ self.A.T
         r_out = float(np.max(np.linalg.norm(Y, axis=1)))
-        mapped = ConvexBody(n=body.n, vertices=Y) if body.n == 2 else ConvexBody(
-            n=body.n, vertices=Y, interior_point=np.zeros(body.n)
-        )
-        r_in = mapped.boundary_distance(np.zeros(body.n))
+        r_in = ConvexBody(n=body.n, vertices=Y).boundary_distance(np.zeros(body.n))
         ok_R = r_out <= self.R * (1.0 + 1e-4)
         ok_ratio = r_out <= body.n * r_in * (1.0 + 1e-4)
         return bool(ok_R and ok_ratio and r_in > 0)

@@ -153,7 +153,7 @@ def quadratic_test(source) -> tuple:
 def _probe_points(cand, level) -> np.ndarray:
     from .polar import radial_crossings, sphere_mesh
 
-    dirs = directions_2d(16) if cand.n == 2 else sphere_mesh(1)[0]
+    dirs = directions_2d(16) if cand.n == 2 else sphere_mesh(1)
     rho = radial_crossings(cand, level, dirs)
     radii = np.array([0.25, 0.5, 0.75, 0.9])
     pts = (

@@ -24,11 +24,8 @@ def directions_2d(m: int) -> np.ndarray:
 
 
 def sphere_mesh(subdiv: int):
-    """Icosphere directions: unit vertices plus triangle faces.
-
-    subdiv=5 yields 20480 faces; subdiv=3 (1280 faces) is plenty for
-    percent-level volume work.
-    """
+    """Icosphere directions: the unit vertices of the icosahedron with each
+    face split into four subdiv times (10 * 4**subdiv + 2 of them)."""
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -65,7 +62,7 @@ def sphere_mesh(subdiv: int):
         faces = new_faces
     V = np.asarray(verts, dtype=float)
     V /= np.linalg.norm(V, axis=1, keepdims=True)
-    return V, np.asarray(faces, dtype=int)
+    return V
 
 
 def radial_crossings(cand, t: float, dirs: np.ndarray) -> np.ndarray:
@@ -123,21 +120,17 @@ def _gl_nodes():
 def _polar_rule(n: int, m_dirs: int):
     """Directions and angular weights of the polar rule: uniform angles
     (trapezoid) on the circle for n=2; for n=3, Gauss-Legendre in the polar
-    angle's cosine times a uniform azimuth."""
+    angle's cosine times a uniform azimuth (candidates have n = 2 or 3)."""
     if n == 2:
-        dirs = directions_2d(m_dirs)
-        wdir = np.full(m_dirs, 2.0 * np.pi / m_dirs)
-    elif n == 3:
-        n_z = max(int(math.sqrt(m_dirs / 2)), 8)
-        n_phi = 2 * n_z
-        z, wz = np.polynomial.legendre.leggauss(n_z)
-        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-        zz, pp = np.meshgrid(z, phi, indexing="ij")
-        s = np.sqrt(1.0 - zz**2)
-        dirs = np.stack([s * np.cos(pp), s * np.sin(pp), zz], axis=-1).reshape(-1, 3)
-        wdir = (np.tile(wz[:, None], (1, n_phi)) * (2.0 * np.pi / n_phi)).ravel()
-    else:
-        raise PreconditionError("polar quadrature supports n = 2 or 3")
+        return directions_2d(m_dirs), np.full(m_dirs, 2.0 * np.pi / m_dirs)
+    n_z = max(int(math.sqrt(m_dirs / 2)), 8)
+    n_phi = 2 * n_z
+    z, wz = np.polynomial.legendre.leggauss(n_z)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    zz, pp = np.meshgrid(z, phi, indexing="ij")
+    s = np.sqrt(1.0 - zz**2)
+    dirs = np.stack([s * np.cos(pp), s * np.sin(pp), zz], axis=-1).reshape(-1, 3)
+    wdir = (np.tile(wz[:, None], (1, n_phi)) * (2.0 * np.pi / n_phi)).ravel()
     return dirs, wdir
 
 

@@ -545,9 +545,13 @@ def problem_from_spec(spec: dict) -> tuple:
             raise PreconditionError("semiaxes length must equal n")
         mask = mask_from_ellipse(semi, h, center=dom["params"].get("center"))
     elif dom["type"] == "polygon":
+        if n != 2:
+            raise PreconditionError(f"a polygon domain is planar, but n = {n}")
         mask = mask_from_polygon(dom["params"]["vertices"], h)
     else:
         cand = candidate_from_spec(dom["params"]["candidate"])
+        if cand.n != n:
+            raise PreconditionError(f"candidate {cand.name} has dimension {cand.n}, but n = {n}")
         level = float(dom["params"].get("level", 1.0))
         grid = grid_for_candidate(cand, level, h)
         mask = sample_candidate(cand, grid, level).mask

@@ -75,8 +75,11 @@ def test_invalid_order_exits_2(tmp_path):
         {"k": 1, "l": 1},
         {"domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 2.0, 3.0]}}},
         {"domain": {"type": "candidate_level", "params": {"candidate": "quad:diag(1,x)"}}},
+        {"domain": {"type": "candidate_level", "params": {"candidate": "quad:diag(1,1,1)"}}},
+        {"n": 3, "domain": {"type": "polygon", "params": {
+            "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]}}},
     ],
-    ids=["order", "semiaxes-length", "candidate-spec"],
+    ids=["order", "semiaxes-length", "candidate-spec", "candidate-dimension", "polygon-dimension"],
 )
 def test_problem_precondition_exits_2_without_files(tmp_path, change):
     # the problem passes the schema but not problem_from_spec's checks
@@ -118,7 +121,12 @@ def test_missing_domain_params_key_exits_2(tmp_path, kind):
 
 
 @pytest.mark.parametrize(
-    "spec", ["pownorm:c=1", "aniso:c=1,1", "quad:diag(1,x)", "quad:[[1,2],[3]]"]
+    "spec",
+    [
+        "pownorm:c=1", "aniso:c=1,1", "quad:diag(1,x)", "quad:[[1,2],[3]]",
+        # candidates of dimension other than 2 or 3
+        "pownorm:c=1,p=1.5,n=4", "quad:diag(1)",
+    ],
 )
 def test_malformed_candidate_spec_exits_2(tmp_path, spec):
     cfg = {"command": "analyze", "params": {"candidate": spec}}
@@ -208,6 +216,19 @@ def test_disconnected_hsf1_mask_exits_2(tmp_path, capsys):
     cfg = {"command": "legendre", "params": {"field": str(tmp_path / "split.hsf1")}}
     assert run_cli(tmp_path, cfg, "x") == 2
     assert "mask not grid-connected" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "transform.hsf1").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "HSF1 n=2\n", "HSF1 n=2\ndims=5,5\norigin=0,0\nh=0.5\nlevel=1\n0 0 1\n"],
+    ids=["empty", "header-only", "row-without-value"],
+)
+def test_malformed_hsf1_exits_2(tmp_path, capsys, text):
+    (tmp_path / "bad.hsf1").write_text(text)
+    cfg = {"command": "legendre", "params": {"field": str(tmp_path / "bad.hsf1")}}
+    assert run_cli(tmp_path, cfg, "x") == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
     assert not (tmp_path / "x" / "transform.hsf1").exists()
 
 

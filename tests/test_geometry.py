@@ -8,7 +8,12 @@ import scipy.special
 
 from hessianlab import candidates, fields, functionals, geometry, pipeline, polar
 from hessianlab.calibration import get_constants
-from hessianlab.errors import NonConvergenceError, PreconditionError, UnboundedSublevelError
+from hessianlab.errors import (
+    DegenerateDomainError,
+    NonConvergenceError,
+    PreconditionError,
+    UnboundedSublevelError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +131,39 @@ def test_ball_fit_containment_certificates():
         body = geometry.ConvexBody(n=2, vertices=pts[hull.vertices])
         fit = geometry.ball_fit(body)
         assert fit.verify(body)
+
+
+def _random_hulls_and_a_triangle():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        pts = rng.normal(size=(40, 3)) @ np.diag(rng.uniform(0.5, 2.0, 3))
+        yield geometry.ConvexBody(n=3, vertices=pts)
+    yield geometry.ConvexBody(n=2, vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0]]))
+
+
+def test_ball_fit_is_locally_optimal():
+    # no step of 1e-6 * diameter along the axes or diagonals lowers the ratio
+    import itertools
+
+    for i, body in enumerate(_random_hulls_and_a_triangle()):
+        fit = geometry.ball_fit(body)
+        assert fit.verify(body), i
+        ratio = fit.gamma**2
+        step = 1e-6 * body.diameter()
+        for d in itertools.product((-1.0, 0.0, 1.0), repeat=body.n):
+            if any(d):
+                x = fit.center + step * np.asarray(d) / np.linalg.norm(d)
+                moved = body.max_vertex_distance(x) / body.boundary_distance(x)
+                assert moved >= ratio * (1.0 - 1e-9), (i, d)
+
+
+def test_convex_body_rejects_flat_clouds():
+    rng = np.random.default_rng(6)
+    flat = np.column_stack([rng.normal(size=(30, 2)), np.zeros(30)])
+    with pytest.raises(DegenerateDomainError):
+        geometry.ConvexBody(n=3, vertices=flat)
+    with pytest.raises(DegenerateDomainError):
+        geometry.ConvexBody(n=2, vertices=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
 
 
 def test_john_fit_ball_and_ellipse():
@@ -438,14 +476,15 @@ def test_icosphere_level_from_direction_count():
 
 
 @pytest.mark.parametrize(
-    "quadrature",
+    "build",
     [
-        lambda c: polar.integrate_sublevel(c, 1.0, lambda X: np.ones(len(X))),
-        lambda c: polar.sublevel_volume(c, 1.0),
+        lambda: candidates.aniso_sum([1.0] * 4, [2.0] * 4),
+        lambda: candidates.power_norm(1.0, 1.5, 4),
+        lambda: candidates.quadratic(np.eye(1)),
     ],
-    ids=["integrate_sublevel", "sublevel_volume"],
+    ids=["aniso-n4", "pownorm-n4", "quad-n1"],
 )
-def test_polar_quadrature_rejects_dimension_4(quadrature):
-    cand = candidates.aniso_sum([1.0] * 4, [2.0] * 4)
-    with pytest.raises(PreconditionError):
-        quadrature(cand)
+def test_candidates_reject_dimensions_other_than_2_and_3(build):
+    # polar probing and the hull geometry work in the plane and in space only
+    with pytest.raises(PreconditionError, match="not 2 or 3"):
+        build()
