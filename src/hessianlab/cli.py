@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import jsonschema
 import numpy as np
@@ -26,7 +25,7 @@ from . import functionals, pipeline, solver
 from .calibration import calibration_hash
 from .candidates import candidate_from_spec
 from .errors import NonConvergenceError, NumericError, PreconditionError
-from .fields import load_hsf1, save_hsf1
+from .fields import load_hsf1, save_hsf1, write_json, write_text
 from .functionals import Condition
 
 # the level grid and direction count that analyze and sweep read with defaults
@@ -131,24 +130,6 @@ def validate_spec(instance, schema: dict):
         raise error
 
 
-def _write_text(path, text: str):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_json(path, payload: dict):
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
 def _given(params: dict, **casts) -> dict:
     """The params named in casts that the config sets, each cast, so that
     the library's defaults fill the rest. int admits 13.0, which JSON
@@ -190,7 +171,7 @@ def _cmd_solve(built, out):
     save_hsf1(report.field, os.path.join(out, "solution.hsf1"))
     payload = report.to_json_dict()
     payload["calibration"] = calibration_hash()
-    _write_json(os.path.join(out, "report.json"), payload)
+    write_json(os.path.join(out, "report.json"), payload)
     if not report.converged:
         raise NonConvergenceError("solver did not converge")
     return 0
@@ -206,7 +187,7 @@ def _cmd_analyze(params, out):
     lines = ["t gamma"]
     for t, g in report.gamma_samples:
         lines.append(f"{t:.17g} {g:.17g}")
-    _write_text(os.path.join(out, "gamma.csv"), "\n".join(lines) + "\n")
+    write_text(os.path.join(out, "gamma.csv"), "\n".join(lines) + "\n")
     return 0
 
 
@@ -221,7 +202,7 @@ def _cmd_sweep(params, out):
         **_given(params, p=float),
     )
     verdict.export_csv(os.path.join(out, "sweep.csv"))
-    _write_json(os.path.join(out, "verdict.json"), verdict.to_json_dict())
+    write_json(os.path.join(out, "verdict.json"), verdict.to_json_dict())
     return 0
 
 
@@ -254,7 +235,7 @@ def _cmd_chain_volume(params, out):
         "calibration": calibration_hash(),
         "reports": [r.to_json_dict() for r in reports],
     }
-    _write_json(os.path.join(out, "chain.json"), payload)
+    write_json(os.path.join(out, "chain.json"), payload)
     bad = [r for r in reports if "error" in r.meta or not r.all_passed()]
     return 3 if bad else 0
 
@@ -266,7 +247,7 @@ def _cmd_legendre(params, out):
     st = v.mask.stencils()
     H = v.hessian_stack()
     lam = np.linalg.eigvalsh(H[st.is_full])
-    _write_json(
+    write_json(
         os.path.join(out, "transform.json"),
         {
             "nodes": int(v.mask.inside_count()),
@@ -296,7 +277,7 @@ def _cmd_report(params, out):
         if not isinstance(payload, dict):
             raise PreconditionError(f"{path} does not hold a JSON object")
         entries.append({"file": name, "keys": sorted(payload.keys())})
-    _write_json(os.path.join(out, "summary.json"), {"entries": entries})
+    write_json(os.path.join(out, "summary.json"), {"entries": entries})
     return 0
 
 
@@ -342,7 +323,7 @@ def main(argv=None) -> int:
         job = solver.problem_from_spec(params["problem"]) if command == "solve" else params
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
-        _write_json(
+        write_json(
             os.path.join(args.out, "manifest.json"),
             {
                 "command": command,

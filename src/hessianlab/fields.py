@@ -12,13 +12,17 @@ pure and mixed second difference, closure row) is weighted for every node
 in one expression and becomes one sparse matrix.
 
 Fields carry node values over a mask and take their derivatives from its
-stencils; they are read and written in the HSF1 text format.
+stencils; they are read and written in the HSF1 text format. Every text
+artifact of the package is written here, by temp-and-rename.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -535,8 +539,29 @@ def save_hsf1(field: ScalarField, path):
         f"{' '.join(head)} 1 {v:.17g}" if inside else f"{' '.join(head)} 0"
         for head, inside, v in zip(heads, flags, values)
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
+
+
+def write_text(path, text: str):
+    """Write text to path by temp-and-rename: a failed write leaves any
+    earlier file whole and no partial one."""
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.chmod(tmp, 0o644)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def write_json(path, payload: dict):
+    """Write payload as JSON with sorted keys, one-space indent and a final
+    newline, by temp-and-rename."""
+    write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def load_hsf1(path) -> ScalarField:

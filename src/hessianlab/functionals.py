@@ -19,7 +19,7 @@ import numpy as np
 from . import polar
 from .candidates import AnalyticCandidate, require_candidate, rescaled
 from .errors import AdmissibilityError, PreconditionError
-from .fields import Grid, ScalarField
+from .fields import Grid, ScalarField, write_text
 
 
 class Condition(str, Enum):
@@ -63,12 +63,12 @@ class GrowthVerdict:
         }
 
     def export_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t value running_min\n")
-            rmin = math.inf
-            for t, v in self.samples:
-                rmin = min(rmin, v)
-                fh.write(f"{t:.17g} {v:.17g} {rmin:.17g}\n")
+        lines = ["t value running_min\n"]
+        rmin = math.inf
+        for t, v in self.samples:
+            rmin = min(rmin, v)
+            lines.append(f"{t:.17g} {v:.17g} {rmin:.17g}\n")
+        write_text(path, "".join(lines))
 
 
 EPS_SLOPE = 0.02                   # fitted slopes up to this count as bounded

@@ -3,9 +3,9 @@
 Bodies come from ray-shooting analytic candidates (spectrally accurate in
 the radial direction) or from the boundary cut cloud of a domain mask. On
 top of them sit the concentric two-ball roundness fit, the minimum-volume
-enclosing ellipsoid normalized to a volume-preserving map, level profiles
-(volume and boundary measure per level), and the gradient-image area
-identities for convex functions.
+enclosing ellipsoid of a point cloud, level profiles (volume and boundary
+measure per level), and the gradient-image area identities for convex
+functions.
 """
 
 from __future__ import annotations
@@ -200,12 +200,29 @@ def ball_fit(body: ConvexBody) -> BallFit:
 
 @dataclass
 class EllipsoidFit:
-    """Volume-preserving map A (det 1) sending the body near a ball of radius R."""
+    """Enclosing ellipsoid: center, orthonormal axes (columns) and semi-axes.
+
+    R is the geometric mean of the semi-axes; the volume-preserving map A
+    (det 1) with eigenvalues mu = R / semi sends the ellipsoid to the ball of
+    radius R about the center.
+    """
 
     center: np.ndarray
-    A: np.ndarray
-    mu: np.ndarray          # eigenvalues of A, ascending
-    R: float
+    axes: np.ndarray
+    semi: np.ndarray
+
+    @property
+    def R(self) -> float:
+        return float(np.prod(self.semi) ** (1.0 / self.semi.size))
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Eigenvalues of A, ascending."""
+        return np.sort(self.R / self.semi)
+
+    @property
+    def A(self) -> np.ndarray:
+        return (self.axes * (self.R / self.semi)) @ self.axes.T
 
     def aspect(self) -> float:
         return float(math.sqrt(self.mu[-1] / self.mu[0]))
@@ -346,27 +363,13 @@ def mvee(points):
     return E, shift + L @ c
 
 
-def john_fit(body: ConvexBody) -> EllipsoidFit:
-    """Minimum-volume enclosing ellipsoid, returned as a det-1 linear map.
-
-    The map sends the enclosing ellipsoid to the ball of radius R equal to
-    the geometric mean of its semi-axes; the eigenvalues mu of the map are
-    reported ascending, so sqrt(mu_n / mu_1) is the aspect ratio. Boundary
-    clouds over 2000 vertices are subsampled uniformly before the ascent.
-    """
-    verts = body.vertices
-    if verts.shape[0] > 2000:
-        verts = verts[:: verts.shape[0] // 2000 + 1]
-    E, c = mvee(verts)
-    w, Qm = np.linalg.eigh(E)
+def john_fit(points) -> EllipsoidFit:
+    """Minimum-volume enclosing ellipsoid of every point of the cloud."""
+    E, c = mvee(points)
+    w, axes = np.linalg.eigh(E)
     if np.any(w <= 0):
         raise NonConvergenceError("enclosing ellipsoid not positive definite")
-    semi = 1.0 / np.sqrt(w)                    # semi-axes
-    R = float(np.prod(semi) ** (1.0 / body.n))
-    mu = R / semi                              # det-1 normalization
-    A = (Qm * mu) @ Qm.T
-    order = np.argsort(mu)
-    return EllipsoidFit(center=c, A=A, mu=mu[order], R=R)
+    return EllipsoidFit(center=c, axes=axes, semi=1.0 / np.sqrt(w))
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +400,16 @@ class LevelProfile:
     def nu_at(self, s: float) -> float:
         return float(np.interp(s, self.levels, self.nu))
 
+    def _knots(self, a: float, b: float):
+        """a, the levels strictly inside (a, b), and b, with nu there."""
+        inner = self.levels[(self.levels > a) & (self.levels < b)]
+        s = np.concatenate([[a], inner, [b]])
+        return s, np.interp(s, self.levels, self.nu)
+
     def integrate_nu(self, a: float, b: float) -> float:
-        s = np.linspace(a, b, 2000)
-        return float(np.trapezoid(np.interp(s, self.levels, self.nu), s))
+        """Exact integral of the piecewise-linear nu over [a, b]."""
+        s, nu = self._knots(a, b)
+        return float(np.trapezoid(nu, s))
 
 
 def level_profile(source, levels, m_dirs: int | None = None) -> LevelProfile:
@@ -431,33 +441,21 @@ def cone_lower_bound(profile: LevelProfile, s: float, t: float, tol: float = 1e-
 def mean_value_level(profile: LevelProfile, a: float, b: float) -> float:
     """Level s* in [a, b] where nu(s*) equals its average over [a, b].
 
-    Bisection on the continuous interpolant; a flat profile ties to the
-    midpoint.
+    Solved exactly on the first linear piece of the interpolant where nu
+    minus its average changes sign; a flat profile ties to the midpoint.
     """
     if not (profile.levels[0] <= a < b <= profile.levels[-1]):
         raise PreconditionError("interval outside the profile range")
     avg = profile.integrate_nu(a, b) / (b - a)
-    grid = np.linspace(a, b, 600)
-    g = np.interp(grid, profile.levels, profile.nu) - avg
+    s, nu = profile._knots(a, b)
+    g = nu - avg
     if np.max(np.abs(g)) <= 1e-12 * max(abs(avg), 1.0):
         return 0.5 * (a + b)
-    sign = np.sign(g)
-    nz = sign != 0
-    idx = np.nonzero(np.diff(sign[nz]) != 0)[0]
-    if idx.size == 0:
-        # numerical ties: pick the closest point to the average
-        return float(grid[int(np.argmin(np.abs(g)))])
-    pts = np.nonzero(nz)[0]
-    lo, hi = grid[pts[idx[0]]], grid[pts[idx[0] + 1]]
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        gm = np.interp(mid, profile.levels, profile.nu) - avg
-        gl = np.interp(lo, profile.levels, profile.nu) - avg
-        if gl * gm <= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # g integrates to zero over [a, b], so some piece changes sign
+    i = int(np.flatnonzero(g[:-1] * g[1:] <= 0)[0])
+    if g[i] == 0:
+        return float(s[i])
+    return float(s[i] + (s[i + 1] - s[i]) * g[i] / (g[i] - g[i + 1]))
 
 
 # ---------------------------------------------------------------------------

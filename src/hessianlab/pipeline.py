@@ -12,7 +12,6 @@ signed slack, and reports embed the calibration hash for reproducibility.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 
@@ -27,6 +26,7 @@ from .calibration import (
 )
 from .candidates import AnalyticCandidate, require_candidate, shifted
 from .errors import HessianLabError, PreconditionError
+from .fields import write_json
 from .functionals import Condition
 from .polar import directions_2d
 
@@ -213,7 +213,7 @@ def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> Con
         try:
             body = geometry.extract_body(cand, float(t), m_dirs=config.m_dirs)
             gamma = geometry.ball_fit(body).gamma
-            aspect = geometry.john_fit(body).aspect()
+            aspect = geometry.john_fit(body.vertices).aspect()
         except HessianLabError as exc:
             errors[f"roundness@t={t:g}"] = str(exc)
             continue
@@ -291,12 +291,16 @@ def iso_to_roundness_chain(
             meta=_chain_meta(t, gamma_claim, interval, violated="premise"),
         )
 
-    levels = np.linspace(0.0, 1.0, 31)[1:] ** 2
+    # Chebyshev-spaced levels crowd both ends: the bottom, where nu grows
+    # like s^((n-1)/2), and the top, where the weight (1-s)^(1/(n-1)) below
+    # has its square-root (n = 3) end point
+    levels = 0.5 - 0.5 * np.cos(np.pi * np.linspace(0.0, 1.0, 31)[1:])
     profile = geometry.level_profile(norm, levels, m_dirs=m_eff)
 
     # profile form of the premise: integral of nu against the weighted
-    # volume integral, with the exact dimensional factor
-    lhs_p = np.trapezoid(profile.nu, profile.levels) + profile.nu[0] * profile.levels[0] * (2.0 / 3.0)
+    # volume integral, with the exact dimensional factor; below the first
+    # level nu ~ s^((n-1)/2) integrates to 2/(n+1) s0 nu(s0)
+    lhs_p = np.trapezoid(profile.nu, profile.levels) + profile.nu[0] * profile.levels[0] * (2.0 / (n + 1.0))
     wint = np.trapezoid((1.0 - profile.levels) ** (1.0 / (n - 1.0)) * profile.mu, profile.levels)
     rhs_p = profile_integral_bound(n) * gamma_claim * wint ** ((n - 1.0) / n)
     links.append(
@@ -332,7 +336,7 @@ def iso_to_roundness_chain(
     )
 
     body = geometry.extract_body(norm, s_star, m_dirs=m_eff)
-    ell = geometry.john_fit(body)
+    ell = geometry.john_fit(body.vertices)
     C_asp = calib["john_aspect_bound_C"][str(n)]
     lhs_mu = float(ell.mu[-1])
     rhs_mu = C_asp * gamma_claim**n * float(ell.mu[0])
@@ -479,6 +483,4 @@ def recenter_invariance(
 
 
 def write_report_json(report, path):
-    with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, report.to_json_dict())

@@ -23,9 +23,11 @@ def directions_2d(m: int) -> np.ndarray:
     return np.stack([np.cos(th), np.sin(th)], axis=1)
 
 
+@functools.lru_cache(maxsize=None)
 def sphere_mesh(subdiv: int):
     """Icosphere directions: the unit vertices of the icosahedron with each
-    face split into four subdiv times (10 * 4**subdiv + 2 of them)."""
+    face split into four subdiv times (10 * 4**subdiv + 2 of them), built
+    once per level and read-only (shared)."""
     t = (1.0 + math.sqrt(5.0)) / 2.0
     verts = np.array(
         [
@@ -62,6 +64,7 @@ def sphere_mesh(subdiv: int):
         faces = new_faces
     V = np.asarray(verts, dtype=float)
     V /= np.linalg.norm(V, axis=1, keepdims=True)
+    V.flags.writeable = False
     return V
 
 

@@ -176,18 +176,6 @@ class EllipsoidBarrier:
 # the Newton solve
 
 
-def _john_of_mask(mask: DomainMask):
-    """Center, frame, semi-axes and radius of the enclosing ellipsoid of the
-    mask's cut cloud."""
-    pts = mask.stencils().cut_points
-    E, c = geometry.mvee(pts)
-    w, Q = np.linalg.eigh(E)
-    semi = 1.0 / np.sqrt(w)
-    R = float(np.prod(semi) ** (1.0 / mask.n))
-    mu = semi / R  # det-1 ellipsoid shape: semi-axes mu_i * R
-    return c, Q, mu, R
-
-
 def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveReport:
     opts = opts or SolveOptions()
     mask = problem.mask
@@ -209,10 +197,10 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     # (exactly consistent with the Dirichlet data, admissible on convex
     # domains in practice, and the discrete solution when k = 1), blended
     # with the ellipsoid barrier if it is not admissible
-    c0, Q0, mu0, R0 = _john_of_mask(mask)
+    ell = geometry.john_fit(st.cut_points)
     b0 = EllipsoidBarrier(
-        center=c0, mu=mu0, R=R0, sign="upper", k=k, l=l, rhs=problem.rhs,
-        boundary_value=problem.boundary_value, axes=Q0,
+        center=ell.center, mu=ell.semi / ell.R, R=ell.R, sign="upper", k=k, l=l,
+        rhs=problem.rhs, boundary_value=problem.boundary_value, axes=ell.axes,
     )
     u_bar = b0.evaluate(mask.inside_coords())
     # one incomplete factor of the trace system preconditions the warm start
@@ -437,9 +425,10 @@ def barrier_pair_for_report(report: SolveReport):
     Both share the enclosing-ellipsoid shape; the inner copy is the largest
     concentric scaling certified inside the domain via the cut cloud.
     """
-    mask = report.problem.mask
-    c, Q, mu, R = _john_of_mask(mask)
-    pts = mask.stencils().cut_points
+    pts = report.problem.mask.stencils().cut_points
+    ell = geometry.john_fit(pts)
+    c, Q, R = ell.center, ell.axes, ell.R
+    mu = ell.semi / R  # det-1 ellipsoid shape: semi-axes mu_i * R
     Y = (pts - c) @ Q
     qvals = np.sqrt(np.sum((Y / (mu * R)) ** 2, axis=1))
     scale_in = float(np.min(qvals))

@@ -8,8 +8,9 @@ import textwrap
 import jsonschema
 import pytest
 
-from hessianlab import cli, fields, pipeline, solver
+from hessianlab import cli, fields, functionals, pipeline, solver
 from hessianlab.calibration import calibration_hash
+from hessianlab.functionals import Condition
 
 
 def run_cli(tmp_path, config: dict, out: str, extra=()):
@@ -434,6 +435,31 @@ def test_report_dir_that_is_a_file_exits_2(tmp_path):
     (tmp_path / "a.json").write_text("{}")
     cfg = {"command": "report", "params": {"dir": str(tmp_path / "a.json")}}
     assert run_cli(tmp_path, cfg, "rep") == 2
+
+
+class _UnserializableReport:
+    def to_json_dict(self):
+        return {"a": 1, "b": object()}
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda path: pipeline.write_report_json(_UnserializableReport(), path),
+        lambda path: functionals.GrowthVerdict(
+            Condition.VOLUME_GROWTH, None, [(1.0, 2.0), (2.0, "x")], 0.0, 0.0, "bounded", 2.0
+        ).export_csv(path),
+        lambda path: fields.write_text(path, None),
+    ],
+    ids=["report-json", "sweep-csv", "write-text"],
+)
+def test_failed_write_keeps_the_old_artifact_whole(tmp_path, write):
+    path = tmp_path / "artifact"
+    path.write_text("old\n")
+    with pytest.raises((TypeError, ValueError)):
+        write(str(path))
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 def test_analyze_determinism(tmp_path):

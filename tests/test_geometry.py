@@ -169,17 +169,31 @@ def test_convex_body_rejects_flat_clouds():
 def test_john_fit_ball_and_ellipse():
     c = candidates.quadratic(0.25 * np.eye(2), name="quad:wide")  # radius sqrt(8)
     body = geometry.extract_body(c, 1.0)
-    ell = geometry.john_fit(body)
+    ell = geometry.john_fit(body.vertices)
     R = math.sqrt(8.0)
     assert np.allclose(ell.mu, 1.0, atol=1e-3)
     assert ell.R == pytest.approx(R, rel=1e-3)
     # ellipse with semi-axes (a, 1/a): map eigenvalues are (1/a, a)
     a = 2.0
     e = candidates.quadratic(np.diag([2.0 / a**2, 2.0 * a**2]), name="quad:a")
-    ell = geometry.john_fit(geometry.extract_body(e, 1.0))
+    ell = geometry.john_fit(geometry.extract_body(e, 1.0).vertices)
     assert ell.mu[0] == pytest.approx(1.0 / a, rel=1e-3)
     assert ell.mu[1] == pytest.approx(a, rel=1e-3)
     assert abs(np.linalg.det(ell.A) - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "spec, t, m_dirs",
+    [("aniso:c=1,1;p=2,4", 1e4, 4000), ("aniso:c=1,1,1;p=2,2,4", 100.0, None)],
+    ids=["2d-4000", "3d-10242"],
+)
+def test_john_fit_contains_every_point(spec, t, m_dirs):
+    # clouds larger than any subsample the fit could take
+    V = geometry.extract_body(candidates.candidate_from_spec(spec), t, m_dirs=m_dirs).vertices
+    assert V.shape[0] >= 4000
+    ell = geometry.john_fit(V)
+    Y = (V - ell.center) @ ell.axes / ell.semi
+    assert np.max(np.sum(Y**2, axis=1)) <= 1.0 + 1e-12
 
 
 def test_john_fit_certificate_and_optimality():
@@ -190,7 +204,7 @@ def test_john_fit_certificate_and_optimality():
         pts = rng.normal(size=(25, 2)) @ np.diag(rng.uniform(0.5, 3.0, 2))
         hull = ConvexHull(pts)
         body = geometry.ConvexBody(n=2, vertices=pts[hull.vertices])
-        ell = geometry.john_fit(body)
+        ell = geometry.john_fit(body.vertices)
         assert ell.verify(body)
         # shrinking the enclosing ellipsoid must expose at least one vertex
         Y = (body.vertices - ell.center) @ ell.A.T
@@ -302,6 +316,8 @@ def test_radial_crossings_memo_is_read_only_and_repeatable():
     assert sum(len(levels) for levels in c._crossings.values()) == 4
     q, wq = polar._gl_nodes()
     assert polar._gl_nodes()[0] is q and not q.flags.writeable and not wq.flags.writeable
+    V = polar.sphere_mesh(2)
+    assert polar.sphere_mesh(2) is V and not V.flags.writeable and V.shape == (162, 3)
 
 
 def test_radial_crossings_memo_not_shared_with_derived_candidates():
@@ -329,7 +345,7 @@ def test_john_vs_ball_cross_validation():
             continue
         body = geometry.ConvexBody(n=2, vertices=pts[hull.vertices])
         g = geometry.ball_fit(body).gamma
-        asp = geometry.john_fit(body).aspect()
+        asp = geometry.john_fit(body.vertices).aspect()
         assert g <= C * asp
         assert asp <= C * g
 
@@ -371,6 +387,34 @@ def test_mean_value_level_contracts():
     )
     s = geometry.mean_value_level(prof, 1 / 3, 1 / 2)
     assert s == pytest.approx(5 / 12, abs=1e-6)
+
+
+def _random_profile():
+    rng = np.random.default_rng(3)
+    levels = np.sort(rng.uniform(0.0, 1.0, 40))
+    nu = rng.uniform(1.0, 2.0, 40)
+    return geometry.LevelProfile(levels=levels, mu=np.cumsum(nu), nu=nu)
+
+
+def _knot_trapezoid(prof, a, b):
+    inner = [s for s in prof.levels if a < s < b]
+    s = [a, *inner, b]
+    f = [prof.nu_at(x) for x in s]
+    return sum((s[i + 1] - s[i]) * (f[i] + f[i + 1]) / 2 for i in range(len(s) - 1))
+
+
+def test_integrate_nu_is_the_exact_knot_trapezoid():
+    prof = _random_profile()
+    for a, b in [(0.3, 0.7), (1 / 3, 1 / 2), (prof.levels[2], prof.levels[30])]:
+        assert prof.integrate_nu(a, b) == pytest.approx(_knot_trapezoid(prof, a, b), rel=1e-14)
+
+
+def test_mean_value_level_is_exact_on_a_random_profile():
+    prof = _random_profile()
+    a, b = 0.3, 0.7
+    s = geometry.mean_value_level(prof, a, b)
+    assert a <= s <= b
+    assert prof.nu_at(s) * (b - a) == pytest.approx(_knot_trapezoid(prof, a, b), rel=1e-14)
 
 
 def test_mean_value_level_defining_identity(disk_quad):

@@ -67,11 +67,11 @@ def test_analyze_roundness_continues_past_a_failed_fit(monkeypatch):
     real_fit = geometry.john_fit
     calls = []
 
-    def fit_failing_at_the_middle_level(body):
-        calls.append(body)
+    def fit_failing_at_the_middle_level(points):
+        calls.append(points)
         if len(calls) == 2:
             raise NonConvergenceError("stub failure")
-        return real_fit(body)
+        return real_fit(points)
 
     monkeypatch.setattr(geometry, "john_fit", fit_failing_at_the_middle_level)
     rep = pipeline.analyze(candidates.aniso_sum([1.0, 1.0], [2.0, 4.0]), cfg)
@@ -139,6 +139,16 @@ def test_chain_on_random_quadratics():
         for ln in rep.links:
             if ln.check_id != "mean-value-level":
                 assert ln.slack >= -1e-9 * max(abs(ln.rhs), 1.0)
+
+
+@pytest.mark.parametrize("t", [1.0, 100.0])
+@pytest.mark.parametrize("spec", ["quad:diag(1,1,1)", "quad:diag(2,1,0.5)", "pownorm:c=1,p=1.5,n=3"])
+def test_chain_passes_every_link_in_3d(spec, t):
+    # the profile-integral link needs the (1-s)^(1/2) end point of its
+    # weight resolved and the 3D start term 2/(n+1) s0 nu(s0)
+    cand = candidates.candidate_from_spec(spec)
+    rep = pipeline.iso_to_roundness_chain(cand, t, pipeline.measured_iso_claim(cand, t))
+    assert rep.all_passed(), [ln.check_id for ln in rep.links if not ln.passed]
 
 
 def test_chain_slack_monotone_in_gamma():
