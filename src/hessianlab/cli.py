@@ -21,7 +21,7 @@ import sys
 import jsonschema
 import numpy as np
 
-from . import functionals, pipeline, solver
+from . import fields, functionals, pipeline, solver
 from .calibration import calibration_hash
 from .candidates import candidate_from_spec
 from .errors import NonConvergenceError, NumericError, PreconditionError
@@ -36,11 +36,59 @@ _LEVEL_GRID = {
     "m_dirs": {"type": "integer", "minimum": 1},
 }
 
+# the domain types, each with the params keys it reads, the required one first
+_DOMAIN_PARAMS = {
+    "ellipse": ("semiaxes", "center"),
+    "polygon": ("vertices",),
+    "candidate_level": ("candidate", "level"),
+}
+
+PROBLEM_SCHEMA = {
+    "type": "object",
+    "required": ["n", "k", "l", "domain", "h"],
+    "additionalProperties": False,
+    "properties": {
+        "n": {"type": "integer", "enum": [2, 3]},
+        "k": {"type": "integer", "minimum": 1},
+        "l": {"type": "integer", "minimum": 0},
+        "h": {"type": "number", "exclusiveMinimum": 0},
+        "boundary_value": {"type": "number"},
+        "rhs": {"type": "number", "exclusiveMinimum": 0},
+        "tol": {"type": "number", "exclusiveMinimum": 0},
+        "max_iters": {"type": "integer", "minimum": 1},
+        "min_resolution": {"type": "integer", "minimum": 5},
+        "domain": {
+            "type": "object",
+            "required": ["type", "params"],
+            "properties": {
+                "type": {"type": "string", "enum": list(_DOMAIN_PARAMS)},
+                "params": {},
+            },
+            "allOf": [
+                {
+                    "if": {"properties": {"type": {"const": kind}}},
+                    "then": {
+                        "properties": {
+                            "params": {
+                                "type": "object",
+                                "required": [keys[0]],
+                                "additionalProperties": False,
+                                "properties": {key: {} for key in keys},
+                            }
+                        }
+                    },
+                }
+                for kind, keys in _DOMAIN_PARAMS.items()
+            ],
+        },
+    },
+}
+
 # the commands, each with what it reads from its params without a default,
 # and every key it reads, typed where an optional one is read with a default;
 # a key not listed is an error, so a misspelled param cannot fall back silently
 _PARAMS_SCHEMA = {
-    "solve": {"required": ["problem"], "properties": {"problem": solver.PROBLEM_SCHEMA}},
+    "solve": {"required": ["problem"], "properties": {"problem": PROBLEM_SCHEMA}},
     "analyze": {
         "required": ["candidate"],
         "properties": {
@@ -138,6 +186,36 @@ def _given(params: dict, **casts) -> dict:
     return {key: cast(params[key]) for key, cast in casts.items() if key in params}
 
 
+def problem_from_spec(spec: dict) -> tuple:
+    """Build (DirichletProblem, SolveOptions) from the JSON wire format;
+    the caller has checked spec against PROBLEM_SCHEMA."""
+    n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
+    if not (0 <= l < k <= n):
+        raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}")
+    dom = spec["domain"]
+    if dom["type"] == "ellipse":
+        semi = dom["params"]["semiaxes"]
+        if len(semi) != n:
+            raise PreconditionError("semiaxes length must equal n")
+        mask = fields.mask_from_ellipse(semi, h, center=dom["params"].get("center"))
+    elif dom["type"] == "polygon":
+        if n != 2:
+            raise PreconditionError(f"a polygon domain is planar, but n = {n}")
+        mask = fields.mask_from_polygon(dom["params"]["vertices"], h)
+    else:
+        cand = candidate_from_spec(dom["params"]["candidate"])
+        if cand.n != n:
+            raise PreconditionError(f"candidate {cand.name} has dimension {cand.n}, but n = {n}")
+        level = float(dom["params"].get("level", 1.0))
+        grid = fields.grid_for_candidate(cand, level, h)
+        mask = fields.sample_candidate(cand, grid, level).mask
+    problem = solver.DirichletProblem(
+        mask=mask, k=k, l=l, **_given(spec, boundary_value=float, rhs=float)
+    )
+    opts = solver.SolveOptions(**_given(spec, tol=float, max_iters=int, min_resolution=int))
+    return problem, opts
+
+
 def _analyze_config(params: dict) -> pipeline.AnalyzeConfig:
     return pipeline.AnalyzeConfig(
         **_given(params, t_min=float, t_max=float, t_points=int, m_dirs=int, p_list=tuple)
@@ -208,27 +286,22 @@ def _cmd_sweep(params, out):
 
 def _cmd_chain_iso(params, out):
     cand = candidate_from_spec(params["candidate"])
-    t = float(params.get("t", 100.0))
-    dirs = _given(params, m_dirs=int)
     gamma = params.get("gamma")
-    if gamma is None:
-        gamma = pipeline.measured_iso_claim(cand, t, **dirs)
     report = pipeline.iso_to_roundness_chain(
-        cand, t, float(gamma), **dirs, **_given(params, interval=tuple)
+        cand, float(params.get("t", 100.0)), None if gamma is None else float(gamma),
+        **_given(params, m_dirs=int, interval=tuple),
     )
     pipeline.write_report_json(report, os.path.join(out, "chain.json"))
     return 0 if report.all_passed() else 3
 
 
 def _cmd_chain_volume(params, out):
-    from .fields import mask_from_ellipse
-
     k = int(params.get("k", 2))
     h = float(params.get("h", 1.0 / 48.0))    # float: written into each report
     domains = []
     for spec in params["domains"]:
         semi = spec["semiaxes"]
-        domains.append((spec.get("label", json.dumps(semi)), mask_from_ellipse(semi, h)))
+        domains.append((spec.get("label", json.dumps(semi)), fields.mask_from_ellipse(semi, h)))
     reports = pipeline.volume_to_roundness_experiment(domains, k, **_given(params, l=int))
     payload = {
         "schema_version": pipeline.REPORT_SCHEMA_VERSION,
@@ -320,7 +393,7 @@ def main(argv=None) -> int:
         command, params = config["command"], config.get("params", {})
         # a solve's problem is built before the first artifact, so that its
         # precondition checks leave no manifest.json behind either
-        job = solver.problem_from_spec(params["problem"]) if command == "solve" else params
+        job = problem_from_spec(params["problem"]) if command == "solve" else params
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
         write_json(

@@ -18,6 +18,7 @@ artifact of the package is written here, by temp-and-rename.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -190,6 +191,13 @@ class StencilSet:
         self.cut_theta = None
         self.cut_bval = None
         self.cut_points = None
+
+    @functools.cached_property
+    def hess_eq(self) -> dict:
+        """The hess matrices on the equation rows (the rows of nodes that
+        are not closure nodes), sliced once per stencil set."""
+        eq = ~self.is_closure
+        return {key: A[eq] for key, (A, _) in self.hess.items()}
 
     def hessian_stack(self, values_in) -> np.ndarray:
         """Discrete Hessians at every inside node, shape (N_in, n, n)."""

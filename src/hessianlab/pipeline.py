@@ -31,6 +31,7 @@ from .functionals import Condition
 from .polar import directions_2d
 
 REPORT_SCHEMA_VERSION = 1
+_CLAIM_HEADROOM = 1.01            # a measured premise ratio, padded into a valid claim
 
 
 @dataclass
@@ -255,14 +256,15 @@ def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> Con
 def iso_to_roundness_chain(
     cand: AnalyticCandidate,
     t: float,
-    gamma_claim: float,
+    gamma_claim: float | None = None,
     interval: tuple = (1.0 / 3.0, 0.5),
     m_dirs: int = 360,
 ) -> ChainReport:
     """Walk the chain: premise at level t, first normalization, profile
     bound over 30 levels, mean-value level, perimeter bound there,
     enclosing-ellipsoid aspect bound, and the roundness of the
-    intermediate sub-level set."""
+    intermediate sub-level set. Without gamma_claim the claim is the
+    premise's measured ratio, padded by 1 %."""
     calib = get_constants()
     n = cand.n
     a, b = interval
@@ -270,12 +272,9 @@ def iso_to_roundness_chain(
         raise PreconditionError("interval must satisfy 0 < a < b <= 1")
     links = []
 
-    # normalize first: the premise is invariant, and the body aspect sets
-    # the angular resolution every quadrature below needs (polygonal errors
-    # grow with the square of the aspect)
-    norm = functionals.pogorelov_normalize(cand, t)
-    m_eff = _adaptive_dirs(norm, m_dirs)
-    sample = functionals.iso_ratio(norm, 1.0, m_dirs=m_eff)
+    norm, m_eff, sample = _premise_sample(cand, t, m_dirs)
+    if gamma_claim is None:
+        gamma_claim = float(sample.ratio * _CLAIM_HEADROOM)
     links.append(
         ChainLink(
             "premise-gradient-integral-bound",
@@ -365,17 +364,21 @@ def iso_to_roundness_chain(
     )
 
 
-def _adaptive_dirs(norm_cand, m_dirs: int) -> int:
-    fit = geometry.ball_fit(geometry.extract_body(norm_cand, 1.0, m_dirs=m_dirs))
-    return int(min(8192, m_dirs * max(1.0, fit.gamma**2 / 6.0)))
+def _premise_sample(cand, t: float, m_dirs: int) -> tuple:
+    """(normalized candidate, direction count, iso_ratio sample) at level t.
+    Normalize first: the premise is invariant, and the body aspect sets the
+    angular resolution every quadrature of the chain needs (polygonal
+    errors grow with the square of the aspect)."""
+    norm = functionals.pogorelov_normalize(cand, t)
+    fit = geometry.ball_fit(geometry.extract_body(norm, 1.0, m_dirs=m_dirs))
+    m_eff = int(min(8192, m_dirs * max(1.0, fit.gamma**2 / 6.0)))
+    return norm, m_eff, functionals.iso_ratio(norm, 1.0, m_dirs=m_eff)
 
 
 def measured_iso_claim(cand, t: float, m_dirs: int = 360) -> float:
     """Aspect-adaptive measurement of the gradient-integral ratio at one
     level, padded by 1 % so it is a valid premise constant."""
-    norm = functionals.pogorelov_normalize(cand, t)
-    m_eff = _adaptive_dirs(norm, m_dirs)
-    return functionals.iso_ratio(norm, 1.0, m_dirs=m_eff).ratio * 1.01
+    return _premise_sample(cand, t, m_dirs)[2].ratio * _CLAIM_HEADROOM
 
 
 def _chain_meta(t, gamma_claim, interval, violated=None) -> dict:

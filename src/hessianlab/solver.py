@@ -11,10 +11,14 @@ boundary interpolation error.
 
 Quotient problems iterate on log S_k - log S_l (concave, better
 conditioned); the line search keeps every enforced node's discrete
-Hessian inside the admissibility cone. One incomplete LU (ILU) of the
-linear trace system per solve (SuperLU's spilu, drop tolerance 1e-4, fill
-factor 10, MMD_AT_PLUS_A ordering, no pivoting) right-preconditions every
-GMRES solve; there is no direct factor. Before the factor the system's
+Hessian inside the admissibility cone. The Newton Jacobian and the
+linear trace system come from one operator builder: sum_{p<=q} c_pq
+diag(W_pq) D_pq over the second-difference stencils D_pq, with W the
+spectral gradient in the Hessian's eigenframe for the Jacobian and W = I
+for the trace system. One incomplete LU (ILU) of the trace system per
+solve (SuperLU's spilu, drop tolerance 1e-4, fill factor 10,
+MMD_AT_PLUS_A ordering, no pivoting) right-preconditions every GMRES
+solve; there is no direct factor. Before the factor the system's
 rows are put in node order (each equation row on its own node, each
 closure row on the node that owns it), so every row has a nonzero
 diagonal that no off-diagonal entry exceeds, and scaled to a unit
@@ -23,7 +27,9 @@ relative residual of 1e-13. The Newton steps are inexact Newton steps
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982): every GMRES
 solve runs one restart cycle, its last iterate is taken, and the line
 search decides whether the step helps. Every stop, converged or not,
-returns a report.
+returns a report. The John ellipsoid of the mask's cut cloud is fitted
+once per solve: it shapes the barrier of the warm start, and the report
+keeps it for the barrier comparisons.
 """
 
 from __future__ import annotations
@@ -36,16 +42,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import geometry
-from .candidates import candidate_from_spec
 from .errors import NumericError, PreconditionError
-from .fields import (
-    DomainMask,
-    ScalarField,
-    grid_for_candidate,
-    mask_from_ellipse,
-    mask_from_polygon,
-    sample_candidate,
-)
+from .fields import DomainMask, ScalarField
 from .symm import (
     SymmetricMatrix,
     esym_table,
@@ -102,6 +100,7 @@ class SolveReport:
     u_min: float = math.nan
     collar_margin: float = math.nan
     linear_iters: list = dc_field(default_factory=list)   # GMRES count per step
+    domain_fit: geometry.EllipsoidFit = None   # John fit of the cut cloud; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,18 +189,14 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     residual, jacobian = _equations(st, k, l, problem.rhs)
 
     def admissible(lam):
-        T = esym_table(lam[enforce])
-        return T.shape[0] == 0 or float(np.min(T[:, 1 : k + 1])) > 0.0
+        return not enforce.any() or _cone_margin(lam[enforce], k) > 0.0
 
     # initial iterate: the linear trace problem with the same boundary rows
     # (exactly consistent with the Dirichlet data, admissible on convex
     # domains in practice, and the discrete solution when k = 1), blended
     # with the ellipsoid barrier if it is not admissible
     ell = geometry.john_fit(st.cut_points)
-    b0 = EllipsoidBarrier(
-        center=ell.center, mu=ell.semi / ell.R, R=ell.R, sign="upper", k=k, l=l,
-        rhs=problem.rhs, boundary_value=problem.boundary_value, axes=ell.axes,
-    )
+    b0 = _fit_barrier(ell, problem, "upper", ell.R)
     u_bar = b0.evaluate(mask.inside_coords())
     # one incomplete factor of the trace system preconditions the warm start
     # and every Newton step
@@ -248,7 +243,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             break
 
     converged = history[-1] <= opts.tol
-    return _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged)
+    return _make_report(problem, st, ell, u, F, lam, history, linear_iters, iters, converged)
 
 
 def _equations(st, k: int, l: int, rhs: float):
@@ -259,9 +254,6 @@ def _equations(st, k: int, l: int, rhs: float):
     eq_rows = ~st.is_closure                      # equation rows
     log_form = l > 0
     target = math.log(rhs) if log_form else rhs
-
-    hess_keys = sorted(st.hess.keys())
-    sym_factor = {key: (1.0 if key[0] == key[1] else 2.0) for key in hess_keys}
 
     def residual(u):
         H = st.hessian_stack(u)
@@ -277,41 +269,55 @@ def _equations(st, k: int, l: int, rhs: float):
         F_cl = st.closure_matrix @ u - st.closure_rhs
         return np.concatenate([F_eq, F_cl]), lam
 
-    # the equation rows of each stencil, sliced once per solve
-    hess_eq = {key: st.hess[key][0][eq_rows] for key in hess_keys}
-
     def jacobian(u):
         # spectra on the equation rows only: closure rows are linear, and
         # their S_k may vanish
         lam, Q = np.linalg.eigh(st.hessian_stack(u)[eq_rows])
         g = spectral_gradient(lam, k, l, log_form=log_form)
-        W = np.einsum("nij,nj,nkj->nik", Q, g, Q)
-        J_eq = None
-        for key in hess_keys:
-            p, q = key
-            term = sp.diags(sym_factor[key] * W[:, p, q]) @ hess_eq[key]
-            J_eq = term if J_eq is None else J_eq + term
-        return sp.vstack([J_eq, st.closure_matrix]).tocsr()
+        return _linear_operator(st, np.einsum("nij,nj,nkj->nik", Q, g, Q))
 
     return residual, jacobian
 
 
+def _linear_operator(st, W):
+    """sum_{p<=q} c_pq diag(W[:, p, q]) D_pq on the equation rows, stacked
+    over the closure rows, as a CSR matrix: D_pq is the (p, q) second-
+    difference stencil, c_pq is 1 on the diagonal and 2 off it, and W holds
+    one symmetric weight matrix per equation row. A term whose weights are
+    all zero is left out. The Newton Jacobian is this operator at
+    W = Q diag(g) Q^T, g the spectral gradient; the trace system is it at
+    W = I."""
+    A = None
+    for (p, q), D in st.hess_eq.items():
+        w = W[:, p, q]
+        if not w.any():
+            continue
+        term = sp.diags((1.0 if p == q else 2.0) * w) @ D
+        A = term if A is None else A + term
+    return sp.vstack([A, st.closure_matrix]).tocsr()
+
+
+def _cone_margin(lam, k: int) -> float:
+    """min S_1..S_k over the spectra lam, one per row: positive exactly when
+    every spectrum lies in the admissibility cone; nan for no spectra."""
+    if lam.shape[0] == 0:
+        return math.nan
+    return float(np.min(esym_table(lam)[:, 1 : k + 1]))
+
+
 def _trace_factor(st):
-    """The linear trace(D2u) system M (the summed pure second differences on
-    the equation rows, stacked over the closure rows), its preconditioner
-    v -> M^-1 v from an incomplete LU, and the Dirichlet constants of its
-    trace rows. The factor is taken of M with its rows in node order, which
-    gives every row a nonzero diagonal that no off-diagonal entry exceeds,
-    and scaled to a unit diagonal."""
+    """The linear trace(D2u) system M, the linear operator at W = I (the
+    summed pure second differences on the equation rows, stacked over the
+    closure rows), its preconditioner v -> M^-1 v from an incomplete LU,
+    and the Dirichlet constants of its trace rows. The factor is taken of M
+    with its rows in node order, which gives every row a nonzero diagonal
+    that no off-diagonal entry exceeds, and scaled to a unit diagonal."""
     eq_rows = ~st.is_closure
     n = max(p for p, _ in st.hess) + 1
-    A = None
-    const = None
-    for d in range(n):
-        S, c = st.hess[(d, d)]
-        A = S if A is None else A + S
-        const = c if const is None else const + c
-    M = sp.vstack([A.tocsr()[eq_rows], st.closure_matrix]).tocsr()
+    identity = np.broadcast_to(np.eye(n), (int(np.sum(eq_rows)), n, n))
+    # sorted columns: GMRES sums each row of M @ v in stored order
+    M = _linear_operator(st, identity).sorted_indices()
+    const = sum(st.hess[(d, d)][1] for d in range(n))[eq_rows]
     # the stacked row on each inside node: an equation row on its own node,
     # a closure row on its closure node
     row_of_node = np.argsort(np.concatenate([np.nonzero(eq_rows)[0], st.closure_nodes]))
@@ -326,7 +332,7 @@ def _trace_factor(st):
         )
     except RuntimeError as exc:
         raise NumericError(f"trace system factor failed: {exc}") from exc
-    return M, lambda v: ilu.solve(scale * v[row_of_node]), const[eq_rows]
+    return M, lambda v: ilu.solve(scale * v[row_of_node]), const
 
 
 def _gmres(A, b, lu, rtol):
@@ -350,20 +356,14 @@ def _krylov_step(J, F, lu):
     return _gmres(J, -F, lu, _GMRES_RTOL)
 
 
-def _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged):
+def _make_report(problem, st, fit, u, F, lam, history, linear_iters, iters, converged):
     mask = problem.mask
-    k = problem.k
     eq_rows = ~st.is_closure
-    n_eq_full = int(np.sum(st.is_full))
     # residual over complete-stencil equation rows
     F_eq = F[: int(np.sum(eq_rows))]
     full_in_eq = st.is_full[eq_rows]
-    res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if n_eq_full else math.nan
-    T_full = esym_table(lam[st.is_full]) if n_eq_full else np.zeros((0, mask.n + 1))
-    margin = float(np.min(T_full[:, 1 : k + 1])) if n_eq_full else math.nan
-    others = ~st.is_full
-    T_oth = esym_table(lam[others]) if others.any() else None
-    collar_margin = float(np.min(T_oth[:, 1 : k + 1])) if T_oth is not None else math.nan
+    res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if st.is_full.any() else math.nan
+    margin = _cone_margin(lam[st.is_full], problem.k)
     full = np.zeros(mask.grid.dims)
     full[tuple(mask.inside_idx.T)] = u
     fld = ScalarField(mask=mask, values=full, level=problem.boundary_value)
@@ -377,7 +377,8 @@ def _make_report(problem, st, u, F, lam, history, linear_iters, iters, converged
         problem=problem,
         linear_iters=linear_iters,
         u_min=float(np.min(u)),
-        collar_margin=collar_margin,
+        collar_margin=_cone_margin(lam[~st.is_full], problem.k),
+        domain_fit=fit,
     )
 
 
@@ -422,23 +423,25 @@ def comparison_check(report: SolveReport, b: EllipsoidBarrier) -> dict:
 def barrier_pair_for_report(report: SolveReport):
     """Inscribed and circumscribed ellipsoid barriers fitted to the domain.
 
-    Both share the enclosing-ellipsoid shape; the inner copy is the largest
-    concentric scaling certified inside the domain via the cut cloud.
+    Both share the shape of the solve's enclosing ellipsoid; the inner copy
+    is the largest concentric scaling certified inside the domain via the
+    cut cloud.
     """
-    pts = report.problem.mask.stencils().cut_points
-    ell = geometry.john_fit(pts)
-    c, Q, R = ell.center, ell.axes, ell.R
-    mu = ell.semi / R  # det-1 ellipsoid shape: semi-axes mu_i * R
-    Y = (pts - c) @ Q
-    qvals = np.sqrt(np.sum((Y / (mu * R)) ** 2, axis=1))
-    scale_in = float(np.min(qvals))
-    scale_out = float(np.max(qvals))
-    p = report.problem
-    common = dict(center=c, mu=mu, k=p.k, l=p.l, rhs=p.rhs,
-                  boundary_value=p.boundary_value, axes=Q)
-    upper = EllipsoidBarrier(R=R * scale_in, sign="upper", **common)
-    lower = EllipsoidBarrier(R=R * scale_out, sign="lower", **common)
+    ell, p = report.domain_fit, report.problem
+    mu = ell.semi / ell.R  # det-1 ellipsoid shape: semi-axes mu_i * R
+    Y = (p.mask.stencils().cut_points - ell.center) @ ell.axes
+    qvals = np.sqrt(np.sum((Y / (mu * ell.R)) ** 2, axis=1))
+    upper = _fit_barrier(ell, p, "upper", ell.R * float(np.min(qvals)))
+    lower = _fit_barrier(ell, p, "lower", ell.R * float(np.max(qvals)))
     return upper, lower
+
+
+def _fit_barrier(fit, problem, sign: str, R: float) -> EllipsoidBarrier:
+    """The barrier of problem on the shape of the ellipsoid fit, at radius R."""
+    return EllipsoidBarrier(
+        center=fit.center, mu=fit.semi / fit.R, R=R, sign=sign, k=problem.k, l=problem.l,
+        rhs=problem.rhs, boundary_value=problem.boundary_value, axes=fit.axes,
+    )
 
 
 def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dict:
@@ -467,92 +470,3 @@ def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dic
         "passed": bool(fit.R <= bound * (1.0 + slack_grid)),
         "passed_normalized": bool(r_norm <= bound * (1.0 + slack_grid)),
     }
-
-
-# ---------------------------------------------------------------------------
-# problem specs (JSON wire format)
-
-# the domain types, each with the params keys it reads, the required one first
-_DOMAIN_PARAMS = {
-    "ellipse": ("semiaxes", "center"),
-    "polygon": ("vertices",),
-    "candidate_level": ("candidate", "level"),
-}
-
-PROBLEM_SCHEMA = {
-    "type": "object",
-    "required": ["n", "k", "l", "domain", "h"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "enum": [2, 3]},
-        "k": {"type": "integer", "minimum": 1},
-        "l": {"type": "integer", "minimum": 0},
-        "h": {"type": "number", "exclusiveMinimum": 0},
-        "boundary_value": {"type": "number"},
-        "rhs": {"type": "number", "exclusiveMinimum": 0},
-        "tol": {"type": "number", "exclusiveMinimum": 0},
-        "max_iters": {"type": "integer", "minimum": 1},
-        "min_resolution": {"type": "integer", "minimum": 5},
-        "domain": {
-            "type": "object",
-            "required": ["type", "params"],
-            "properties": {
-                "type": {"type": "string", "enum": list(_DOMAIN_PARAMS)},
-                "params": {},
-            },
-            "allOf": [
-                {
-                    "if": {"properties": {"type": {"const": kind}}},
-                    "then": {
-                        "properties": {
-                            "params": {
-                                "type": "object",
-                                "required": [keys[0]],
-                                "additionalProperties": False,
-                                "properties": {key: {} for key in keys},
-                            }
-                        }
-                    },
-                }
-                for kind, keys in _DOMAIN_PARAMS.items()
-            ],
-        },
-    },
-}
-
-
-def problem_from_spec(spec: dict) -> tuple:
-    """Build (DirichletProblem, SolveOptions) from the JSON wire format;
-    the caller has checked spec against PROBLEM_SCHEMA."""
-    n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
-    if not (0 <= l < k <= n):
-        raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}")
-    dom = spec["domain"]
-    if dom["type"] == "ellipse":
-        semi = dom["params"]["semiaxes"]
-        if len(semi) != n:
-            raise PreconditionError("semiaxes length must equal n")
-        mask = mask_from_ellipse(semi, h, center=dom["params"].get("center"))
-    elif dom["type"] == "polygon":
-        if n != 2:
-            raise PreconditionError(f"a polygon domain is planar, but n = {n}")
-        mask = mask_from_polygon(dom["params"]["vertices"], h)
-    else:
-        cand = candidate_from_spec(dom["params"]["candidate"])
-        if cand.n != n:
-            raise PreconditionError(f"candidate {cand.name} has dimension {cand.n}, but n = {n}")
-        level = float(dom["params"].get("level", 1.0))
-        grid = grid_for_candidate(cand, level, h)
-        mask = sample_candidate(cand, grid, level).mask
-
-    def given(casts):
-        """The keys among casts that the spec sets, each cast: float keeps
-        report.json's boundary_value and rhs floats, and int admits 100.0,
-        which JSON Schema counts as an integer."""
-        return {key: cast(spec[key]) for key, cast in casts.items() if key in spec}
-
-    problem = DirichletProblem(
-        mask=mask, k=k, l=l, **given({"boundary_value": float, "rhs": float})
-    )
-    opts = SolveOptions(**given({"tol": float, "max_iters": int, "min_resolution": int}))
-    return problem, opts

@@ -8,7 +8,7 @@ import textwrap
 import jsonschema
 import pytest
 
-from hessianlab import cli, fields, functionals, pipeline, solver
+from hessianlab import cli, fields, functionals, pipeline
 from hessianlab.calibration import calibration_hash
 from hessianlab.functionals import Condition
 
@@ -192,7 +192,7 @@ def test_misspelled_params_exit_2(tmp_path, command, params):
     assert not out.exists() or os.listdir(out) == []
 
 
-@pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, solver.PROBLEM_SCHEMA], ids=["config", "problem"])
+@pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, cli.PROBLEM_SCHEMA], ids=["config", "problem"])
 def test_schemas_are_valid_draft_2020_12(schema):
     jsonschema.Draft202012Validator.check_schema(schema)
 
@@ -363,6 +363,23 @@ def test_chain_iso_command(tmp_path):
         "level-perimeter-bound",
         "roundness-bound",
     }
+
+
+def test_chain_iso_without_gamma_measures_the_premise_once(tmp_path, monkeypatch):
+    # the claim comes from the premise sample the chain takes anyway
+    calls = []
+    iso_ratio = functionals.iso_ratio
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return iso_ratio(*args, **kwargs)
+
+    monkeypatch.setattr(functionals, "iso_ratio", counted)
+    cfg = {"command": "chain_iso", "params": {"candidate": "quad:diag(2,0.5)", "m_dirs": 240}}
+    assert run_cli(tmp_path, cfg, "chain") == 0
+    assert len(calls) == 1
+    chain = json.loads((tmp_path / "chain" / "chain.json").read_text())
+    assert chain["links"][0]["params"]["gamma"] == chain["meta"]["gamma_claim"] > 1.0
 
 
 def test_chain_volume_command(tmp_path):

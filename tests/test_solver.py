@@ -170,6 +170,21 @@ def test_comparison_violation_refines():
     assert viols[1] <= viols[0] / 2.5  # roughly second order
 
 
+def test_barrier_pair_reuses_the_solve_fit(monkeypatch):
+    calls = []
+    john_fit = geometry.john_fit
+
+    def counted(points):
+        calls.append(points)
+        return john_fit(points)
+
+    monkeypatch.setattr(geometry, "john_fit", counted)
+    mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 24)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    solver.barrier_pair_for_report(rep)
+    assert len(calls) == 1
+
+
 def test_radius_estimate_disk(poisson_disk_64):
     body = geometry.body_from_mask(poisson_disk_64.problem.mask)
     fit = geometry.ball_fit(body)
@@ -201,12 +216,12 @@ def test_problem_spec_roundtrip():
         "boundary_value": 1.0, "rhs": 1.0, "tol": 1e-9,
         "domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 2.0]}},
     }
-    problem, opts = solver.problem_from_spec(spec)
+    problem, opts = cli.problem_from_spec(spec)
     assert problem.k == 2 and problem.l == 0
     assert opts.tol == 1e-9
     bad = dict(spec, k=1, l=1)
     with pytest.raises(PreconditionError):
-        solver.problem_from_spec(bad)
+        cli.problem_from_spec(bad)
 
 
 def test_problem_spec_candidate_domain():
@@ -217,7 +232,7 @@ def test_problem_spec_candidate_domain():
             "params": {"candidate": "quad:diag(1,1)", "level": 1.0},
         },
     }
-    problem, _ = solver.problem_from_spec(spec)
+    problem, _ = cli.problem_from_spec(spec)
     assert problem.mask.inside_count() > 100
 
 
@@ -425,6 +440,17 @@ def test_factored_trace_matrix_is_row_aligned(semiaxes, h, monkeypatch):
     off = abs(A - sp.diags(A.diagonal())).max(axis=1).toarray().ravel()
     assert np.all(diag > 0)
     assert np.all(off <= diag)
+
+
+@pytest.mark.parametrize("ratio,converges", [(4.0, True), (5.0, False), (5.5, False), (6.0, False)])
+def test_aspect_limit_at_h_1_24(ratio, converges):
+    # det D2u = 1 on the unit-determinant ellipse with this semi-axis ratio:
+    # the h = 1/24 cells of the README's known-limit paragraph, where a
+    # stall returns a nonconverged report rather than raising
+    semiaxes = [math.sqrt(2.0 / ratio), math.sqrt(2.0 * ratio)]
+    mask = fields.mask_from_ellipse(semiaxes, h=1 / 24)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert rep.converged is converges
 
 
 def test_poisson_trace_start_is_the_discrete_solution(poisson_disk_64):
