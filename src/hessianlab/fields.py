@@ -3,13 +3,16 @@
 A convex domain is rasterized onto a uniform grid with Shortley-Weller
 cut data: every inside node stores, per axis direction, the fractional
 distance theta in (0,1] to the true boundary together with the Dirichlet
-value at that cut. Difference stencils (gradients, pure and mixed second
-derivatives) are built once per mask and cached; both the pointwise
-measurement operators and the global Newton assembly read from the same
-stencil set. The build is array arithmetic over all inside nodes at once:
-neighbor lookups give every arm's column or cut, each row family (gradient,
-pure and mixed second difference, closure row) is weighted for every node
-in one expression and becomes one sparse matrix.
+value at that cut, as (n, 2, N_in) arrays over the inside nodes. The cut
+arms of a mask are enumerated once (`_cut_arms`) and bisected together by
+`polar.bisect`; rasterization demotes sliver nodes until none is left.
+Difference stencils (gradients, pure and mixed second derivatives) are
+built once per mask and cached; both the pointwise measurement operators
+and the global Newton assembly read from the same stencil set. The build
+is array arithmetic over all inside nodes at once: neighbor lookups give
+every arm's column or cut, each row family (gradient, pure and mixed
+second difference, closure row) is weighted for every node in one
+expression and becomes one sparse matrix.
 
 Fields carry node values over a mask and take their derivatives from its
 stencils; they are read and written in the HSF1 text format. Every text
@@ -30,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from . import polar
 from .errors import (
     ClippingError,
     DegenerateDomainError,
@@ -72,12 +76,6 @@ class Grid:
         return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def _axis_offset(n, d, s):
-    e = np.zeros(n, dtype=int)
-    e[d] = s
-    return e
-
-
 def _component_count(ins: np.ndarray) -> int:
     """Number of face-connected components of the True entries: the graph
     joins every pair of True neighbours along each axis."""
@@ -101,8 +99,8 @@ class DomainMask:
 
     grid: Grid
     inside: np.ndarray               # bool, shape dims
-    theta: np.ndarray                # (n, 2, *dims); theta[d, s]: arm toward -/+
-    bval: np.ndarray                 # (n, 2, *dims); Dirichlet value at the cut
+    theta: np.ndarray                # (n, 2, N_in); theta[d, s]: arm toward -/+, 1 uncut
+    bval: np.ndarray                 # (n, 2, N_in); Dirichlet value at the cut, NaN uncut
 
     def __post_init__(self):
         self.inside = np.asarray(self.inside, dtype=bool)
@@ -110,9 +108,12 @@ class DomainMask:
             raise PreconditionError("mask shape mismatch")
         if not self.inside.any():
             raise DegenerateDomainError("empty mask")
+        idx = np.argwhere(self.inside)
+        cut_shape = (self.grid.n, 2, idx.shape[0])
+        if np.shape(self.theta) != cut_shape or np.shape(self.bval) != cut_shape:
+            raise PreconditionError("theta and bval must have shape (n, 2, N_in)")
         self._validate()
         self._stencils = None
-        idx = np.argwhere(self.inside)
         self.inside_idx = idx                              # (N_in, n)
         self.unknown = -np.ones(self.grid.dims, dtype=int)
         self.unknown[tuple(idx.T)] = np.arange(idx.shape[0])
@@ -230,8 +231,8 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
 
     Arm arrays have shape (n, 2, N_in), index 0 toward - and 1 toward +.
     An arm to an inside neighbor has theta 1; a cut arm reads theta and
-    the Dirichlet value from the mask. Rows are (N_in, k) column/value
-    arrays with column -1 for an absent entry.
+    the Dirichlet value from the mask, whose arrays have that layout. Rows
+    are (N_in, k) column/value arrays with column -1 for an absent entry.
     """
     n, h = mask.n, mask.grid.h
     idxs = mask.inside_idx
@@ -248,9 +249,8 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
 
     col = np.array([[neighbor((d, -1)), neighbor((d, +1))] for d in range(n)])
     cut = col < 0
-    at_nodes = (slice(None), slice(None)) + tuple(idxs.T)
-    theta = np.where(cut, mask.theta[at_nodes], 1.0)
-    bval = np.where(cut, mask.bval[at_nodes], 0.0)
+    theta = np.where(cut, mask.theta, 1.0)
+    bval = np.where(cut, mask.bval, 0.0)
 
     def three_point(d, w_m, w_0, w_p):
         """w_m u(-) + w_0 u + w_p u(+) along axis d; cut arms go to the constant."""
@@ -353,63 +353,47 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
 # rasterization
 
 
+def _cut_arms(inside: np.ndarray):
+    """The arms from inside nodes to outside neighbors.
+
+    Returns the inside nodes (N_in, n) in C order, the (n, 2, N_in) flags
+    of their cut arms (index 0 toward -, 1 toward +), and per cut arm, in
+    (axis, side, node) order, its node row and unit step. Padding keeps a
+    node on the grid shell indexable; DomainMask rejects it.
+    """
+    idx = np.argwhere(inside)
+    steps = np.array([[s * e for s in (-1, 1)] for e in np.eye(inside.ndim, dtype=int)])
+    nbr = idx + 1 + steps[:, :, None]                      # (n, 2, N_in, n), padded
+    cut = ~np.pad(inside, 1)[tuple(np.moveaxis(nbr, -1, 0))]
+    d, j, node = np.nonzero(cut)
+    return idx, cut, node, steps[d, j]
+
+
 def rasterize(phi, grid: Grid, boundary_value) -> DomainMask:
     """Shortley-Weller mask of the region {phi < 0}.
 
     phi is a vectorized level function on (N, n) point arrays, negative
     strictly inside and monotone along any grid segment leaving the region
-    (true for convex regions). Nodes whose boundary cut would fall within
-    THETA_MIN of the node are demoted to outside, which removes
-    ill-conditioned slivers at a negligible geometric cost.
+    (true for convex regions). Every cut arm of a pass is bisected at once.
+    Nodes whose boundary cut would fall within THETA_MIN of the node are
+    demoted to outside, pass after pass until none is, which removes
+    ill-conditioned slivers at a negligible geometric cost. boundary_value
+    is a constant or a vectorized function of the final cut points.
     """
-    n = grid.n
-    all_idx = grid.all_indices()
-    vals = phi(grid.coords(all_idx))
-    inside = (vals < 0.0).reshape(grid.dims)
-    for d in range(n):
-        shell = [slice(None)] * n
-        for end in (0, -1):
-            shell[d] = end
-            if inside[tuple(shell)].any():
-                raise ClippingError("level region reaches the grid box")
-
-    bv_fn = boundary_value if callable(boundary_value) else None
-    bv_const = None if callable(boundary_value) else float(boundary_value)
-
-    for _demote_pass in range(6):
-        theta = np.ones((n, 2) + grid.dims)
-        bval = np.full((n, 2) + grid.dims, np.nan)
-        if not inside.any():
-            raise DegenerateDomainError("level region contains no grid node")
-        idx = np.argwhere(inside)
-        demote = np.zeros(idx.shape[0], dtype=bool)
-        for d in range(n):
-            for sdir, s in ((0, -1), (1, +1)):
-                nbr = idx + _axis_offset(n, d, s)
-                ok = ~inside[tuple(nbr.T)]
-                if not ok.any():
-                    continue
-                base = grid.coords(idx[ok])
-                step = np.zeros((1, n))
-                step[0, d] = s * grid.h
-                lo = np.zeros(ok.sum())
-                hi = np.ones(ok.sum())
-                for _ in range(90):
-                    mid = 0.5 * (lo + hi)
-                    neg = phi(base + mid[:, None] * step) < 0.0
-                    lo = np.where(neg, mid, lo)
-                    hi = np.where(neg, hi, mid)
-                th = np.minimum(0.5 * (lo + hi), 1.0 - 1e-9)
-                demote[ok] |= th < THETA_MIN
-                sel = (np.full(ok.sum(), d), np.full(ok.sum(), sdir)) + tuple(
-                    idx[ok].T
-                )
-                theta[sel] = th
-                cutpts = base + th[:, None] * step
-                bval[sel] = bv_fn(cutpts) if bv_fn else bv_const
-        if not demote.any():
+    inside = (phi(grid.coords(grid.all_indices())) < 0.0).reshape(grid.dims)
+    while True:
+        idx, cut, node, step = _cut_arms(inside)
+        base, step = grid.coords(idx[node]), step * grid.h
+        th = polar.bisect(lambda f: phi(base + f[:, None] * step) < 0.0, np.ones(node.size))
+        th = np.minimum(th, 1.0 - 1e-9)
+        thin = th < THETA_MIN
+        if not thin.any():
             break
-        inside[tuple(idx[demote].T)] = False
+        inside[tuple(idx[node[thin]].T)] = False
+    theta, bval = np.ones(cut.shape), np.full(cut.shape, np.nan)
+    theta[cut] = th
+    cuts = base + th[:, None] * step
+    bval[cut] = boundary_value(cuts) if callable(boundary_value) else float(boundary_value)
     return DomainMask(grid=grid, inside=inside, theta=theta, bval=bval)
 
 
@@ -430,17 +414,15 @@ def mask_from_polygon(vertices, h) -> DomainMask:
     V = np.asarray(vertices, dtype=float)
     if V.ndim != 2 or V.shape[1] != 2:
         raise PreconditionError("polygon vertices must be (m, 2)")
-    m = V.shape[0]
-    normals, offsets = [], []
-    for i in range(m):
-        a, b = V[i], V[(i + 1) % m]
-        e = b - a
-        nvec = np.array([e[1], -e[0]])  # outward for CCW ordering
-        nvec /= np.linalg.norm(nvec)
-        normals.append(nvec)
-        offsets.append(nvec @ a)
-    N = np.asarray(normals)
-    O = np.asarray(offsets)
+    E = np.roll(V, -1, axis=0) - V                  # edge i runs from vertex i to i + 1
+    F = np.roll(E, -1, axis=0)
+    cross = E[:, 0] * F[:, 1] - E[:, 1] * F[:, 0]
+    # convex and counterclockwise: every turn is to the left, once around in all
+    if not (np.all(cross > 0) and np.sum(np.arctan2(cross, np.sum(E * F, axis=1))) < 3 * np.pi):
+        raise PreconditionError("polygon vertices must be convex and counterclockwise")
+    N = np.stack([E[:, 1], -E[:, 0]], axis=1)       # outward for CCW ordering
+    N /= np.array([np.linalg.norm(nvec) for nvec in N])[:, None]
+    O = np.array([nvec @ a for nvec, a in zip(N, V)])
 
     def phi(X):
         return np.max(X @ N.T - O, axis=-1)
@@ -514,10 +496,8 @@ def sample_candidate(cand, grid: Grid, level: float) -> ScalarField:
 
 def grid_for_candidate(cand, level: float, h: float) -> Grid:
     """Axis-aligned grid box guaranteed to contain the open sub-level set."""
-    from .polar import directions_2d, sphere_mesh, radial_crossings
-
-    dirs = directions_2d(256) if cand.n == 2 else sphere_mesh(3)
-    rho = radial_crossings(cand, level, dirs)
+    dirs = polar.directions(cand.n, 256)
+    rho = polar.radial_crossings(cand, level, dirs)
     pts = cand.anchor + rho[:, None] * dirs
     lo = pts.min(axis=0) - 4 * h
     hi = pts.max(axis=0) + 4 * h
@@ -602,29 +582,21 @@ def load_hsf1(path) -> ScalarField:
     except (IndexError, ValueError) as exc:
         # a missing header line, a short node row or an unparsable number
         raise PreconditionError(f"malformed HSF1 file: {exc}") from exc
-    theta = np.ones((n, 2) + dims)
-    bval = np.full((n, 2) + dims, np.nan)
     lvl = level if math.isfinite(level) else None
-    # padding keeps a node on the grid shell indexable; DomainMask rejects it
+    # padding keeps the neighbors of a node on the grid shell indexable
     ins_pad, val_pad = np.pad(inside, 1), np.pad(values, 1)
-    idx = np.argwhere(inside) + 1
-    for d in range(n):
-        for sdir, s in ((0, -1), (1, +1)):
-            step = _axis_offset(n, d, s)
-            at = idx[~ins_pad[tuple((idx + step).T)]]
-            here = tuple(at.T)
-            inner = tuple((at - step).T)
-            v = val_pad[here]
-            th = np.full(v.size, 0.5)
-            if lvl is not None:
-                # one-sided slope toward the boundary along direction s
-                m = (v - val_pad[inner]) / h
-                up = ins_pad[inner] & (m > 0)
-                th[up] = np.minimum(
-                    np.maximum((lvl - v[up]) / (m[up] * h), 1e-3), 1.0 - 1e-9
-                )
-            node = tuple(at.T - 1)
-            theta[(d, sdir) + node] = th
-            bval[(d, sdir) + node] = lvl if lvl is not None else v
+    idx, cut, node, step = _cut_arms(inside)
+    at = idx[node] + 1
+    inner = tuple((at - step).T)
+    v = val_pad[tuple(at.T)]
+    th = np.full(v.size, 0.5)
+    if lvl is not None:
+        # one-sided slope toward the boundary along the arm
+        m = (v - val_pad[inner]) / h
+        up = ins_pad[inner] & (m > 0)
+        th[up] = np.minimum(np.maximum((lvl - v[up]) / (m[up] * h), 1e-3), 1.0 - 1e-9)
+    theta, bval = np.ones(cut.shape), np.full(cut.shape, np.nan)
+    theta[cut] = th
+    bval[cut] = lvl if lvl is not None else v
     mask = DomainMask(grid=grid, inside=inside, theta=theta, bval=bval)
     return ScalarField(mask=mask, values=values, level=level)

@@ -250,12 +250,8 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
 
     from .fields import rasterize
 
-    out_mask = rasterize(phi, grid, boundary_value=lambda pts: refined(pts))
-    vals = np.zeros(grid.dims)
-    pts_in = out_mask.inside_coords()
-    v_in = refined(pts_in)
     v0 = refined(np.zeros((1, n)))[0]
-    vals[tuple(out_mask.inside_idx.T)] = v_in - v0
-    bshift = out_mask.bval - v0
-    out_mask.bval = bshift
+    out_mask = rasterize(phi, grid, boundary_value=lambda pts: refined(pts) - v0)
+    vals = np.zeros(grid.dims)
+    vals[tuple(out_mask.inside_idx.T)] = refined(out_mask.inside_coords()) - v0
     return ScalarField(mask=out_mask, values=vals, level=math.nan)

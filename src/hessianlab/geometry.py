@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .fields import ScalarField
-from .polar import directions_2d, radial_crossings, sphere_mesh
+from .polar import directions, radial_crossings
 
 
 @dataclass
@@ -90,29 +90,15 @@ def extract_body(source, t: float, m_dirs: int | None = None) -> ConvexBody:
     """Boundary of the open sub-level set at level t.
 
     The candidate is ray-shot from its anchor (unique crossing by
-    monotonicity of the radial derivative) along m_dirs directions; in 3D
-    these are the vertices of the coarsest icosphere with at least m_dirs
-    of them (10 * 4**s + 2 at subdivision s, capped at s = 5, the default).
+    monotonicity of the radial derivative) along the `polar.directions`
+    for m_dirs.
     """
     if t <= 0:
         raise PreconditionError("level must be positive")
     require_candidate(source)
-    if source.n == 2:
-        dirs = directions_2d(m_dirs or 720)
-    else:
-        dirs = sphere_mesh(_icosphere_level(m_dirs))
+    dirs = directions(source.n, m_dirs)
     rho = radial_crossings(source, t, dirs)
     return ConvexBody(n=source.n, vertices=source.anchor + rho[:, None] * dirs)
-
-
-def _icosphere_level(m_dirs: int | None) -> int:
-    """Smallest subdivision level whose icosphere has m_dirs vertices, at most 5."""
-    if m_dirs is None:
-        return 5
-    level = 0
-    while level < 5 and 10 * 4**level + 2 < m_dirs:
-        level += 1
-    return level
 
 
 def body_from_mask(mask) -> ConvexBody:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import functionals, geometry, solver
+from . import functionals, geometry, polar, solver
 from .calibration import (
     calibration_hash,
     get_constants,
@@ -28,7 +28,6 @@ from .candidates import AnalyticCandidate, require_candidate, shifted
 from .errors import HessianLabError, PreconditionError
 from .fields import write_json
 from .functionals import Condition
-from .polar import directions_2d
 
 REPORT_SCHEMA_VERSION = 1
 _CLAIM_HEADROOM = 1.01            # a measured premise ratio, padded into a valid claim
@@ -152,10 +151,8 @@ def quadratic_test(source) -> tuple:
 
 
 def _probe_points(cand, level) -> np.ndarray:
-    from .polar import radial_crossings, sphere_mesh
-
-    dirs = directions_2d(16) if cand.n == 2 else sphere_mesh(1)
-    rho = radial_crossings(cand, level, dirs)
+    dirs = polar.directions(cand.n, 16)
+    rho = polar.radial_crossings(cand, level, dirs)
     radii = np.array([0.25, 0.5, 0.75, 0.9])
     pts = (
         cand.anchor[None, None, :]

@@ -2,7 +2,10 @@
 
 All routines exploit that a normalized convex function is strictly
 increasing along rays from its anchor, so each ray crosses a level exactly
-once and bracketing plus bisection is safe.
+once and bracketing plus bisection is safe. `bisect` is the one crossing
+search of the package: rays here, grid arms in `fields.rasterize`.
+`directions` is the one probe-direction rule (uniform angles in 2D,
+icosphere vertices in 3D); the quadrature rule `_polar_rule` is separate.
 """
 
 from __future__ import annotations
@@ -68,6 +71,31 @@ def sphere_mesh(subdiv: int):
     return V
 
 
+def directions(n: int, m_dirs: int | None = None) -> np.ndarray:
+    """Probe directions: m_dirs uniform angles in 2D (720 by default); in 3D
+    the vertices of the coarsest icosphere with at least m_dirs of them
+    (10 * 4**s + 2 at subdivision s, capped at s = 5, the default)."""
+    if n == 2:
+        return directions_2d(m_dirs or 720)
+    level = 0
+    while level < 5 and (m_dirs is None or 10 * 4**level + 2 < m_dirs):
+        level += 1
+    return sphere_mesh(level)
+
+
+def bisect(below, hi: np.ndarray) -> np.ndarray:
+    """Crossing in (0, hi) per entry: 90 halvings of [0, hi] that keep the
+    half where below(mid) holds at the low end, then the last midpoint.
+    below is a vectorized predicate, true before the crossing."""
+    lo = np.zeros_like(hi)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        ok = below(mid)
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    return 0.5 * (lo + hi)
+
+
 def radial_crossings(cand, t: float, dirs: np.ndarray) -> np.ndarray:
     """Radius where the candidate reaches level t along each direction.
 
@@ -97,13 +125,7 @@ def radial_crossings(cand, t: float, dirs: np.ndarray) -> np.ndarray:
         hi = np.where(below, hi * 2.0, hi)
         if np.any(hi > R_CAP):
             raise UnboundedSublevelError("sub-level set escaped the probe range")
-    lo = np.zeros_like(hi)
-    for _ in range(90):
-        mid = 0.5 * (lo + hi)
-        below = val(mid) < t
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    rho = 0.5 * (lo + hi)
+    rho = bisect(lambda r: val(r) < t, hi)
     rho.flags.writeable = False
     cand._crossings.setdefault(rays, {})[level] = rho
     return rho

@@ -79,8 +79,14 @@ def test_invalid_order_exits_2(tmp_path):
         {"domain": {"type": "candidate_level", "params": {"candidate": "quad:diag(1,1,1)"}}},
         {"n": 3, "domain": {"type": "polygon", "params": {
             "vertices": [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]}}},
+        # counterclockwise but not convex: its edge half-planes cut out the unit square
+        {"h": 1 / 48, "domain": {"type": "polygon", "params": {
+            "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}}},
+        {"h": 1 / 48, "domain": {"type": "polygon", "params": {
+            "vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]}}},
     ],
-    ids=["order", "semiaxes-length", "candidate-spec", "candidate-dimension", "polygon-dimension"],
+    ids=["order", "semiaxes-length", "candidate-spec", "candidate-dimension", "polygon-dimension",
+         "polygon-l-shape", "polygon-clockwise"],
 )
 def test_problem_precondition_exits_2_without_files(tmp_path, change):
     # the problem passes the schema but not problem_from_spec's checks

@@ -118,13 +118,16 @@ def test_sample_candidate_disk_area():
 def test_sample_candidate_clipping_and_degenerate():
     c = candidates.quadratic(np.eye(2), name="quad:iso")
     tight = fields.Grid(n=2, dims=(11, 11), origin=np.array([-0.5, -0.5]), h=0.1)
-    with pytest.raises(ClippingError):
+    with pytest.raises(ClippingError, match="touches the grid box"):
         fields.sample_candidate(c, tight, 1.0)  # sub-level set pokes out
     with pytest.raises(DegenerateDomainError):
         fields.sample_candidate(c, tight, 0.0)
-    with pytest.raises(DegenerateDomainError):
+    with pytest.raises(DegenerateDomainError, match="too small"):
         g = fields.Grid(n=2, dims=(64, 64), origin=np.array([-3.2, -3.2]), h=0.1)
         fields.sample_candidate(c, g, 1e-4)
+    with pytest.raises(DegenerateDomainError, match="empty mask"):
+        g = fields.Grid(n=2, dims=(64, 64), origin=np.array([-3.25, -3.25]), h=0.1)
+        fields.sample_candidate(c, g, 1e-4)  # the set falls between the nodes
 
 
 def test_sample_candidate_aniso_extents():
@@ -141,10 +144,24 @@ def test_mask_convexity_validation():
     inside = np.zeros((9, 9), dtype=bool)
     inside[2:4, 2:7] = True
     inside[5:7, 2:7] = True  # disconnected slabs
-    theta = np.ones((2, 2, 9, 9))
-    bval = np.full((2, 2, 9, 9), np.nan)
-    with pytest.raises(PreconditionError):
+    theta = np.ones((2, 2, 20))
+    bval = np.full((2, 2, 20), np.nan)
+    with pytest.raises(PreconditionError, match="not axis-convex"):
         fields.DomainMask(grid=g, inside=inside, theta=theta, bval=bval)
+
+
+def test_mask_cut_data_must_be_per_inside_node():
+    # cut data lives on the inside nodes only, shape (n, 2, N_in)
+    g = fields.Grid(n=2, dims=(9, 9), origin=np.zeros(2), h=1.0)
+    inside = np.zeros((9, 9), dtype=bool)
+    inside[2:5, 2:6] = True
+    good = np.ones((2, 2, 12))
+    fields.DomainMask(grid=g, inside=inside, theta=good, bval=good)
+    for dense in (np.ones((2, 2, 9, 9)), np.ones((2, 2, 11)), np.ones((3, 2, 12))):
+        with pytest.raises(PreconditionError, match="shape"):
+            fields.DomainMask(grid=g, inside=inside, theta=dense, bval=good)
+        with pytest.raises(PreconditionError, match="shape"):
+            fields.DomainMask(grid=g, inside=inside, theta=good, bval=dense)
 
 
 def _blobs(n, kind):
@@ -185,10 +202,11 @@ def test_component_count_matches_ndimage_label_on_random_masks(shape):
 def test_mask_not_grid_connected(n, kind):
     # both masks are axis-convex, so the connectivity check is what rejects them
     g = fields.Grid(n=n, dims=(9,) * n, origin=np.zeros(n), h=1.0)
-    theta = np.ones((n, 2) + g.dims)
-    bval = np.full((n, 2) + g.dims, np.nan)
+    inside = _blobs(n, kind)
+    theta = np.ones((n, 2, np.count_nonzero(inside)))
+    bval = np.full(theta.shape, np.nan)
     with pytest.raises(PreconditionError, match="not grid-connected"):
-        fields.DomainMask(grid=g, inside=_blobs(n, kind), theta=theta, bval=bval)
+        fields.DomainMask(grid=g, inside=inside, theta=theta, bval=bval)
 
 
 def test_hsf1_roundtrip_bit_exact(tmp_path):
@@ -210,6 +228,22 @@ def test_hsf1_roundtrip_bit_exact(tmp_path):
     path2 = tmp_path / "field2.hsf1"
     fields.save_hsf1(back, path2)
     assert path.read_text() == path2.read_text()
+
+
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]],
+        [[0, 0], [0, 1], [1, 1], [1, 0]],
+        [[0, 0], [1, 0], [2, 0], [0, 1]],
+        [[math.cos(0.8 * math.pi * i), math.sin(0.8 * math.pi * i)] for i in range(5)],
+    ],
+    ids=["l-shape", "clockwise", "collinear", "pentagram"],
+)
+def test_polygon_must_be_convex_and_counterclockwise(vertices):
+    # the pentagram turns left at every vertex but winds around twice
+    with pytest.raises(PreconditionError, match="convex and counterclockwise"):
+        fields.mask_from_polygon(vertices, h=1 / 16)
 
 
 def test_grid_validation():

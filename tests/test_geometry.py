@@ -513,10 +513,11 @@ def test_normal_map_rejects_affine():
 
 def test_icosphere_level_from_direction_count():
     # level s has 10 * 4**s + 2 vertices; the default and the cap are 5
-    assert [geometry._icosphere_level(m) for m in (1, 12, 13, 162, 163, 360)] == [0, 0, 1, 2, 3, 3]
-    assert geometry._icosphere_level(2562) == 4
-    assert geometry._icosphere_level(10**6) == 5
-    assert geometry._icosphere_level(None) == 5
+    counts = [len(polar.directions(3, m)) for m in (1, 12, 13, 162, 163, 360)]
+    assert counts == [12, 12, 42, 162, 642, 642]
+    assert len(polar.directions(3, 2562)) == 2562
+    assert len(polar.directions(3, 10**6)) == len(polar.directions(3)) == 10242
+    assert polar.directions(2).shape == (720, 2)
 
 
 @pytest.mark.parametrize(

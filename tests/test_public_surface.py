@@ -8,10 +8,19 @@ code and should be deleted with that test.
 
 References are matched by bare name, so a method that shares its name
 with a live one (say, `export_csv` on two classes) escapes the check.
+
+The traced benchmark (perfbench/spans.py) wraps functions at the module
+names their callers look them up by; the last test checks that the
+callers still look them up there.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
+
+import numpy as np
+
+from hessianlab import candidates, fields, functionals, geometry, pipeline, polar
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hessianlab"
@@ -88,3 +97,36 @@ def test_test_checkers_still_exist():
         qual for path in PACKAGE.glob("*.py") for qual, *_ in _definitions(_parse(path))
     }
     assert TEST_CHECKERS <= defined
+
+
+# names perfbench/spans.py patches: (span name, the modules it patches)
+TRACED_LOOKUPS = {
+    "polar.radial_crossings": (polar, geometry),
+    "fields.rasterize": (fields,),
+}
+
+
+def test_callers_look_up_the_traced_names(monkeypatch):
+    calls = Counter()
+    for name, owners in TRACED_LOOKUPS.items():
+        attr = name.split(".")[1]
+        real = getattr(owners[0], attr)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, attr, counting)
+
+    def through(name, fn, *args):
+        before = calls[name]
+        fn(*args)
+        assert calls[name] > before, (fn.__name__, name)
+
+    cand = candidates.quadratic(np.diag([2.0, 0.5]), name="quad:diag(2,0.5)")
+    through("polar.radial_crossings", pipeline.quadratic_test, cand)
+    through("polar.radial_crossings", fields.grid_for_candidate, cand, 1.0, 1 / 16)
+    through("polar.radial_crossings", geometry.extract_body, cand, 1.0, 64)
+    field = fields.sample_candidate(cand, fields.grid_for_candidate(cand, 1.0, 1 / 16), 1.0)
+    through("fields.rasterize", functionals.legendre_transform, field)
