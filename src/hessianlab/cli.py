@@ -21,7 +21,7 @@ import sys
 import jsonschema
 import numpy as np
 
-from . import fields, functionals, pipeline, solver
+from . import fields, functionals, pipeline, solver, symm
 from .calibration import calibration_hash
 from .candidates import candidate_from_spec
 from .errors import NonConvergenceError, NumericError, PreconditionError
@@ -190,8 +190,7 @@ def problem_from_spec(spec: dict) -> tuple:
     """Build (DirichletProblem, SolveOptions) from the JSON wire format;
     the caller has checked spec against PROBLEM_SCHEMA."""
     n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
-    if not (0 <= l < k <= n):
-        raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}")
+    symm.check_orders(n, k, l)
     dom = spec["domain"]
     if dom["type"] == "ellipse":
         semi = dom["params"]["semiaxes"]
@@ -295,14 +294,22 @@ def _cmd_chain_iso(params, out):
     return 0 if report.all_passed() else 3
 
 
-def _cmd_chain_volume(params, out):
-    k = int(params.get("k", 2))
+def _volume_domains(params: dict) -> tuple:
+    """(domains, k, l) of a chain_volume config: one (label, mask) per
+    domain, each checked against 0 <= l < k <= n."""
+    k, l = int(params.get("k", 2)), int(params.get("l", 0))
     h = float(params.get("h", 1.0 / 48.0))    # float: written into each report
     domains = []
     for spec in params["domains"]:
         semi = spec["semiaxes"]
+        symm.check_orders(len(semi), k, l)
         domains.append((spec.get("label", json.dumps(semi)), fields.mask_from_ellipse(semi, h)))
-    reports = pipeline.volume_to_roundness_experiment(domains, k, **_given(params, l=int))
+    return domains, k, l
+
+
+def _cmd_chain_volume(built, out):
+    """built: the (domains, k, l) of the config."""
+    reports = pipeline.volume_to_roundness_experiment(*built)
     payload = {
         "schema_version": pipeline.REPORT_SCHEMA_VERSION,
         "calibration": calibration_hash(),
@@ -391,9 +398,14 @@ def main(argv=None) -> int:
         config = _apply_overrides(config, args.override)
         validate_spec(config, CONFIG_SCHEMA)
         command, params = config["command"], config.get("params", {})
-        # a solve's problem is built before the first artifact, so that its
-        # precondition checks leave no manifest.json behind either
-        job = problem_from_spec(params["problem"]) if command == "solve" else params
+        # solve's problem and chain_volume's domains are built before the first
+        # artifact, so that their precondition checks leave no file behind
+        if command == "solve":
+            job = problem_from_spec(params["problem"])
+        elif command == "chain_volume":
+            job = _volume_domains(params)
+        else:
+            job = params
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         os.makedirs(args.out, exist_ok=True)
         write_json(

@@ -46,6 +46,7 @@ from .errors import NumericError, PreconditionError
 from .fields import DomainMask, ScalarField
 from .symm import (
     SymmetricMatrix,
+    check_orders,
     esym_table,
     radius_bound_coeff,
     spectral_gradient,
@@ -72,11 +73,7 @@ class DirichletProblem:
     rhs: float = 1.0
 
     def __post_init__(self):
-        n = self.mask.n
-        if not (0 <= self.l < self.k <= n):
-            raise PreconditionError(
-                f"need 0 <= l < k <= n, got k={self.k}, l={self.l}, n={n}"
-            )
+        check_orders(self.mask.n, self.k, self.l)
         if self.rhs <= 0:
             raise PreconditionError("right-hand side must be positive")
 
@@ -99,6 +96,7 @@ class SolveReport:
     problem: DirichletProblem
     u_min: float = math.nan
     collar_margin: float = math.nan
+    closure_margin: float = math.nan
     linear_iters: list = dc_field(default_factory=list)   # GMRES count per step
     domain_fit: geometry.EllipsoidFit = None   # John fit of the cut cloud; not serialized
 
@@ -109,6 +107,7 @@ class SolveReport:
             "residual_max": self.residual_max,
             "admissibility_margin": self.admissibility_margin,
             "collar_margin": self.collar_margin,
+            "closure_margin": self.closure_margin,
             "u_min": self.u_min,
             "residual_history": list(map(float, self.residual_history)),
             "linear_iters": list(self.linear_iters),
@@ -153,12 +152,12 @@ class EllipsoidBarrier:
             self.axes = np.eye(n)
         nu = 1.0 / self.mu**2
         T = esym_table(nu)
-        ratio = T[self.k] / (T[self.l] if self.l else 1.0)
+        ratio = T[self.k] / T[self.l]
         self.norm = (ratio / self.rhs) ** (1.0 / (self.k - self.l))
         H = self.axes @ np.diag(nu / self.norm) @ self.axes.T
         self.hessian = SymmetricMatrix.from_array(H)
         Th = esym_table(np.linalg.eigvalsh(self.hessian.array))
-        achieved = Th[self.k] / (Th[self.l] if self.l else 1.0)
+        achieved = Th[self.k] / Th[self.l]
         if abs(achieved - self.rhs) > 1e-10 * self.rhs:
             raise NumericError("barrier normalization failed to hit the target")
 
@@ -188,8 +187,8 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     enforce = st.is_full                          # admissibility enforcement set
     residual, jacobian = _equations(st, k, l, problem.rhs)
 
-    def admissible(lam):
-        return not enforce.any() or _cone_margin(lam[enforce], k) > 0.0
+    def admissible(T):
+        return not enforce.any() or _cone_margin(T[enforce], k) > 0.0
 
     # initial iterate: the linear trace problem with the same boundary rows
     # (exactly consistent with the Dirichlet data, admissible on convex
@@ -205,14 +204,14 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     u_lin, _ = _gmres(M, np.concatenate([alpha - trace_const, st.closure_rhs]), lu, _START_RTOL)
     # smallest barrier blend that clears the admissibility cone keeps the
     # boundary mismatch (and with it the damping) minimal
-    u = u_bar
     for w in _START_BLENDS:
-        u_try = (1.0 - w) * u_lin + w * u_bar
-        if admissible(np.linalg.eigvalsh(st.hessian_stack(u_try))):
-            u = u_try
+        u = (1.0 - w) * u_lin + w * u_bar
+        F, T = residual(u)
+        if admissible(T):
             break
-
-    F, lam = residual(u)
+    else:                                         # no blend is admissible
+        u = u_bar
+        F, T = residual(u)
     history = [float(np.max(np.abs(F)))]
     linear_iters = []
     iters = 0
@@ -226,15 +225,15 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         s = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             u_try = u + s * delta
-            F_try, lam_try = residual(u_try)
-            if admissible(lam_try) and float(np.linalg.norm(F_try)) <= (1.0 - 1e-4 * s) * base:
+            F_try, T_try = residual(u_try)
+            if admissible(T_try) and float(np.linalg.norm(F_try)) <= (1.0 - 1e-4 * s) * base:
                 break
             s *= 0.5
         else:
             # no admissible step decreases the residual
             history.append(history[-1])
             break
-        u, F, lam = u_try, F_try, lam_try
+        u, F, T = u_try, F_try, T_try
         history.append(float(np.max(np.abs(F))))
         # damping collapse: heavily damped steps that barely move the
         # residual will not recover; report honestly instead of burning
@@ -243,37 +242,34 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             break
 
     converged = history[-1] <= opts.tol
-    return _make_report(problem, st, ell, u, F, lam, history, linear_iters, iters, converged)
+    return _make_report(problem, st, ell, u, F, T, history, linear_iters, iters, converged)
 
 
 def _equations(st, k: int, l: int, rhs: float):
     """The discrete system of S_k/S_l (D2u) = rhs on one stencil set:
-    residual(u) -> (F, spectra at every inside node), the equation rows
-    first, then the closure rows; jacobian(u) -> dF/du as a CSR matrix.
-    Quotients (l > 0) use the log form log S_k - log S_l = log rhs."""
+    residual(u) -> (F, the table S_0..S_n of the discrete Hessian's
+    spectrum at every inside node), the equation rows first, then the
+    closure rows; jacobian(u) -> dF/du as a CSR matrix. The solved form
+    follows l, as in spectral_gradient: S_k = rhs for l = 0, and
+    log S_k - log S_l = log rhs for quotients."""
     eq_rows = ~st.is_closure                      # equation rows
-    log_form = l > 0
-    target = math.log(rhs) if log_form else rhs
 
     def residual(u):
-        H = st.hessian_stack(u)
-        lam = np.linalg.eigvalsh(H)
-        T = esym_table(lam)
-        if log_form:
+        T = esym_table(np.linalg.eigvalsh(st.hessian_stack(u)))
+        if l > 0:
             G = np.log(np.maximum(T[:, k], _LOG_FLOOR)) - np.log(
                 np.maximum(T[:, l], _LOG_FLOOR)
-            )
+            ) - math.log(rhs)
         else:
-            G = T[:, k]
-        F_eq = (G - target)[eq_rows]
+            G = T[:, k] - rhs
         F_cl = st.closure_matrix @ u - st.closure_rhs
-        return np.concatenate([F_eq, F_cl]), lam
+        return np.concatenate([G[eq_rows], F_cl]), T
 
     def jacobian(u):
         # spectra on the equation rows only: closure rows are linear, and
         # their S_k may vanish
         lam, Q = np.linalg.eigh(st.hessian_stack(u)[eq_rows])
-        g = spectral_gradient(lam, k, l, log_form=log_form)
+        g = spectral_gradient(lam, k, l)
         return _linear_operator(st, np.einsum("nij,nj,nkj->nik", Q, g, Q))
 
     return residual, jacobian
@@ -297,12 +293,13 @@ def _linear_operator(st, W):
     return sp.vstack([A, st.closure_matrix]).tocsr()
 
 
-def _cone_margin(lam, k: int) -> float:
-    """min S_1..S_k over the spectra lam, one per row: positive exactly when
-    every spectrum lies in the admissibility cone; nan for no spectra."""
-    if lam.shape[0] == 0:
+def _cone_margin(T, k: int) -> float:
+    """min S_1..S_k over the esym table T, one spectrum per row: positive
+    exactly when every spectrum lies in the admissibility cone; nan for no
+    rows."""
+    if T.shape[0] == 0:
         return math.nan
-    return float(np.min(esym_table(lam)[:, 1 : k + 1]))
+    return float(np.min(T[:, 1 : k + 1]))
 
 
 def _trace_factor(st):
@@ -356,14 +353,14 @@ def _krylov_step(J, F, lu):
     return _gmres(J, -F, lu, _GMRES_RTOL)
 
 
-def _make_report(problem, st, fit, u, F, lam, history, linear_iters, iters, converged):
+def _make_report(problem, st, fit, u, F, T, history, linear_iters, iters, converged):
     mask = problem.mask
     eq_rows = ~st.is_closure
     # residual over complete-stencil equation rows
     F_eq = F[: int(np.sum(eq_rows))]
     full_in_eq = st.is_full[eq_rows]
     res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if st.is_full.any() else math.nan
-    margin = _cone_margin(lam[st.is_full], problem.k)
+    margin = _cone_margin(T[st.is_full], problem.k)
     full = np.zeros(mask.grid.dims)
     full[tuple(mask.inside_idx.T)] = u
     fld = ScalarField(mask=mask, values=full, level=problem.boundary_value)
@@ -377,7 +374,8 @@ def _make_report(problem, st, fit, u, F, lam, history, linear_iters, iters, conv
         problem=problem,
         linear_iters=linear_iters,
         u_min=float(np.min(u)),
-        collar_margin=_cone_margin(lam[~st.is_full], problem.k),
+        collar_margin=_cone_margin(T[st.is_collar], problem.k),
+        closure_margin=_cone_margin(T[st.is_closure], problem.k),
         domain_fit=fit,
     )
 

@@ -115,67 +115,55 @@ def _as_matrix(M) -> SymmetricMatrix:
     return SymmetricMatrix.from_array(M)
 
 
-def _check_orders(n: int, k: int, l: int):
+def check_orders(n: int, k: int, l: int):
+    """The orders of S_k/S_l on n x n matrices: 0 <= l < k <= n."""
     if not (0 <= l < k <= n):
         raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
 
 
 def hessian_operator(M, k: int, l: int = 0) -> float:
-    """S_k(lambda(M)) for l=0, otherwise the quotient S_k/S_l."""
+    """S_k/S_l (lambda(M)); S_0 = 1, so l = 0 gives S_k."""
     sm = _as_matrix(M)
-    _check_orders(sm.n, k, l)
+    check_orders(sm.n, k, l)
     t = esym_table(sm.eig()[0])
-    if l == 0:
-        return float(t[k])
     if t[l] == 0.0:
         raise SingularQuotientError(f"S_{l} vanishes; quotient undefined")
     return float(t[k] / t[l])
 
 
-def spectral_gradient(lam, k: int, l: int = 0, log_form: bool = False) -> np.ndarray:
-    """d/d(lambda_i) of the operator, batched over leading axes.
+def spectral_gradient(lam, k: int, l: int = 0) -> np.ndarray:
+    """d/d(lambda_i) of the solved form of S_k/S_l, batched over leading axes.
 
-    Raw form differentiates S_k (or S_k/S_l); log form differentiates
-    log S_k - log S_l. The partial of S_k in lambda_i is S_{k-1} of the
-    spectrum with entry i removed, which is smooth across eigenvalue
-    collisions, so no divided differences are needed here.
+    The form follows l: S_k for l = 0, log S_k - log S_l for l > 0. The
+    partial of S_k in lambda_i is S_{k-1} of the spectrum with entry i
+    removed, which is smooth across eigenvalue collisions, so no divided
+    differences are needed here.
     """
     lam = np.asarray(lam, dtype=float)
-    n = lam.shape[-1]
-    _check_orders(n, k, l)
+    check_orders(lam.shape[-1], k, l)
     comp = complementary_table(lam)  # (..., i, j)
     dSk = comp[..., :, k - 1]
     if l == 0:
-        if not log_form:
-            return dSk
-        Sk = esym_table(lam)[..., k]
-        return dSk / Sk[..., None]
+        return dSk
     T = esym_table(lam)
-    Sk = T[..., k][..., None]
-    Sl = T[..., l][..., None]
-    dSl = comp[..., :, l - 1]
-    if log_form:
-        return dSk / Sk - dSl / Sl
-    return (dSk * Sl - Sk * dSl) / Sl**2
+    return dSk / T[..., k][..., None] - comp[..., :, l - 1] / T[..., l][..., None]
 
 
-def operator_gradient(M, k: int, l: int = 0, log_form: bool = False) -> SymmetricMatrix:
-    """Matrix derivative of the operator at M, via the eigenbasis.
+def operator_gradient(M, k: int, l: int = 0) -> SymmetricMatrix:
+    """Matrix derivative of the solved form of S_k/S_l at M (see
+    spectral_gradient), via the eigenbasis.
 
     Positive definite whenever lambda(M) lies in Gamma_k (ellipticity).
     Convention: d Op = sum_{p,q} G[p,q] dM[p,q] over all n^2 entries.
     """
     sm = _as_matrix(M)
-    _check_orders(sm.n, k, l)
+    check_orders(sm.n, k, l)
     w, Q = sm.eig()
     if l > 0:
         t = esym_table(w)
-        if t[l] == 0.0:
-            raise SingularQuotientError(f"S_{l} vanishes; quotient undefined")
-        if log_form and (t[k] <= 0.0 or t[l] <= 0.0):
-            raise AdmissibilityError("log form requires S_k and S_l positive")
-    g = spectral_gradient(w, k, l, log_form=log_form)
-    G = (Q * g) @ Q.T
+        if t[k] <= 0.0 or t[l] <= 0.0:
+            raise AdmissibilityError("log S_k - log S_l needs S_k and S_l positive")
+    G = (Q * spectral_gradient(w, k, l)) @ Q.T
     return SymmetricMatrix.from_array(0.5 * (G + G.T))
 
 

@@ -406,6 +406,22 @@ def test_chain_volume_command(tmp_path):
     assert all(r["all_passed"] for r in payload["reports"])
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        {**DISK, "k": 3},
+        {**DISK, "l": 2},
+        {"domains": [{"semiaxes": [1.0, 1.0]}, {"semiaxes": [1.0]}]},
+    ],
+    ids=["k-above-n", "l-not-below-k", "one-dimensional-domain"],
+)
+def test_chain_volume_order_error_exits_2_without_files(tmp_path, params):
+    # every domain's orders are checked before the first artifact
+    assert run_cli(tmp_path, {"command": "chain_volume", "params": params}, "x") == 2
+    out = tmp_path / "x"
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_legendre_command(tmp_path):
     assert run_cli(tmp_path, SOLVE_CFG, "pre") == 0
     cfg = {

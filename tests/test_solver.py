@@ -80,6 +80,24 @@ def test_solver_nonconvergence_report():
     assert rep.newton_iters == 1
 
 
+def test_poisson_solve_builds_one_hessian_stack(monkeypatch):
+    # k = 1: the trace start is the discrete solution, so the solve takes no
+    # Newton step, and the start's blend test, its residual and the report
+    # read one Hessian stack
+    calls = []
+    stack = fields.StencilSet.hessian_stack
+
+    def counted(self, values_in):
+        calls.append(1)
+        return stack(self, values_in)
+
+    monkeypatch.setattr(fields.StencilSet, "hessian_stack", counted)
+    mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 24)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
+    assert rep.converged and rep.newton_iters == 0
+    assert len(calls) == 1
+
+
 def _central_difference_jacobian(residual, u, step=1e-7):
     """dF/du column by column from central differences of the residual."""
     cols = []
@@ -108,8 +126,8 @@ def test_jacobian_matches_central_differences(n, k, l, h):
     u = q + 0.2 * (q - 1.0) ** 2
     residual, jacobian = solver._equations(st, k, l, 2.0)
     # an admissible iterate: S_1..S_k positive on every equation row
-    lam = residual(u)[1]
-    assert np.min(esym_table(lam[~st.is_closure])[:, 1 : k + 1]) > 0
+    T = residual(u)[1]
+    assert np.min(T[~st.is_closure, 1 : k + 1]) > 0
     J = jacobian(u).toarray()
     J_fd = _central_difference_jacobian(residual, u)
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
@@ -205,9 +223,20 @@ def test_radius_estimate_ma(ma_ellipse_64):
 
 
 def test_admissibility_margins_reported(ma_ellipse_64):
+    # one margin per node class; the full and collar rows solve the
+    # equation, so their spectra lie in the cone, while the closure rows
+    # interpolate the boundary data and need not
     rep = ma_ellipse_64
+    st = rep.problem.mask.stencils()
+    T = esym_table(np.linalg.eigvalsh(st.hessian_stack(rep.field.inside_values())))
+    for margin, rows in [
+        (rep.admissibility_margin, st.is_full),
+        (rep.collar_margin, st.is_collar),
+        (rep.closure_margin, st.is_closure),
+    ]:
+        assert margin == np.min(T[rows, 1:3])
     assert rep.admissibility_margin > 0
-    assert math.isfinite(rep.collar_margin)
+    assert rep.collar_margin > 0
 
 
 def test_problem_spec_roundtrip():
