@@ -23,7 +23,6 @@ from .errors import (
     NumericError,
     PreconditionError,
     SingularQuotientError,
-    StencilError,
     UnboundedSublevelError,
 )
 

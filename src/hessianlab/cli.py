@@ -209,9 +209,10 @@ def problem_from_spec(spec: dict) -> tuple:
         grid = fields.grid_for_candidate(cand, level, h)
         mask = fields.sample_candidate(cand, grid, level).mask
     problem = solver.DirichletProblem(
-        mask=mask, k=k, l=l, **_given(spec, boundary_value=float, rhs=float)
+        mask=mask, k=k, l=l,
+        **_given(spec, boundary_value=float, rhs=float, min_resolution=int),
     )
-    opts = solver.SolveOptions(**_given(spec, tol=float, max_iters=int, min_resolution=int))
+    opts = solver.SolveOptions(**_given(spec, tol=float, max_iters=int))
     return problem, opts
 
 
@@ -296,14 +297,14 @@ def _cmd_chain_iso(params, out):
 
 def _volume_domains(params: dict) -> tuple:
     """(domains, k, l) of a chain_volume config: one (label, mask) per
-    domain, each checked against 0 <= l < k <= n."""
+    domain, each checked as the mask of a Dirichlet problem."""
     k, l = int(params.get("k", 2)), int(params.get("l", 0))
     h = float(params.get("h", 1.0 / 48.0))    # float: written into each report
     domains = []
     for spec in params["domains"]:
         semi = spec["semiaxes"]
-        symm.check_orders(len(semi), k, l)
-        domains.append((spec.get("label", json.dumps(semi)), fields.mask_from_ellipse(semi, h)))
+        problem = solver.DirichletProblem(mask=fields.mask_from_ellipse(semi, h), k=k, l=l)
+        domains.append((spec.get("label", json.dumps(semi)), problem.mask))
     return domains, k, l
 
 

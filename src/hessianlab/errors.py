@@ -26,10 +26,6 @@ class AdmissibilityError(PreconditionError):
     """Data left the ellipticity cone required by the operation."""
 
 
-class StencilError(PreconditionError):
-    """A finite-difference stencil cannot be completed at the node."""
-
-
 class ClippingError(PreconditionError):
     """A sub-level set does not fit inside the target grid box."""
 

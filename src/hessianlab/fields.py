@@ -14,9 +14,11 @@ every arm's column or cut, each row family (gradient, pure and mixed
 second difference, closure row) is weighted for every node in one
 expression and becomes one sparse matrix.
 
-Fields carry node values over a mask and take their derivatives from its
-stencils; they are read and written in the HSF1 text format. Every text
-artifact of the package is written here, by temp-and-rename.
+Fields carry one value per inside node, in the mask's `inside_idx` (C)
+order, the layout of its cut data; each derivative is one stencil product
+on that array. Fields are read and written in the HSF1 text format, the
+only place where their values sit on the dense grid. Every text artifact
+of the package is written here, by temp-and-rename.
 """
 
 from __future__ import annotations
@@ -34,12 +36,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import polar
-from .errors import (
-    ClippingError,
-    DegenerateDomainError,
-    PreconditionError,
-    StencilError,
-)
+from .errors import ClippingError, DegenerateDomainError, PreconditionError
 
 MAX_NODES = 8_000_000
 THETA_MIN = 1e-6
@@ -182,7 +179,6 @@ class StencilSet:
         self.is_full = np.zeros(n_in, dtype=bool)
         self.is_closure = np.zeros(n_in, dtype=bool)
         self.is_collar = np.zeros(n_in, dtype=bool)
-        self.mixed_ok = np.ones(n_in, dtype=bool)
         self.closure_matrix = None
         self.closure_rhs = None
         self.weights = None
@@ -190,7 +186,6 @@ class StencilSet:
         self.cut_axis = None
         self.cut_dir = None
         self.cut_theta = None
-        self.cut_bval = None
         self.cut_points = None
 
     @functools.cached_property
@@ -299,7 +294,6 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
                 # average of the two compositions where both exist
                 e0, c0, v0, k0 = mixed(p, q)
                 e1, c1, v1, k1 = mixed(q, p)
-                st.mixed_ok &= e0 | e1
                 f = np.where(e0 & e1, 0.5, 1.0)
                 cols = np.concatenate([c0, c1], 1)
                 vals = np.concatenate([f[:, None] * v0, f[:, None] * v1], 1)
@@ -308,7 +302,9 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
     for d, (cols, vals, const) in enumerate(grad):
         st.grad[d] = (_csr(node[:, None], cols, vals, (n_in, n_in)), const)
 
-    st.is_closure = cut.any(axis=(0, 1)) | ~st.mixed_ok
+    # a node with no mixed composition has both neighbors along an axis
+    # outside, so owning a cut arm covers it
+    st.is_closure = cut.any(axis=(0, 1))
     st.is_full = ~st.is_closure & corners_ok
     st.is_collar = ~st.is_closure & ~corners_ok
 
@@ -322,10 +318,7 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
     # closure rows: boundary interpolation along the sharpest cut arm, the
     # first one in (axis, -/+) order on ties
     cl = np.nonzero(st.is_closure)[0]
-    cut_theta = np.where(cut, theta, np.inf)[:, :, cl].reshape(2 * n, cl.size)
-    if np.isinf(cut_theta).all(axis=0).any():
-        raise StencilError("closure node carries no boundary cut")
-    best = np.argmin(cut_theta, axis=0)
+    best = np.argmin(np.where(cut, theta, np.inf)[:, :, cl].reshape(2 * n, cl.size), axis=0)
     d, j = best // 2, best % 2
     th, bv = theta[d, j, cl], bval[d, j, cl]
     inner = col[d, 1 - j, cl]
@@ -342,7 +335,7 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
     # cut records, node-major, then axis, then - before +
     r, d, j = np.nonzero(cut.transpose(2, 0, 1))
     st.cut_node, st.cut_axis, st.cut_dir = r, d, 2 * j - 1
-    st.cut_theta, st.cut_bval = theta[d, j, r], bval[d, j, r]
+    st.cut_theta = theta[d, j, r]
     offs = np.zeros((r.size, n))
     offs[np.arange(r.size), d] = st.cut_dir * st.cut_theta * h
     st.cut_points = mask.grid.coords(idxs[r]) + offs
@@ -447,14 +440,14 @@ class ScalarField:
     """Field values over the inside nodes of a mask."""
 
     mask: DomainMask
-    values: np.ndarray               # full array, meaningful on inside nodes
+    values: np.ndarray               # (N_in,), in the order of mask.inside_idx
     level: float = math.nan          # boundary level for sub-level-set fields
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.mask.grid.dims:
-            raise PreconditionError("values shape must match the grid")
-        if not np.all(np.isfinite(self.inside_values())):
+        if self.values.shape != (self.mask.inside_count(),):
+            raise PreconditionError("values must hold one entry per inside node")
+        if not np.all(np.isfinite(self.values)):
             raise PreconditionError("field values must be finite inside")
 
     @property
@@ -462,20 +455,15 @@ class ScalarField:
         return self.mask.grid
 
     def inside_values(self) -> np.ndarray:
-        return self.values[tuple(self.mask.inside_idx.T)]
-
-    def with_values(self, values_in) -> "ScalarField":
-        full = np.zeros(self.grid.dims)
-        full[tuple(self.mask.inside_idx.T)] = values_in
-        return ScalarField(mask=self.mask, values=full, level=self.level)
+        return self.values
 
     # -- differential operators ------------------------------------------
 
     def hessian_stack(self) -> np.ndarray:
-        return self.mask.stencils().hessian_stack(self.inside_values())
+        return self.mask.stencils().hessian_stack(self.values)
 
     def gradient_stack(self) -> np.ndarray:
-        return self.mask.stencils().gradient_stack(self.inside_values())
+        return self.mask.stencils().gradient_stack(self.values)
 
 
 def sample_candidate(cand, grid: Grid, level: float) -> ScalarField:
@@ -489,9 +477,7 @@ def sample_candidate(cand, grid: Grid, level: float) -> ScalarField:
     mask = rasterize(phi, grid, boundary_value=level)
     if np.any(mask.extents() < 3):
         raise DegenerateDomainError("sub-level set too small for this grid")
-    full = np.zeros(grid.dims)
-    full[tuple(mask.inside_idx.T)] = cand.value(mask.inside_coords())
-    return ScalarField(mask=mask, values=full, level=level)
+    return ScalarField(mask=mask, values=cand.value(mask.inside_coords()), level=level)
 
 
 def grid_for_candidate(cand, level: float, h: float) -> Grid:
@@ -519,13 +505,14 @@ def save_hsf1(field: ScalarField, path):
         f"h={g.h:.17g}",
         f"level={field.level:.17g}",
     ]
-    # one line per node in C order: the index, then 1 and the value or 0
+    # one line per node in C order: the index, then 1 and the value or 0;
+    # the inside values come in the same order
     heads = itertools.product(*[[str(i) for i in range(d)] for d in g.dims])
     flags = field.mask.inside.ravel().tolist()
-    values = field.values.ravel().tolist()
+    values = iter(field.values.tolist())
     lines += [
-        f"{' '.join(head)} 1 {v:.17g}" if inside else f"{' '.join(head)} 0"
-        for head, inside, v in zip(heads, flags, values)
+        f"{' '.join(head)} 1 {next(values):.17g}" if inside else f"{' '.join(head)} 0"
+        for head, inside in zip(heads, flags)
     ]
     write_text(path, "\n".join(lines) + "\n")
 
@@ -599,4 +586,4 @@ def load_hsf1(path) -> ScalarField:
     theta[cut] = th
     bval[cut] = lvl if lvl is not None else v
     mask = DomainMask(grid=grid, inside=inside, theta=theta, bval=bval)
-    return ScalarField(mask=mask, values=values, level=level)
+    return ScalarField(mask=mask, values=values[inside], level=level)

@@ -179,22 +179,21 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
     mask = f.mask
     st = mask.stencils()
     n = mask.n
-    lvl = f.level if math.isfinite(f.level) else float(np.max(f.inside_values()))
+    u_all = f.values
+    lvl = f.level if math.isfinite(f.level) else float(np.max(u_all))
     region_level = lvl / 2.0 if region_level is None else region_level
-    u_all = f.inside_values()
     sel = u_all < region_level
     if sel.sum() < 3**n:
         raise PreconditionError("region too small for the transform")
-    H_all = st.hessian_stack(u_all)
-    lam = np.linalg.eigvalsh(H_all[sel & st.is_full])
+    H_nodes = f.hessian_stack()[sel]
+    lam_nodes = np.linalg.eigvalsh(H_nodes)
+    lam = lam_nodes[st.is_full[sel]]
     if lam.size and np.min(lam) <= 0:
         raise AdmissibilityError("transform input not strictly convex on the region")
 
     X = mask.inside_coords()[sel]
     U = u_all[sel]
-    G = st.gradient_stack(u_all)[sel]
-    H_nodes = H_all[sel]
-    lam_nodes = np.linalg.eigvalsh(H_nodes)
+    G = f.gradient_stack()[sel]
     model_ok = (st.is_full | st.is_collar)[sel] & (lam_nodes[:, 0] > 0)
 
     hull = ConvexHull(G)
@@ -252,6 +251,4 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
 
     v0 = refined(np.zeros((1, n)))[0]
     out_mask = rasterize(phi, grid, boundary_value=lambda pts: refined(pts) - v0)
-    vals = np.zeros(grid.dims)
-    vals[tuple(out_mask.inside_idx.T)] = refined(out_mask.inside_coords()) - v0
-    return ScalarField(mask=out_mask, values=vals, level=math.nan)
+    return ScalarField(mask=out_mask, values=refined(out_mask.inside_coords()) - v0, level=math.nan)

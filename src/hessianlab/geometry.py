@@ -448,42 +448,31 @@ def mean_value_level(profile: LevelProfile, a: float, b: float) -> float:
 # normal mapping
 
 
-def _field_gradient_cloud(f: ScalarField):
-    """Gradients at inside nodes plus second-order extrapolations at cuts."""
+def _convex_spectra(f: ScalarField):
+    """The stencil set of f, its Hessian stack and their spectra; raises
+    unless every complete-stencil node's Hessian is positive definite."""
     st = f.mask.stencils()
-    G = f.gradient_stack()
     H = f.hessian_stack()
-    pts = [G]
-    if st.cut_node.size:
-        ext = G[st.cut_node] + (
-            st.cut_theta[:, None]
-            * f.grid.h
-            * st.cut_dir[:, None]
-            * H[st.cut_node, :, st.cut_axis]
-        )
-        pts.append(ext)
-    return np.vstack(pts)
+    lam = np.linalg.eigvalsh(H)
+    if np.min(lam[st.is_full]) <= 0:
+        raise AdmissibilityError("field is not strictly convex on the mask")
+    return st, H, lam
 
 
 def normal_map_area(f: ScalarField) -> float:
     """Quadrature of det D2u over the mask with cut-cell weights."""
-    st = f.mask.stencils()
-    H = f.hessian_stack()
-    lam = np.linalg.eigvalsh(H)
-    if np.min(lam[st.is_full]) <= 0:
-        raise AdmissibilityError("field is not strictly convex on the mask")
-    det = np.prod(lam, axis=1)
-    return float(np.sum(det * st.weights))
+    st, _, lam = _convex_spectra(f)
+    return float(np.sum(np.prod(lam, axis=1) * st.weights))
 
 
 def forward_image_area(f: ScalarField) -> float:
-    """Volume of the convex hull of the discrete gradient image."""
+    """Volume of the convex hull of the discrete gradient image: the
+    gradients at inside nodes plus their second-order extrapolations to
+    the cuts."""
     from scipy.spatial import ConvexHull
 
-    st = f.mask.stencils()
-    H = f.hessian_stack()
-    lam = np.linalg.eigvalsh(H)
-    if np.min(lam[st.is_full]) <= 0:
-        raise AdmissibilityError("field is not strictly convex on the mask")
-    cloud = _field_gradient_cloud(f)
-    return float(ConvexHull(cloud).volume)
+    st, H, _ = _convex_spectra(f)
+    G = f.gradient_stack()
+    r = st.cut_node
+    ext = G[r] + st.cut_theta[:, None] * f.grid.h * st.cut_dir[:, None] * H[r, :, st.cut_axis]
+    return float(ConvexHull(np.vstack([G, ext])).volume)

@@ -64,25 +64,30 @@ _START_BLENDS = (0.0, 0.1, 0.25, 0.5, 0.75)   # barrier weights tried on the tra
 
 @dataclass
 class DirichletProblem:
-    """S_k/S_l (D2u) = rhs inside the mask, u = boundary_value on the cuts."""
+    """S_k/S_l (D2u) = rhs inside the mask, u = boundary_value on the cuts;
+    the mask must span min_resolution nodes along some axis."""
 
     mask: DomainMask
     k: int
     l: int = 0
     boundary_value: float = 1.0
     rhs: float = 1.0
+    min_resolution: int = 33
 
     def __post_init__(self):
         check_orders(self.mask.n, self.k, self.l)
         if self.rhs <= 0:
             raise PreconditionError("right-hand side must be positive")
+        if int(self.mask.extents().max()) < self.min_resolution:
+            raise PreconditionError(
+                f"domain spans fewer than {self.min_resolution} nodes across"
+            )
 
 
 @dataclass
 class SolveOptions:
     tol: float = 1e-9
     max_iters: int = 100
-    min_resolution: int = 33
 
 
 @dataclass
@@ -179,11 +184,6 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     mask = problem.mask
     st = mask.stencils()
     k, l = problem.k, problem.l
-    if int(mask.extents().max()) < opts.min_resolution:
-        raise PreconditionError(
-            f"domain spans fewer than {opts.min_resolution} nodes across"
-        )
-
     enforce = st.is_full                          # admissibility enforcement set
     residual, jacobian = _equations(st, k, l, problem.rhs)
 
@@ -206,18 +206,18 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     # boundary mismatch (and with it the damping) minimal
     for w in _START_BLENDS:
         u = (1.0 - w) * u_lin + w * u_bar
-        F, T = residual(u)
+        F, T, H = residual(u)
         if admissible(T):
             break
     else:                                         # no blend is admissible
         u = u_bar
-        F, T = residual(u)
+        F, T, H = residual(u)
     history = [float(np.max(np.abs(F)))]
     linear_iters = []
     iters = 0
     while history[-1] > opts.tol and iters < opts.max_iters:
         iters += 1
-        delta, inner = _krylov_step(jacobian(u), F, lu)
+        delta, inner = _krylov_step(jacobian(H), F, lu)
         if not np.all(np.isfinite(delta)):
             raise NumericError(f"Newton step {iters} is not finite")
         linear_iters.append(inner)
@@ -225,7 +225,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         s = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             u_try = u + s * delta
-            F_try, T_try = residual(u_try)
+            F_try, T_try, H_try = residual(u_try)
             if admissible(T_try) and float(np.linalg.norm(F_try)) <= (1.0 - 1e-4 * s) * base:
                 break
             s *= 0.5
@@ -233,7 +233,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             # no admissible step decreases the residual
             history.append(history[-1])
             break
-        u, F, T = u_try, F_try, T_try
+        u, F, T, H = u_try, F_try, T_try, H_try
         history.append(float(np.max(np.abs(F))))
         # damping collapse: heavily damped steps that barely move the
         # residual will not recover; report honestly instead of burning
@@ -248,14 +248,16 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
 def _equations(st, k: int, l: int, rhs: float):
     """The discrete system of S_k/S_l (D2u) = rhs on one stencil set:
     residual(u) -> (F, the table S_0..S_n of the discrete Hessian's
-    spectrum at every inside node), the equation rows first, then the
-    closure rows; jacobian(u) -> dF/du as a CSR matrix. The solved form
-    follows l, as in spectral_gradient: S_k = rhs for l = 0, and
+    spectrum at every inside node, the Hessian stack H of u), F with the
+    equation rows first, then the closure rows; jacobian(H) -> dF/du at
+    the iterate whose stack is H, as a CSR matrix. The solved form follows
+    l, as in spectral_gradient: S_k = rhs for l = 0, and
     log S_k - log S_l = log rhs for quotients."""
     eq_rows = ~st.is_closure                      # equation rows
 
     def residual(u):
-        T = esym_table(np.linalg.eigvalsh(st.hessian_stack(u)))
+        H = st.hessian_stack(u)
+        T = esym_table(np.linalg.eigvalsh(H))
         if l > 0:
             G = np.log(np.maximum(T[:, k], _LOG_FLOOR)) - np.log(
                 np.maximum(T[:, l], _LOG_FLOOR)
@@ -263,12 +265,12 @@ def _equations(st, k: int, l: int, rhs: float):
         else:
             G = T[:, k] - rhs
         F_cl = st.closure_matrix @ u - st.closure_rhs
-        return np.concatenate([G[eq_rows], F_cl]), T
+        return np.concatenate([G[eq_rows], F_cl]), T, H
 
-    def jacobian(u):
+    def jacobian(H):
         # spectra on the equation rows only: closure rows are linear, and
         # their S_k may vanish
-        lam, Q = np.linalg.eigh(st.hessian_stack(u)[eq_rows])
+        lam, Q = np.linalg.eigh(H[eq_rows])
         g = spectral_gradient(lam, k, l)
         return _linear_operator(st, np.einsum("nij,nj,nkj->nik", Q, g, Q))
 
@@ -354,18 +356,14 @@ def _krylov_step(J, F, lu):
 
 
 def _make_report(problem, st, fit, u, F, T, history, linear_iters, iters, converged):
-    mask = problem.mask
     eq_rows = ~st.is_closure
     # residual over complete-stencil equation rows
     F_eq = F[: int(np.sum(eq_rows))]
     full_in_eq = st.is_full[eq_rows]
     res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if st.is_full.any() else math.nan
     margin = _cone_margin(T[st.is_full], problem.k)
-    full = np.zeros(mask.grid.dims)
-    full[tuple(mask.inside_idx.T)] = u
-    fld = ScalarField(mask=mask, values=full, level=problem.boundary_value)
     return SolveReport(
-        field=fld,
+        field=ScalarField(mask=problem.mask, values=u, level=problem.boundary_value),
         residual_max=res_full,
         newton_iters=iters,
         admissibility_margin=margin,

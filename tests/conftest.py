@@ -19,6 +19,20 @@ def pow32():
     return candidates.power_norm(1.0, 1.5, 2)
 
 
+@pytest.fixture
+def hessian_stack_calls(monkeypatch):
+    """A list that grows by one entry per StencilSet.hessian_stack call."""
+    calls = []
+    stack = fields.StencilSet.hessian_stack
+
+    def counted(self, values_in):
+        calls.append(1)
+        return stack(self, values_in)
+
+    monkeypatch.setattr(fields.StencilSet, "hessian_stack", counted)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def poisson_disk_64():
     mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 64)

@@ -84,9 +84,11 @@ def test_invalid_order_exits_2(tmp_path):
             "vertices": [[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]}}},
         {"h": 1 / 48, "domain": {"type": "polygon", "params": {
             "vertices": [[0, 0], [0, 1], [1, 1], [1, 0]]}}},
+        # the (1, 2) ellipse spans 32 nodes, one below the default min_resolution
+        {"h": 0.125},
     ],
     ids=["order", "semiaxes-length", "candidate-spec", "candidate-dimension", "polygon-dimension",
-         "polygon-l-shape", "polygon-clockwise"],
+         "polygon-l-shape", "polygon-clockwise", "too-coarse"],
 )
 def test_problem_precondition_exits_2_without_files(tmp_path, change):
     # the problem passes the schema but not problem_from_spec's checks
@@ -412,11 +414,13 @@ def test_chain_volume_command(tmp_path):
         {**DISK, "k": 3},
         {**DISK, "l": 2},
         {"domains": [{"semiaxes": [1.0, 1.0]}, {"semiaxes": [1.0]}]},
+        {**DISK, "h": 0.125},
     ],
-    ids=["k-above-n", "l-not-below-k", "one-dimensional-domain"],
+    ids=["k-above-n", "l-not-below-k", "one-dimensional-domain", "too-coarse"],
 )
 def test_chain_volume_order_error_exits_2_without_files(tmp_path, params):
-    # every domain's orders are checked before the first artifact
+    # every domain is checked as a Dirichlet problem (orders and resolution)
+    # before the first artifact
     assert run_cli(tmp_path, {"command": "chain_volume", "params": params}, "x") == 2
     out = tmp_path / "x"
     assert not out.exists() or os.listdir(out) == []

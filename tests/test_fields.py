@@ -75,8 +75,18 @@ def test_gradient_exact_on_quadratic_and_constant():
         grid=f.grid, inside=f.mask.inside.copy(),
         theta=f.mask.theta.copy(), bval=np.zeros_like(f.mask.bval),
     )
-    flat = fields.ScalarField(mask=flat_mask, values=np.zeros(f.grid.dims))
+    flat = fields.ScalarField(mask=flat_mask, values=np.zeros(f.mask.inside_count()))
     assert np.max(np.abs(flat.gradient_stack())) == 0.0
+
+
+def test_field_values_are_per_inside_node():
+    # one value per inside node, in inside_idx order; a grid-shaped array
+    # is refused
+    c, f = sample_disk()
+    assert f.values.shape == (f.mask.inside_count(),)
+    assert np.array_equal(f.values, c.value(f.mask.inside_coords()))
+    with pytest.raises(PreconditionError, match="one entry per inside node"):
+        fields.ScalarField(mask=f.mask, values=np.zeros(f.grid.dims))
 
 
 def test_gradient_matches_registry_away_from_origin():
@@ -212,8 +222,8 @@ def test_mask_not_grid_connected(n, kind):
 def test_hsf1_roundtrip_bit_exact(tmp_path):
     _, f = sample_disk(h=1 / 16)
     rng = np.random.default_rng(1)
-    noisy = f.with_values(f.inside_values() * (1 + 1e-13 * rng.normal(size=f.mask.inside_count())))
-    noisy.level = f.level
+    noise = 1 + 1e-13 * rng.normal(size=f.mask.inside_count())
+    noisy = fields.ScalarField(f.mask, f.values * noise, f.level)
     path = tmp_path / "field.hsf1"
     fields.save_hsf1(noisy, path)
     back = fields.load_hsf1(path)
@@ -222,8 +232,7 @@ def test_hsf1_roundtrip_bit_exact(tmp_path):
     assert np.array_equal(back.grid.origin, noisy.grid.origin)
     assert back.level == noisy.level
     assert np.array_equal(back.mask.inside, noisy.mask.inside)
-    ins = noisy.mask.inside
-    assert np.array_equal(back.values[ins], noisy.values[ins])
+    assert np.array_equal(back.values, noisy.values)
     # second pass is byte-identical
     path2 = tmp_path / "field2.hsf1"
     fields.save_hsf1(back, path2)

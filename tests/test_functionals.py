@@ -165,7 +165,7 @@ def test_legendre_rejects_nonconvex(iso_quad):
     X = f.mask.inside_coords()
     from hessianlab.errors import AdmissibilityError
 
-    saddle = f.with_values(X[:, 0] ** 2 - X[:, 1] ** 2)
+    saddle = fields.ScalarField(f.mask, X[:, 0] ** 2 - X[:, 1] ** 2, f.level)
     with pytest.raises(AdmissibilityError):
         functionals.legendre_transform(saddle, region_level=0.4)
 

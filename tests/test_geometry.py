@@ -499,6 +499,14 @@ def test_normal_map_linear_gradient_map():
     assert fw == pytest.approx(nm, rel=1e-2)
 
 
+def test_forward_image_area_builds_one_hessian_stack(iso_quad, hessian_stack_calls):
+    # the convexity check and the cut extrapolations read one stack
+    g = fields.grid_for_candidate(iso_quad, level=1.0, h=1 / 24)
+    f = fields.sample_candidate(iso_quad, g, 1.0)
+    assert geometry.forward_image_area(f) == pytest.approx(2.0 * math.pi, rel=1e-2)
+    assert len(hessian_stack_calls) == 1
+
+
 def test_normal_map_rejects_affine():
     c = candidates.quadratic(np.eye(2), name="quad:iso")
     g = fields.grid_for_candidate(c, level=1.0, h=1 / 24)
@@ -506,7 +514,7 @@ def test_normal_map_rejects_affine():
     X = f.mask.inside_coords()
     from hessianlab.errors import AdmissibilityError
 
-    aff = f.with_values(0.1 * X[:, 0] + 0.05)
+    aff = fields.ScalarField(f.mask, 0.1 * X[:, 0] + 0.05, f.level)
     with pytest.raises(AdmissibilityError):
         geometry.normal_map_area(aff)
 

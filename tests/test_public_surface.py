@@ -30,7 +30,6 @@ TEST_CHECKERS = {
     "BallFit.verify",
     "EllipsoidFit.verify",
     "ConvexBody.vertices_extreme",
-    "ScalarField.with_values",
 }
 
 

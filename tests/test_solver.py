@@ -66,8 +66,8 @@ def test_residual_history_monotone_after_acceptance(ma_ellipse_64):
 
 def test_solver_resolution_precondition():
     mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 8)
-    with pytest.raises(PreconditionError):
-        solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
+    with pytest.raises(PreconditionError, match="fewer than 33 nodes"):
+        solver.DirichletProblem(mask=mask, k=1, l=0)
 
 
 def test_solver_nonconvergence_report():
@@ -80,22 +80,24 @@ def test_solver_nonconvergence_report():
     assert rep.newton_iters == 1
 
 
-def test_poisson_solve_builds_one_hessian_stack(monkeypatch):
+def test_poisson_solve_builds_one_hessian_stack(hessian_stack_calls):
     # k = 1: the trace start is the discrete solution, so the solve takes no
     # Newton step, and the start's blend test, its residual and the report
     # read one Hessian stack
-    calls = []
-    stack = fields.StencilSet.hessian_stack
-
-    def counted(self, values_in):
-        calls.append(1)
-        return stack(self, values_in)
-
-    monkeypatch.setattr(fields.StencilSet, "hessian_stack", counted)
     mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 24)
     rep = solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
     assert rep.converged and rep.newton_iters == 0
-    assert len(calls) == 1
+    assert len(hessian_stack_calls) == 1
+
+
+def test_newton_solve_builds_one_hessian_stack_per_iterate(hessian_stack_calls):
+    # 4 full Newton steps from an admissible trace start: one stack for the
+    # start and one per accepted trial; the Jacobian reads the stack of the
+    # iterate it linearizes at
+    mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 32)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert rep.converged and rep.newton_iters == 4
+    assert len(hessian_stack_calls) == 5
 
 
 def _central_difference_jacobian(residual, u, step=1e-7):
@@ -126,9 +128,9 @@ def test_jacobian_matches_central_differences(n, k, l, h):
     u = q + 0.2 * (q - 1.0) ** 2
     residual, jacobian = solver._equations(st, k, l, 2.0)
     # an admissible iterate: S_1..S_k positive on every equation row
-    T = residual(u)[1]
+    _, T, H = residual(u)
     assert np.min(T[~st.is_closure, 1 : k + 1]) > 0
-    J = jacobian(u).toarray()
+    J = jacobian(H).toarray()
     J_fd = _central_difference_jacobian(residual, u)
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
 
@@ -248,6 +250,9 @@ def test_problem_spec_roundtrip():
     problem, opts = cli.problem_from_spec(spec)
     assert problem.k == 2 and problem.l == 0
     assert opts.tol == 1e-9
+    # the resolution floor is a property of the problem
+    assert problem.min_resolution == 33
+    assert cli.problem_from_spec(dict(spec, min_resolution=16))[0].min_resolution == 16
     bad = dict(spec, k=1, l=1)
     with pytest.raises(PreconditionError):
         cli.problem_from_spec(bad)
@@ -270,10 +275,7 @@ def test_solve_polygon_domain():
     ang = np.pi / 8 + np.linspace(0, 2 * np.pi, 8, endpoint=False)
     verts = 1.2 * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     mask = fields.mask_from_polygon(verts, h=1 / 28)
-    rep = solver.solve(
-        solver.DirichletProblem(mask=mask, k=1, l=0),
-        solver.SolveOptions(min_resolution=30),
-    )
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0, min_resolution=30))
     assert rep.converged
     assert rep.u_min > 0.5  # shallow bowl on a small domain
 
@@ -283,10 +285,7 @@ def test_quotient_3d_ball():
     c = math.sqrt(3.0)
     radius = math.sqrt(2.0 / c)
     mask = fields.mask_from_ellipse([radius] * 3, h=radius / 8.5)
-    rep = solver.solve(
-        solver.DirichletProblem(mask=mask, k=3, l=1),
-        solver.SolveOptions(min_resolution=15),
-    )
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=3, l=1, min_resolution=15))
     assert rep.converged
     X = mask.inside_coords()
     exact = 0.5 * c * np.sum(X**2, axis=1)
@@ -297,10 +296,7 @@ def test_quotient_3d_ball():
 def test_sigma2_3d_ellipsoids_converge():
     for semi in ([1.0, 1.0, 1.0], [0.9, 1.0, 1.2]):
         mask = fields.mask_from_ellipse(semi, h=1 / 9)
-        rep = solver.solve(
-            solver.DirichletProblem(mask=mask, k=2, l=0),
-            solver.SolveOptions(min_resolution=15),
-        )
+        rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0, min_resolution=15))
         assert rep.converged
 
 
@@ -314,22 +310,20 @@ def test_krylov_steps_match_direct_steps(case, monkeypatch):
     if case == "quotient3d":
         lam = np.array([1.7, 1.8, 3.5 / (1.7 * 1.8 - 1.0)])   # S3/S1 = 1, near the ball
         mask = fields.mask_from_ellipse(np.sqrt(2.0 / lam), h=1 / 11)
-        problem = solver.DirichletProblem(mask=mask, k=3, l=1)
-        opts = solver.SolveOptions(min_resolution=16)
+        problem = solver.DirichletProblem(mask=mask, k=3, l=1, min_resolution=16)
     else:
         mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 32)
         problem = solver.DirichletProblem(mask=mask, k=2, l=0)
-        opts = solver.SolveOptions()
-    rep = solver.solve(problem, opts)
+    rep = solver.solve(problem)
     assert rep.converged
     assert len(rep.linear_iters) == rep.newton_iters
     assert all(isinstance(i, int) and i > 0 for i in rep.linear_iters)
     monkeypatch.setattr(solver, "_krylov_step", _direct_step)
-    rep_direct = solver.solve(problem, opts)
+    rep_direct = solver.solve(problem)
     assert rep_direct.newton_iters == rep.newton_iters
     assert rep_direct.converged == rep.converged
     du = np.max(np.abs(rep.field.inside_values() - rep_direct.field.inside_values()))
-    assert du <= opts.tol
+    assert du <= solver.SolveOptions().tol
 
 
 def test_krylov_steps_meet_the_linear_tolerance(monkeypatch):
@@ -432,10 +426,7 @@ def test_quotient_3d_ball_fine_without_warnings(cells):
     mask = fields.mask_from_ellipse([radius] * 3, h=radius / cells)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        rep = solver.solve(
-            solver.DirichletProblem(mask=mask, k=3, l=1),
-            solver.SolveOptions(min_resolution=15),
-        )
+        rep = solver.solve(solver.DirichletProblem(mask=mask, k=3, l=1, min_resolution=15))
     assert rep.converged
     X = mask.inside_coords()
     exact = 0.5 * c * np.sum(X**2, axis=1)

@@ -5,10 +5,10 @@ comparison is exact: CSR matrices must have the same sparsity structure
 (explicit zeros included, since they shape the Newton Jacobian and with it
 the sparse LU ordering) and the same bits in every entry; constant vectors,
 weights, node classes, closure rows and cut records must match bit for bit.
-The HSF1 fixtures are text files with the mask arrays `load_hsf1` made of
-them, the cut data stored dense over the grid (theta 1 and bval NaN off the
-inside nodes); writing the loaded field back must reproduce the text byte
-for byte.
+The HSF1 fixtures are text files with the arrays `load_hsf1` made of them,
+the values and cut data stored dense over the grid (value 0, theta 1 and
+bval NaN off the inside nodes); writing the loaded field back must
+reproduce the text byte for byte.
 
 Regenerate the fixtures only on purpose, after a change that is meant to
 alter the stencils:
@@ -29,9 +29,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 H = 1 / 12
 
 VECTORS = (
-    "weights", "is_full", "is_collar", "is_closure", "mixed_ok",
+    "weights", "is_full", "is_collar", "is_closure",
     "closure_rhs", "closure_nodes",
-    "cut_node", "cut_axis", "cut_dir", "cut_theta", "cut_bval", "cut_points",
+    "cut_node", "cut_axis", "cut_dir", "cut_theta", "cut_points",
 )
 
 
@@ -143,7 +143,7 @@ def _hsf1_fields():
     X = mask.grid.coords(mask.grid.all_indices())
     rng = np.random.default_rng(7)
     vals = 0.5 * np.sum(X**2, axis=1) + 0.1 * X[:, 0] + 1e-3 * rng.normal(size=len(X))
-    solid = fields.ScalarField(mask=mask, values=vals.reshape(mask.grid.dims))
+    solid = fields.ScalarField(mask=mask, values=vals.reshape(mask.grid.dims)[mask.inside])
     return {"aniso2d": flat, "noisy3d": solid}
 
 
@@ -158,7 +158,8 @@ def test_hsf1_matches_oracle(name, tmp_path):
     got = {"inside": f.mask.inside, "values": f.values,
            "theta": f.mask.theta, "bval": f.mask.bval}
     for key in HSF1_ARRAYS:
-        want = ref[key][:, :, ref["inside"]] if key in ("theta", "bval") else ref[key]
+        # values, theta and bval are stored dense over the grid
+        want = ref[key] if key == "inside" else ref[key][..., ref["inside"]]
         _assert_same(got[key], want, key)
     out = tmp_path / "again.hsf1"
     fields.save_hsf1(f, out)
@@ -176,10 +177,13 @@ def _write():
         fields.save_hsf1(f, text)
         back = fields.load_hsf1(text)
         inside = back.mask.inside
-        arrays = {"inside": inside, "values": back.values}
-        for key, fill in (("theta", 1.0), ("bval", np.nan)):
-            dense = np.full(back.mask.theta.shape[:2] + inside.shape, fill)
-            dense[:, :, inside] = getattr(back.mask, key)
+        arrays = {"inside": inside}
+        for key, of, fill in (
+            ("values", back, 0.0), ("theta", back.mask, 1.0), ("bval", back.mask, np.nan)
+        ):
+            node = getattr(of, key)
+            dense = np.full(node.shape[:-1] + inside.shape, fill)
+            dense[..., inside] = node
             arrays[key] = dense
         np.savez_compressed(os.path.join(DATA, f"field_{name}.npz"), **arrays)
         print(name, os.path.getsize(text), "bytes of text")
