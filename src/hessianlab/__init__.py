@@ -3,17 +3,6 @@ Hessian-quotient Dirichlet problems, sub-level-set geometry and the
 growth conditions attached to Bernstein-type rigidity statements.
 """
 
-from . import (
-    calibration,
-    candidates,
-    fields,
-    functionals,
-    geometry,
-    pipeline,
-    polar,
-    solver,
-    symm,
-)
 from .errors import (
     AdmissibilityError,
     ClippingError,

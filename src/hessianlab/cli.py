@@ -21,7 +21,7 @@ import sys
 import jsonschema
 import numpy as np
 
-from . import fields, functionals, pipeline, solver, symm
+from . import fields, functionals, pipeline, symm
 from .calibration import calibration_hash
 from .candidates import candidate_from_spec
 from .errors import NonConvergenceError, NumericError, PreconditionError
@@ -189,6 +189,8 @@ def _given(params: dict, **casts) -> dict:
 def problem_from_spec(spec: dict) -> tuple:
     """Build (DirichletProblem, SolveOptions) from the JSON wire format;
     the caller has checked spec against PROBLEM_SCHEMA."""
+    from . import solver
+
     n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
     symm.check_orders(n, k, l)
     dom = spec["domain"]
@@ -245,6 +247,8 @@ def _apply_overrides(config: dict, overrides: list):
 
 def _cmd_solve(built, out):
     """built: the (DirichletProblem, SolveOptions) of the config's problem."""
+    from . import solver
+
     report = solver.solve(*built)
     save_hsf1(report.field, os.path.join(out, "solution.hsf1"))
     payload = report.to_json_dict()
@@ -295,22 +299,24 @@ def _cmd_chain_iso(params, out):
     return 0 if report.all_passed() else 3
 
 
-def _volume_domains(params: dict) -> tuple:
-    """(domains, k, l) of a chain_volume config: one (label, mask) per
-    domain, each checked as the mask of a Dirichlet problem."""
+def _volume_domains(params: dict) -> list:
+    """One (label, DirichletProblem) per domain of a chain_volume config;
+    building a problem checks it."""
+    from . import solver
+
     k, l = int(params.get("k", 2)), int(params.get("l", 0))
     h = float(params.get("h", 1.0 / 48.0))    # float: written into each report
     domains = []
     for spec in params["domains"]:
         semi = spec["semiaxes"]
         problem = solver.DirichletProblem(mask=fields.mask_from_ellipse(semi, h), k=k, l=l)
-        domains.append((spec.get("label", json.dumps(semi)), problem.mask))
-    return domains, k, l
+        domains.append((spec.get("label", json.dumps(semi)), problem))
+    return domains
 
 
 def _cmd_chain_volume(built, out):
-    """built: the (domains, k, l) of the config."""
-    reports = pipeline.volume_to_roundness_experiment(*built)
+    """built: the (label, DirichletProblem) domains of the config."""
+    reports = pipeline.volume_to_roundness_experiment(built)
     payload = {
         "schema_version": pipeline.REPORT_SCHEMA_VERSION,
         "calibration": calibration_hash(),

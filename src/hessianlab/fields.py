@@ -32,8 +32,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import polar
 from .errors import ClippingError, DegenerateDomainError, PreconditionError
@@ -76,6 +74,9 @@ class Grid:
 def _component_count(ins: np.ndarray) -> int:
     """Number of face-connected components of the True entries: the graph
     joins every pair of True neighbours along each axis."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     size = int(np.count_nonzero(ins))
     index = np.full(ins.shape, -1)
     index[ins] = np.arange(size)
@@ -216,6 +217,8 @@ class StencilSet:
 def _csr(rows, cols, vals, shape):
     """CSR matrix of the entries whose column is not -1; rows broadcast
     against cols, and repeated (row, column) pairs are summed."""
+    import scipy.sparse as sp
+
     rows = np.broadcast_to(rows, cols.shape)
     keep = cols >= 0
     return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()

@@ -20,6 +20,7 @@ from . import polar
 from .candidates import AnalyticCandidate, require_candidate, rescaled
 from .errors import AdmissibilityError, PreconditionError
 from .fields import Grid, ScalarField, write_text
+from .geometry import ConvexBody
 
 
 class Condition(str, Enum):
@@ -174,8 +175,6 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
     covering the gradient image, masked by its convex hull, and is pinned
     to value zero at the origin.
     """
-    from scipy.spatial import ConvexHull
-
     mask = f.mask
     st = mask.stencils()
     n = mask.n
@@ -196,13 +195,12 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
     G = f.gradient_stack()[sel]
     model_ok = (st.is_full | st.is_collar)[sel] & (lam_nodes[:, 0] > 0)
 
-    hull = ConvexHull(G)
+    eqs = ConvexBody(n=n, vertices=G).equations
     lo, hi = G.min(axis=0), G.max(axis=0)
     span = float(np.max(hi - lo))
     dims0 = max(int(np.median(mask.extents())), 33)
     h_out = span / (dims0 - 1)
     margin = 2.0 * h_out
-    eqs = hull.equations
 
     def phi(Y):
         return np.max(Y @ eqs[:, :-1].T + eqs[:, -1], axis=-1) + margin

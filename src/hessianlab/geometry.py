@@ -30,31 +30,75 @@ from .polar import directions, radial_crossings
 class ConvexBody:
     """Convex hull of a vertex cloud in R^n (n = 2 or 3).
 
-    One Qhull hull gives the outward facet equations a.x + b <= 0 (unit
-    normals a), the volume and the boundary measure (length for n=2, area
-    for n=3). A cloud with no interior raises DegenerateDomainError.
+    The hull gives the outward facet equations a.x + b <= 0 (unit normals
+    a), the indices of the hull vertices, the volume and the boundary
+    measure (length for n=2, area for n=3). In 2D it is Andrew's monotone
+    chain (Inf. Process. Lett. 9, 1979): vertices in counterclockwise
+    order, one edge per facet, points on an edge dropped, shoelace area. In
+    3D it is Qhull. A cloud with no interior raises DegenerateDomainError;
+    in 2D that is a hull whose area is at most 1e-12 times the square of
+    the cloud's bounding-box diagonal.
     """
 
     n: int
     vertices: np.ndarray
 
     def __post_init__(self):
+        self.vertices = np.asarray(self.vertices, dtype=float)
+        if self.n == 2:
+            self._chain_2d()
+        else:
+            self._qhull()
+
+    def _chain_2d(self):
+        P = self.vertices
+        order = np.lexsort((P[:, 1], P[:, 0]))
+        pts = P[order].tolist()
+
+        def half(idx):
+            # keep left turns only: a collinear or repeated point leaves
+            chain = []
+            for i in idx:
+                x, y = pts[i]
+                while len(chain) >= 2:
+                    (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+                    if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                        break
+                    chain.pop()
+                chain.append(i)
+            return chain[:-1]
+
+        ring = half(range(len(pts))) + half(range(len(pts) - 1, -1, -1))
+        self.hull_vertices = order[ring]
+        W = P[self.hull_vertices]
+        E = np.roll(W, -1, axis=0) - W
+        length = np.hypot(E[:, 0], E[:, 1])
+        self._volume = 0.5 * float(np.sum(W[:, 0] * E[:, 1] - W[:, 1] * E[:, 0]))
+        self._surface = float(np.sum(length))
+        if len(ring) < 3 or not self._volume > 1e-12 * self.diameter() ** 2:
+            raise DegenerateDomainError("body has no interior")
+        A = np.column_stack([E[:, 1], -E[:, 0]]) / length[:, None]
+        self.equations = np.column_stack([A, -np.einsum("ij,ij->i", A, W)])
+
+    def _qhull(self):
         from scipy.spatial import ConvexHull, QhullError
 
-        self.vertices = np.asarray(self.vertices, dtype=float)
         try:
-            self._hull = ConvexHull(self.vertices)
+            hull = ConvexHull(self.vertices)
         except (QhullError, ValueError) as exc:  # ValueError: no points
             raise DegenerateDomainError("body has no interior") from exc
+        self.hull_vertices = hull.vertices
+        self.equations = hull.equations
+        self._volume, self._surface = float(hull.volume), float(hull.area)
 
     # -- measures ---------------------------------------------------------
 
     def volume(self) -> float:
-        return float(self._hull.volume)
+        return self._volume
 
     def surface(self) -> float:
         """Boundary length (n=2) or area (n=3)."""
-        return float(self._hull.area)
+        return self._surface
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -69,7 +113,7 @@ class ConvexBody:
         """Distance from an interior point to the boundary (min over facet
         planes, exact for interior points of a convex polytope)."""
         x = np.asarray(x, dtype=float)
-        A, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
+        A, b = self.equations[:, :-1], self.equations[:, -1]
         return float(np.min(-(A @ x + b)))
 
     def max_vertex_distance(self, x) -> float:
@@ -77,7 +121,7 @@ class ConvexBody:
 
     def vertices_extreme(self) -> bool:
         """Every vertex within 1e-9 * diameter of the hull boundary."""
-        A, b = self._hull.equations[:, :-1], self._hull.equations[:, -1]
+        A, b = self.equations[:, :-1], self.equations[:, -1]
         viol = np.max(self.vertices @ A.T + b, axis=1)
         return bool(np.max(np.abs(np.minimum(viol, 0.0))) <= 1e-9 * self.diameter())
 
@@ -140,48 +184,115 @@ def ball_fit(body: ConvexBody) -> BallFit:
     over the facet equations [A, b] (the first constraint is
     s r_in(x) >= 1) and the hull vertices v_i. The body is moved to its
     centroid c and scaled by r_in(c), so the start y = 0, s = 1 lies on the
-    linear constraint. One SLSQP solve with analytic Jacobians follows, and
-    its last iterate is taken whatever the exit status: SLSQP may report a
-    failed line search at the optimum. Both radii are measured at that
-    center, so the containment is certified; a center outside the body
-    raises NonConvergenceError.
+    linear constraint; `_charnes_cooper` solves the program. Both radii are
+    measured at the returned center, so the containment is certified; a
+    center outside the body raises NonConvergenceError.
     """
-    from scipy.optimize import minimize
-
     n = body.n
-    A, b = body._hull.equations[:, :-1], body._hull.equations[:, -1]
+    A, b = body.equations[:, :-1], body.equations[:, -1]
     c = body.centroid()
     rho = body.boundary_distance(c)
-    V = (body.vertices[body._hull.vertices] - c) / rho
-    b = (b + A @ c) / rho
-    lin_jac = np.column_stack([-A, -b, np.zeros(b.size)])
-    e_z = np.zeros(n + 2)
-    e_z[-1] = 1.0
-
-    def gaps(w):
-        y, s, z = w[:n], w[n], w[-1]
-        D = s * V - y
-        return np.concatenate([-(A @ y + b * s) - 1.0, z - np.einsum("ij,ij->i", D, D)])
-
-    def gaps_jac(w):
-        D = w[n] * V - w[:n]
-        quad_jac = np.column_stack(
-            [2.0 * D, -2.0 * np.einsum("ij,ij->i", D, V), np.ones(V.shape[0])]
-        )
-        return np.vstack([lin_jac, quad_jac])
-
-    w0 = np.concatenate([np.zeros(n), [1.0, np.max(np.einsum("ij,ij->i", V, V))]])
-    res = minimize(
-        lambda w: w[-1], w0, jac=lambda w: e_z, method="SLSQP",
-        constraints=[{"type": "ineq", "fun": gaps, "jac": gaps_jac}],
-        options={"ftol": 1e-12},
-    )
-    x0 = c + rho * res.x[:n] / res.x[n]
+    V = (body.vertices[body.hull_vertices] - c) / rho
+    y, s = _charnes_cooper(A, (b + A @ c) / rho, V)
+    x0 = c + rho * y / s
     r_in = body.boundary_distance(x0)
     if not r_in > 0:
         raise NonConvergenceError("ball fit center left the body")
     r_out = body.max_vertex_distance(x0)
     return BallFit(center=x0, R=math.sqrt(r_out * r_in), gamma=math.sqrt(r_out / r_in))
+
+
+def _charnes_cooper(A, b, V) -> tuple:
+    """(y, s) of min z subject to c(w) >= 0 over w = (y, s, z), where c
+    holds the linear rows -(A y + b s) - 1 and the quadratic rows
+    z - |s v_i - y|^2.
+
+    Primal-dual interior point with Mehrotra's predictor-corrector, as in
+    `_restricted_dual`, on c(w) = t with slacks t > 0, multipliers lam > 0
+    and the Lagrangian's gradient e_z - J' lam = 0 (J the Jacobian of c).
+    The slacks keep the iteration exact where a row is nearly active: c
+    itself is computed there to roundoff only. Each step solves the reduced
+    Newton system (J' diag(lam / t) J + L) dw = rhs, where L = 2 sum_i lam_i
+    G_i' G_i, G_i = [I, -v_i, 0], is the curvature of the quadratic rows,
+    and moves t and lam separately a fraction eta of the way to the
+    boundary of t > 0 and lam > 0; eta = 1 - gap / z, clipped to
+    [0.99, 1 - 1e-6], so the last steps converge fast. Where the least
+    ratio is reached along a segment of centers (a vertex whose adjacent
+    facets are the nearest), the system becomes singular as the gap closes:
+    it is solved from its eigenpairs above 1e-13 of the largest, after a
+    unit-diagonal scaling. The start is y = 0, s = 1, z = max |v_i|^2, and
+    t = max(c(w), 0.1) with t lam = 0.1, so the nearly active rows start
+    centred. Stops when the total complementarity gap and the largest
+    primal residual are at most 1e-13 z; past 50 steps, or once a step is
+    not finite, raises NonConvergenceError.
+    """
+    m, n = A.shape
+    p = V.shape[0]
+    N = m + p
+    VV = np.einsum("ij,ij->i", V, V)
+    # J on the first N rows, then the rows of the G_i, so that one product
+    # weighted by lam / t and 2 lam_i gives the Newton matrix
+    JG = np.zeros((N + n * p, n + 2))
+    J = JG[:N]
+    J[:m, :n], J[:m, n], J[m:, -1] = -A, -b, 1.0
+    JG[N:, :n] = np.tile(np.eye(n), (p, 1))
+    JG[N:, n] = -V.ravel()
+    w = np.concatenate([np.zeros(n), [1.0, VV.max()]])
+
+    def rows(w):
+        """c(w); writes the quadratic rows of J at w."""
+        y, s = w[:n], w[n]
+        Vy = V @ y
+        J[m:, :n] = 2.0 * (s * V - y)
+        J[m:, n] = 2.0 * (Vy - s * VV)
+        return np.concatenate(
+            [J[:m] @ w - 1.0, w[-1] - (s * s) * VV + (2.0 * s) * Vy - float(y @ y)]
+        )
+
+    c = rows(w)
+    t = np.maximum(c, 0.1)
+    lam = 0.1 / t
+    diag = np.diag_indices(n + 2)
+    for _ in range(50):
+        r_p = c - t
+        gap = float(t @ lam)
+        if not math.isfinite(gap):
+            raise NonConvergenceError("ball fit took a step that is not finite")
+        if gap <= 1e-13 * w[-1] and np.abs(r_p).max() <= 1e-13 * w[-1]:
+            return w[:n], w[n]
+        d = lam / t
+        K = JG.T @ (JG * np.concatenate([d, np.repeat(2.0 * lam[m:], n)])[:, None])
+        scale = 1.0 / np.sqrt(K[diag])
+        ev, Q = np.linalg.eigh(K * scale * scale[:, None])
+        keep = ev > 1e-13 * ev[-1]
+        Q = Q[:, keep] * scale[:, None]
+        K_inv = (Q / ev[keep]) @ Q.T
+        v = d * r_p
+
+        def direction(target):
+            # target: the complementarity target over t; the right-hand
+            # side is J' (target - lam - d r_p) - (e_z - J' lam)
+            dw = K_inv @ (J.T @ (target - v)) - K_inv[:, -1]
+            dt = J @ dw + r_p
+            return dw, dt, target - lam - d * dt
+
+        def steps(dt, dl):
+            return (
+                1.0 / max(1.0, -float((dt / t).min())),
+                1.0 / max(1.0, -float((dl / lam).min())),
+            )
+
+        dw, dt, dl = direction(0.0)
+        a_p, a_d = steps(dt, dl)
+        sigma = (float((t + a_p * dt) @ (lam + a_d * dl)) / gap) ** 3
+        dw, dt, dl = direction((sigma * gap / N - dt * dl) / t)
+        a_p, a_d = steps(dt, dl)
+        eta = 1.0 - min(0.01, max(1e-6, gap / w[-1]))
+        w = w + eta * a_p * dw
+        t = t + eta * a_p * dt
+        lam = lam + eta * a_d * dl
+        c = rows(w)
+    raise NonConvergenceError("ball fit exceeded its Newton steps")
 
 
 @dataclass
@@ -469,10 +580,8 @@ def forward_image_area(f: ScalarField) -> float:
     """Volume of the convex hull of the discrete gradient image: the
     gradients at inside nodes plus their second-order extrapolations to
     the cuts."""
-    from scipy.spatial import ConvexHull
-
     st, H, _ = _convex_spectra(f)
     G = f.gradient_stack()
     r = st.cut_node
     ext = G[r] + st.cut_theta[:, None] * f.grid.h * st.cut_dir[:, None] * H[r, :, st.cut_axis]
-    return float(ConvexHull(np.vstack([G, ext])).volume)
+    return ConvexBody(n=f.mask.n, vertices=np.vstack([G, ext])).volume()

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import functionals, geometry, polar, solver
+from . import functionals, geometry, polar
 from .calibration import (
     calibration_hash,
     get_constants,
@@ -394,18 +394,22 @@ def _chain_meta(t, gamma_claim, interval, violated=None) -> dict:
 # solver-backed experiment: volume controls roundness
 
 
-def volume_to_roundness_experiment(domains: list, k: int, l: int = 0) -> list:
-    """For each (label, mask): solve, compare against both ellipsoid
-    barriers, check the radius sandwich and the volume-to-roundness bound."""
+def volume_to_roundness_experiment(domains: list) -> list:
+    """For each (label, DirichletProblem): solve, compare against both
+    ellipsoid barriers, check the radius sandwich and the volume-to-roundness
+    bound. The problems are built, and so checked, by the caller."""
+    from . import solver
+
     calib = get_constants()
     reports = []
-    for label, mask in domains:
+    for label, problem in domains:
+        mask = problem.mask
         n = mask.n
         h = mask.grid.h
         links = []
         meta = {"label": label, "calibration": calibration_hash(), "h": h}
         try:
-            rep = solver.solve(solver.DirichletProblem(mask=mask, k=k, l=l))
+            rep = solver.solve(problem)
         except HessianLabError as exc:
             reports.append(
                 ChainReport(label=label, links=[], meta={**meta, "error": str(exc)})

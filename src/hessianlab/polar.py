@@ -86,13 +86,18 @@ def directions(n: int, m_dirs: int | None = None) -> np.ndarray:
 def bisect(below, hi: np.ndarray) -> np.ndarray:
     """Crossing in (0, hi) per entry: 90 halvings of [0, hi] that keep the
     half where below(mid) holds at the low end, then the last midpoint.
-    below is a vectorized predicate, true before the crossing."""
+    below is a vectorized predicate, true before the crossing. A halving
+    that moves no bracket end leaves the loop: every later one would
+    repeat it, so the result is the same."""
     lo = np.zeros_like(hi)
     for _ in range(90):
         mid = 0.5 * (lo + hi)
         ok = below(mid)
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
+        new_lo = np.where(ok, mid, lo)
+        new_hi = np.where(ok, hi, mid)
+        if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 

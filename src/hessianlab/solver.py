@@ -10,10 +10,12 @@ quadratics, so constant-Hessian solutions are reproduced up to the
 boundary interpolation error.
 
 Quotient problems iterate on log S_k - log S_l (concave, better
-conditioned); the line search keeps every enforced node's discrete
-Hessian inside the admissibility cone. The Newton Jacobian and the
-linear trace system come from one operator builder: sum_{p<=q} c_pq
-diag(W_pq) D_pq over the second-difference stencils D_pq, with W the
+conditioned); the line search keeps the discrete Hessian of every
+equation row (complete-stencil and collar nodes) inside the
+admissibility cone, and a solve converges only with all of them inside.
+The Newton Jacobian and the linear trace system come from one operator
+builder: sum_{p<=q} c_pq diag(W_pq) D_pq over the second-difference
+stencils D_pq, with W the
 spectral gradient in the Hessian's eigenframe for the Jacobian and W = I
 for the trace system. One incomplete LU (ILU) of the trace system per
 solve (SuperLU's spilu, drop tolerance 1e-4, fill factor 10,
@@ -184,7 +186,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     mask = problem.mask
     st = mask.stencils()
     k, l = problem.k, problem.l
-    enforce = st.is_full                          # admissibility enforcement set
+    enforce = ~st.is_closure                      # every equation row stays in the cone
     residual, jacobian = _equations(st, k, l, problem.rhs)
 
     def admissible(T):
@@ -241,7 +243,8 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
         if len(history) > 8 and history[-1] > 0.98 * history[-9]:
             break
 
-    converged = history[-1] <= opts.tol
+    # the rows the line search keeps in the cone must be in it at the end
+    converged = history[-1] <= opts.tol and admissible(T)
     return _make_report(problem, st, ell, u, F, T, history, linear_iters, iters, converged)
 
 
@@ -361,13 +364,12 @@ def _make_report(problem, st, fit, u, F, T, history, linear_iters, iters, conver
     F_eq = F[: int(np.sum(eq_rows))]
     full_in_eq = st.is_full[eq_rows]
     res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if st.is_full.any() else math.nan
-    margin = _cone_margin(T[st.is_full], problem.k)
     return SolveReport(
         field=ScalarField(mask=problem.mask, values=u, level=problem.boundary_value),
         residual_max=res_full,
         newton_iters=iters,
-        admissibility_margin=margin,
-        converged=bool(converged and margin > 0),
+        admissibility_margin=_cone_margin(T[st.is_full], problem.k),
+        converged=bool(converged),
         residual_history=history,
         problem=problem,
         linear_iters=linear_iters,

@@ -130,10 +130,11 @@ def test_criterion_03_barriers_and_sandwich(
             ok &= chk["max_violation"] <= 5.0 * h**2
             detail.append(f"{chk['max_violation']:.1e}")
     domains = [
-        (f"aspect{a:g}", fields.mask_from_ellipse([math.sqrt(2.0 / a), math.sqrt(2.0 * a)], h=1 / 48))
+        (f"aspect{a:g}", solver.DirichletProblem(mask=fields.mask_from_ellipse(
+            [math.sqrt(2.0 / a), math.sqrt(2.0 * a)], h=1 / 48), k=2, l=0))
         for a in (1.0, 2.0, 4.0)
     ]
-    reports = pipeline.volume_to_roundness_experiment(domains, k=2, l=0)
+    reports = pipeline.volume_to_roundness_experiment(domains)
     for repc in reports:
         ok &= repc.meta.get("converged", False)
         for ln in repc.links:

@@ -247,8 +247,9 @@ _IMPORT_PROBE = textwrap.dedent(
     from hessianlab import cli
 
     def loaded():
-        heavy = ("scipy.ndimage", "scipy.optimize", "scipy.spatial")
-        return sorted({m for m in heavy if m in sys.modules})
+        # the scipy subpackages in sys.modules, and scipy itself
+        names = (m.split(".") for m in sys.modules)
+        return sorted({".".join(p[:2]) for p in names if p[0] == "scipy"})
 
     codes, seen = [], []
     for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
@@ -258,8 +259,14 @@ _IMPORT_PROBE = textwrap.dedent(
     """
 )
 
+_HEAVY_SCIPY = {"scipy.ndimage", "scipy.optimize", "scipy.spatial"}
+
 
 def test_commands_load_only_the_scipy_subpackages_they_run(tmp_path):
+    analyze = tmp_path / "analyze.json"
+    analyze.write_text(json.dumps(
+        {"command": "analyze", "params": {"candidate": "quad:diag(2,0.5)"}}
+    ))
     solve = tmp_path / "solve.json"
     solve.write_text(json.dumps({**SOLVE_CFG, "params": {"problem": {
         **SOLVE_CFG["params"]["problem"], "h": 1 / 16}}}))
@@ -270,14 +277,16 @@ def test_commands_load_only_the_scipy_subpackages_they_run(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE,
+        [sys.executable, "-c", _IMPORT_PROBE, str(analyze), str(tmp_path / "a"),
          str(solve), str(tmp_path / "s"), str(legendre), str(tmp_path / "l")],
         env=env, capture_output=True, text=True, check=True,
     )
-    codes, (after_solve, after_legendre) = json.loads(run.stdout.splitlines()[-1])
-    assert codes == [0, 0]
-    assert after_solve == []
-    assert after_legendre == ["scipy.spatial"]
+    codes, (after_analyze, after_solve, after_legendre) = json.loads(run.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    # a 2D analyze runs on numpy alone
+    assert after_analyze == []
+    assert not _HEAVY_SCIPY & set(after_solve)
+    assert not _HEAVY_SCIPY & set(after_legendre)
 
 
 @pytest.mark.parametrize(

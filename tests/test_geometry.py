@@ -141,6 +141,59 @@ def _random_hulls_and_a_triangle():
     yield geometry.ConvexBody(n=2, vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.2, 1.0]]))
 
 
+def _slsqp_ball_fit_gamma(body):
+    """gamma of the Charnes-Cooper program solved by SLSQP with analytic
+    Jacobians (ball_fit's former solver), measured at its center."""
+    from scipy.optimize import minimize
+
+    n = body.n
+    A, b = body.equations[:, :-1], body.equations[:, -1]
+    c = body.centroid()
+    rho = body.boundary_distance(c)
+    V = (body.vertices[body.hull_vertices] - c) / rho
+    b = (b + A @ c) / rho
+    lin_jac = np.column_stack([-A, -b, np.zeros(b.size)])
+    e_z = np.zeros(n + 2)
+    e_z[-1] = 1.0
+
+    def gaps(w):
+        D = w[n] * V - w[:n]
+        lin = -(A @ w[:n] + b * w[n]) - 1.0
+        return np.concatenate([lin, w[-1] - np.einsum("ij,ij->i", D, D)])
+
+    def gaps_jac(w):
+        D = w[n] * V - w[:n]
+        quad_jac = np.column_stack(
+            [2.0 * D, -2.0 * np.einsum("ij,ij->i", D, V), np.ones(V.shape[0])]
+        )
+        return np.vstack([lin_jac, quad_jac])
+
+    w0 = np.concatenate([np.zeros(n), [1.0, np.max(np.einsum("ij,ij->i", V, V))]])
+    res = minimize(
+        lambda w: w[-1], w0, jac=lambda w: e_z, method="SLSQP",
+        constraints=[{"type": "ineq", "fun": gaps, "jac": gaps_jac}],
+        options={"ftol": 1e-12},
+    )
+    x0 = c + rho * res.x[:n] / res.x[n]
+    return math.sqrt(body.max_vertex_distance(x0) / body.boundary_distance(x0))
+
+
+def test_ball_fit_no_worse_than_slsqp():
+    rng = np.random.default_rng(0)
+    planar = [
+        geometry.ConvexBody(n=2, vertices=rng.normal(size=(30, 2)) * rng.uniform(0.5, 2.0, 2))
+        for _ in range(20)
+    ]
+    aniso = candidates.candidate_from_spec("aniso:c=1,1;p=2,4")
+    levels = [
+        geometry.extract_body(aniso, float(t), m_dirs=360) for t in np.geomspace(1e2, 1e6, 9)
+    ]
+    for i, body in enumerate(list(_random_hulls_and_a_triangle()) + planar + levels):
+        fit = geometry.ball_fit(body)
+        assert fit.verify(body), i
+        assert fit.gamma <= _slsqp_ball_fit_gamma(body) * (1.0 + 1e-12), i
+
+
 def test_ball_fit_is_locally_optimal():
     # no step of 1e-6 * diameter along the axes or diagonals lowers the ratio
     import itertools
@@ -164,6 +217,48 @@ def test_convex_body_rejects_flat_clouds():
         geometry.ConvexBody(n=3, vertices=flat)
     with pytest.raises(DegenerateDomainError):
         geometry.ConvexBody(n=2, vertices=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
+    # area 5e-14, below 1e-12 times the squared bounding-box diagonal
+    with pytest.raises(DegenerateDomainError):
+        geometry.ConvexBody(n=2, vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]]))
+
+
+def _planar_clouds():
+    rng = np.random.default_rng(11)
+    for m in (3, 4, 10, 50, 400):
+        yield f"gauss-{m}", rng.normal(size=(m, 2)) @ np.diag(rng.uniform(0.3, 3.0, 2))
+    P = rng.normal(size=(60, 2))
+    yield "duplicates", np.vstack([P, P[::3], P[:5]])
+    # runs of collinear points: every integer point on the boundary of a
+    # square, and points inside it
+    k = np.arange(6.0)
+    edges = [
+        np.column_stack(xy) for xy in ((k, 0 * k), (5 + 0 * k, k), (k, 5 + 0 * k), (0 * k, k))
+    ]
+    yield "collinear", np.vstack(edges + [rng.uniform(0.5, 4.5, size=(20, 2))])
+    ellipse = candidates.quadratic(np.diag([4.0, 0.25]), name="quad:diag(4,0.25)")
+    yield "ray-shot", geometry.extract_body(ellipse, 1.0, m_dirs=720).vertices
+
+
+PLANAR_CLOUDS = dict(_planar_clouds())
+
+
+@pytest.mark.parametrize("label", list(PLANAR_CLOUDS))
+def test_planar_hull_matches_qhull(label):
+    from scipy.spatial import ConvexHull
+
+    P = PLANAR_CLOUDS[label]
+    body = geometry.ConvexBody(n=2, vertices=P)
+    ref = ConvexHull(P)
+    assert {tuple(p) for p in P[body.hull_vertices]} == {tuple(p) for p in P[ref.vertices]}
+    assert body.volume() == pytest.approx(ref.volume, rel=1e-13, abs=0)
+    assert body.surface() == pytest.approx(ref.area, rel=1e-13, abs=0)
+    # one unit outward normal per edge, each edge through two hull vertices
+    A, b = body.equations[:, :-1], body.equations[:, -1]
+    assert len(b) == len(body.hull_vertices)
+    assert np.allclose(np.linalg.norm(A, axis=1), 1.0, rtol=0, atol=1e-15)
+    side = P @ A.T + b
+    assert np.max(side) <= 1e-13 * body.diameter()
+    assert np.all(np.sum(np.abs(side) <= 1e-13 * body.diameter(), axis=0) >= 2)
 
 
 def test_john_fit_ball_and_ellipse():
@@ -318,6 +413,32 @@ def test_radial_crossings_memo_is_read_only_and_repeatable():
     assert polar._gl_nodes()[0] is q and not q.flags.writeable and not wq.flags.writeable
     V = polar.sphere_mesh(2)
     assert polar.sphere_mesh(2) is V and not V.flags.writeable and V.shape == (162, 3)
+
+
+def _bisect_90(below, hi):
+    """polar.bisect without its early exit: all 90 halvings."""
+    lo = np.zeros_like(hi)
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        ok = below(mid)
+        lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_bisect_early_exit_matches_every_halving():
+    rng = np.random.default_rng(3)
+    hi = rng.uniform(0.5, 4.0, 500)
+    # crossings in (0, hi), some at hi itself and at a value on the bracket grid
+    root = np.concatenate([hi[:400] * rng.uniform(0.0, 1.0, 400), hi[400:450], 0.5 * hi[450:]])
+    calls = []
+
+    def below(r):
+        calls.append(1)
+        return r < root
+
+    got = polar.bisect(below, hi)
+    assert got.tobytes() == _bisect_90(lambda r: r < root, hi).tobytes()
+    assert len(calls) < 90
 
 
 def test_radial_crossings_memo_not_shared_with_derived_candidates():

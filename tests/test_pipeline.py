@@ -206,8 +206,9 @@ def test_volume_experiment_ellipse_family():
     domains = []
     for a in (1.0, 2.0, 4.0):
         semi = [math.sqrt(2.0 / a), math.sqrt(2.0 * a)]
-        domains.append((f"aspect{a:g}", fields.mask_from_ellipse(semi, h=1 / 48)))
-    reports = pipeline.volume_to_roundness_experiment(domains, k=2, l=0)
+        mask = fields.mask_from_ellipse(semi, h=1 / 48)
+        domains.append((f"aspect{a:g}", solver.DirichletProblem(mask=mask, k=2)))
+    reports = pipeline.volume_to_roundness_experiment(domains)
     assert len(reports) == 3
     for rep in reports:
         assert rep.meta.get("converged"), rep.label
@@ -216,8 +217,9 @@ def test_volume_experiment_ellipse_family():
 
 def test_volume_experiment_quotient_instance():
     lam = np.array([5.0, 1.25])
-    domains = [("quot", fields.mask_from_ellipse(np.sqrt(2.0 / lam), h=1 / 48))]
-    reports = pipeline.volume_to_roundness_experiment(domains, k=2, l=1)
+    mask = fields.mask_from_ellipse(np.sqrt(2.0 / lam), h=1 / 48)
+    domains = [("quot", solver.DirichletProblem(mask=mask, k=2, l=1))]
+    reports = pipeline.volume_to_roundness_experiment(domains)
     rep = reports[0]
     assert rep.meta.get("converged")
     for ln in rep.links:
@@ -230,8 +232,9 @@ def test_volume_experiment_records_nonconvergence(monkeypatch):
     monkeypatch.setattr(
         solver, "solve", lambda problem: solve(problem, solver.SolveOptions(max_iters=1))
     )
-    domains = [("disk", fields.mask_from_ellipse([1.0, 1.0], h=1 / 40))]
-    reports = pipeline.volume_to_roundness_experiment(domains, k=2, l=0)
+    mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 40)
+    domains = [("disk", solver.DirichletProblem(mask=mask, k=2))]
+    reports = pipeline.volume_to_roundness_experiment(domains)
     assert reports[0].meta.get("converged") is False
 
 

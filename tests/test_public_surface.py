@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hessianlab import candidates, fields, functionals, geometry, pipeline, polar
+from hessianlab import candidates, cli, fields, functionals, geometry, pipeline, polar, solver
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "hessianlab"
@@ -102,10 +102,12 @@ def test_test_checkers_still_exist():
 TRACED_LOOKUPS = {
     "polar.radial_crossings": (polar, geometry),
     "fields.rasterize": (fields,),
+    "solver.solve": (solver,),
+    "fields.save_hsf1": (fields, cli),
 }
 
 
-def test_callers_look_up_the_traced_names(monkeypatch):
+def test_callers_look_up_the_traced_names(monkeypatch, tmp_path):
     calls = Counter()
     for name, owners in TRACED_LOOKUPS.items():
         attr = name.split(".")[1]
@@ -129,3 +131,10 @@ def test_callers_look_up_the_traced_names(monkeypatch):
     through("polar.radial_crossings", geometry.extract_body, cand, 1.0, 64)
     field = fields.sample_candidate(cand, fields.grid_for_candidate(cand, 1.0, 1 / 16), 1.0)
     through("fields.rasterize", functionals.legendre_transform, field)
+    # cli imports solver when it runs a solve, and looks solve up on it then
+    built = cli.problem_from_spec({
+        "n": 2, "k": 1, "l": 0, "h": 1 / 16, "min_resolution": 16,
+        "domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 1.0]}},
+    })
+    through("solver.solve", cli._cmd_solve, built, str(tmp_path))
+    through("fields.save_hsf1", cli._cmd_solve, built, str(tmp_path))

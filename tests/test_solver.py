@@ -241,6 +241,18 @@ def test_admissibility_margins_reported(ma_ellipse_64):
     assert rep.collar_margin > 0
 
 
+def test_converged_quotient_keeps_every_equation_row_in_the_cone():
+    # S2/S1 = 1 on the (0.5, 2) ellipse at h = 1/32: a solve that kept only
+    # the complete-stencil rows in the cone reported convergence here with
+    # collar rows where S1 and S2 are both negative (collar_margin -9.58),
+    # whose log-floored residual reads 0
+    mask = fields.mask_from_ellipse([0.5, 2.0], h=1 / 32)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=1))
+    assert rep.converged
+    assert rep.admissibility_margin > 0
+    assert rep.collar_margin > 0
+
+
 def test_problem_spec_roundtrip():
     spec = {
         "n": 2, "k": 2, "l": 0, "h": 1 / 24,
