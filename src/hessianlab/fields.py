@@ -12,7 +12,10 @@ and the global Newton assembly read from the same stencil set. The build
 is array arithmetic over all inside nodes at once: neighbor lookups give
 every arm's column or cut, each row family (gradient, pure and mixed
 second difference, closure row) is weighted for every node in one
-expression and becomes one sparse matrix.
+expression and becomes one set of CSR arrays (`StencilRows`), sorted and
+summed per row as scipy would store them. Their products are numpy code
+that sums each row in scipy's order, so a field's derivatives need no
+scipy; the solver wraps the same arrays as scipy matrices.
 
 Fields carry one value per inside node, in the mask's `inside_idx` (C)
 order, the layout of its cut data; each derivative is one stencil product
@@ -73,10 +76,14 @@ class Grid:
 
 def _component_count(ins: np.ndarray) -> int:
     """Number of face-connected components of the True entries: the graph
-    joins every pair of True neighbours along each axis."""
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
+    joins every pair of True neighbours along each axis.
 
+    Every node starts as its own label. Each round hooks the larger label of
+    every edge whose ends still differ onto the smaller one, then jumps
+    pointers (lab = lab[lab]) until each node holds its tree's root; the
+    components are the roots left when no edge joins two labels. An edge
+    whose ends share a root keeps it, so each round drops those edges.
+    """
     size = int(np.count_nonzero(ins))
     index = np.full(ins.shape, -1)
     index[ins] = np.arange(size)
@@ -87,8 +94,20 @@ def _component_count(ins: np.ndarray) -> int:
         src.append(a[:-1][both])
         dst.append(a[1:][both])
     src, dst = np.concatenate(src), np.concatenate(dst)
-    graph = sp.coo_matrix((np.ones(src.size, dtype=np.int8), (src, dst)), shape=(size, size))
-    return int(connected_components(graph, directed=False)[0])
+    lab = np.arange(size)
+    while True:
+        a, b = lab[src], lab[dst]
+        split = a != b
+        if not split.any():
+            return int(np.count_nonzero(lab == np.arange(size)))
+        src, dst, a, b = src[split], dst[split], a[split], b[split]
+        # every label is a root here, so this hooks trees, never cycles
+        np.minimum.at(lab, np.maximum(a, b), np.minimum(a, b))
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
 
 
 @dataclass
@@ -162,12 +181,43 @@ class DomainMask:
         return self._stencils
 
 
+@dataclass(frozen=True, eq=False)
+class StencilRows:
+    """Sparse rows in canonical CSR form, as scipy stores a CSR matrix:
+    row r holds data[indptr[r]:indptr[r + 1]] at the columns
+    indices[indptr[r]:indptr[r + 1]], ascending and distinct; explicit
+    zeros are kept, and indices and indptr are int32."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, x) -> np.ndarray:
+        """The rows applied to x, each row's products added left to right
+        to +0.0, the order of scipy's CSR product, so the two agree bit for
+        bit."""
+        # numpy gathers several times faster with intp indices than int32
+        prod = self.data * x[self.indices.astype(np.intp)]
+        row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        out = np.zeros(self.shape[0])
+        np.add.at(out, row, prod)              # one product at a time, in order
+        return out
+
+    def csr(self):
+        """The same arrays as a scipy CSR matrix, without a copy."""
+        import scipy.sparse as sp
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
+
+
 class StencilSet:
     """Precomputed difference stencils and node classes for one mask.
 
-    hess[(p, q)] (p <= q) and grad[d] hold a CSR matrix over unknowns plus
-    a constant vector carrying the Dirichlet cut contributions, one row per
-    inside node. Node classes: `full` nodes have unit arms and complete
+    hess[(p, q)] (p <= q) and grad[d] hold StencilRows over the unknowns
+    plus a constant vector carrying the Dirichlet cut contributions, one
+    row per inside node; closure_matrix holds the closure rows, one per
+    closure node. Node classes: `full` nodes have unit arms and complete
     mixed crosses; `closure` nodes own a cut arm (their solver row is a
     boundary interpolation, not the equation); remaining `collar` nodes
     keep equation rows built from one-sided mixed compositions.
@@ -191,10 +241,17 @@ class StencilSet:
 
     @functools.cached_property
     def hess_eq(self) -> dict:
-        """The hess matrices on the equation rows (the rows of nodes that
-        are not closure nodes), sliced once per stencil set."""
+        """The hess rows on the equation rows (the rows of nodes that are
+        not closure nodes), as scipy CSR matrices sliced once per stencil
+        set; only the solver reads them."""
         eq = ~self.is_closure
-        return {key: A[eq] for key, (A, _) in self.hess.items()}
+        return {key: A.csr()[eq] for key, (A, _) in self.hess.items()}
+
+    @functools.cached_property
+    def closure_csr(self):
+        """closure_matrix as a scipy CSR matrix over the same arrays; only
+        the solver reads it."""
+        return self.closure_matrix.csr()
 
     def hessian_stack(self, values_in) -> np.ndarray:
         """Discrete Hessians at every inside node, shape (N_in, n, n)."""
@@ -214,14 +271,23 @@ class StencilSet:
         return G
 
 
-def _csr(rows, cols, vals, shape):
-    """CSR matrix of the entries whose column is not -1; rows broadcast
-    against cols, and repeated (row, column) pairs are summed."""
-    import scipy.sparse as sp
-
-    rows = np.broadcast_to(rows, cols.shape)
-    keep = cols >= 0
-    return sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=shape).tocsr()
+def _rows(cols, vals, n_cols) -> StencilRows:
+    """StencilRows of (R, k) column/value arrays, row r from row r of both,
+    column -1 for an absent entry. As scipy's coo_matrix(...).tocsr(): each
+    row's entries are stably sorted by column, and repeated columns are
+    summed left to right from the first."""
+    R, k = cols.shape
+    order = np.argsort(cols, axis=1, kind="stable")
+    flat = (order + (np.arange(R) * k)[:, None]).ravel()
+    c, v = cols.ravel()[flat], vals.ravel()[flat]
+    last = np.ones(c.size, dtype=bool)            # last entry of its column's run
+    last[:-1] = c[1:] != c[:-1]
+    last[k - 1 :: k] = True
+    for j in range(1, k):                         # entry j adds to its run's sum so far
+        v[j::k] = np.where(last[j - 1 :: k], v[j::k], v[j - 1 :: k] + v[j::k])
+    keep = np.flatnonzero(last & (c >= 0))
+    indptr = np.searchsorted(keep, np.arange(R + 1) * k)
+    return StencilRows(v[keep], c[keep].astype(np.int32), indptr.astype(np.int32), (R, n_cols))
 
 
 def _build_stencils(mask: DomainMask) -> StencilSet:
@@ -301,9 +367,9 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
                 cols = np.concatenate([c0, c1], 1)
                 vals = np.concatenate([f[:, None] * v0, f[:, None] * v1], 1)
                 const = 0.0 + (np.where(e0, f * k0, 0.0) + np.where(e1, f * k1, 0.0))
-            st.hess[(p, q)] = (_csr(node[:, None], cols, vals, (n_in, n_in)), const)
+            st.hess[(p, q)] = (_rows(cols, vals, n_in), const)
     for d, (cols, vals, const) in enumerate(grad):
-        st.grad[d] = (_csr(node[:, None], cols, vals, (n_in, n_in)), const)
+        st.grad[d] = (_rows(cols, vals, n_in), const)
 
     # a node with no mixed composition has both neighbors along an axis
     # outside, so owning a cut arm covers it
@@ -326,11 +392,8 @@ def _build_stencils(mask: DomainMask) -> StencilSet:
     th, bv = theta[d, j, cl], bval[d, j, cl]
     inner = col[d, 1 - j, cl]
     t2, b2 = theta[d, 1 - j, cl], bval[d, 1 - j, cl]
-    st.closure_matrix = _csr(
-        np.arange(cl.size)[:, None],
-        np.stack([cl, inner], 1),
-        np.stack([np.ones(cl.size), -th / (1.0 + th)], 1),
-        (cl.size, n_in),
+    st.closure_matrix = _rows(
+        np.stack([cl, inner], 1), np.stack([np.ones(cl.size), -th / (1.0 + th)], 1), n_in
     )
     st.closure_rhs = np.where(inner >= 0, bv / (1.0 + th), (t2 * bv + th * b2) / (th + t2))
     st.closure_nodes = cl

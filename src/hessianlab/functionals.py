@@ -208,7 +208,9 @@ def legendre_transform(f: ScalarField, region_level: float | None = None) -> Sca
     def sup_at(Y):
         out = np.empty(Y.shape[0])
         arg = np.empty(Y.shape[0], dtype=int)
-        chunk = max(1, int(4e6 / max(X.shape[0], 1)))
+        # blocks of about 2.5e5 entries (2 MB); each entry is a dot product
+        # of length n, the same whatever the block
+        chunk = max(1, int(2.5e5 / max(X.shape[0], 1)))
         for i0 in range(0, Y.shape[0], chunk):
             block = Y[i0 : i0 + chunk] @ X.T - U[None, :]
             arg[i0 : i0 + chunk] = np.argmax(block, axis=1)

@@ -295,7 +295,7 @@ def _linear_operator(st, W):
             continue
         term = sp.diags((1.0 if p == q else 2.0) * w) @ D
         A = term if A is None else A + term
-    return sp.vstack([A, st.closure_matrix]).tocsr()
+    return sp.vstack([A, st.closure_csr]).tocsr()
 
 
 def _cone_margin(T, k: int) -> float:

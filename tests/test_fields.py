@@ -58,11 +58,15 @@ def test_mixed_derivative_exact():
     r = f.mask.unknown[node]
     H = f.hessian_stack()[r]
     assert H[0, 1] == pytest.approx(1.0, abs=1e-10)
-    # the node's row of the stack equals the stencil rows applied to the
-    # values one by one
+    # the node's row of the stack equals its stencil row applied to the
+    # values one by one, the products added left to right
     st, u = f.mask.stencils(), f.inside_values()
     for (p, q), (A_pq, c_pq) in st.hess.items():
-        assert H[p, q] == H[q, p] == (A_pq[r] @ u)[0] + c_pq[r]
+        row = slice(A_pq.indptr[r], A_pq.indptr[r + 1])
+        total = 0.0
+        for a, j in zip(A_pq.data[row], A_pq.indices[row]):
+            total += a * u[j]
+        assert H[p, q] == H[q, p] == total + c_pq[r]
 
 
 def test_gradient_exact_on_quadratic_and_constant():
@@ -197,7 +201,7 @@ def test_component_count_matches_ndimage_label(n, kind, count):
     assert full == (1 if kind == "diagonal" else count)
 
 
-@pytest.mark.parametrize("shape", [(23, 19), (11, 10, 9)])
+@pytest.mark.parametrize("shape", [(23, 19), (11, 10, 9), (48, 48, 48)])
 def test_component_count_matches_ndimage_label_on_random_masks(shape):
     from scipy import ndimage
 
@@ -205,6 +209,30 @@ def test_component_count_matches_ndimage_label_on_random_masks(shape):
     for density in (0.3, 0.5, 0.6, 0.8):
         inside = rng.random(shape) < density
         assert fields._component_count(inside) == ndimage.label(inside)[1]
+
+
+def _serpentine(side, cut):
+    """A one-node-wide path along every other row, turning at alternate
+    ends: its geodesic (about side**2 / 2 nodes) is far longer than the
+    grid side. cut drops the middle turn, which splits the path in two."""
+    inside = np.zeros((side, side), dtype=bool)
+    inside[1:-1:2, 1:-1] = True
+    turns = list(range(2, side - 2, 2))
+    for i, r in enumerate(turns):
+        inside[r, -2 if i % 2 == 0 else 1] = True
+    if cut:
+        inside[turns[len(turns) // 2]] = False
+    return inside
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+@pytest.mark.parametrize("cut,count", [(False, 1), (True, 2)])
+def test_component_count_follows_a_serpentine(transpose, cut, count):
+    from scipy import ndimage
+
+    inside = _serpentine(61, cut)
+    inside = inside.T.copy() if transpose else inside
+    assert fields._component_count(inside) == ndimage.label(inside)[1] == count
 
 
 @pytest.mark.parametrize("n", [2, 3])
