@@ -6,6 +6,7 @@ growth conditions attached to Bernstein-type rigidity statements.
 from .errors import (
     AdmissibilityError,
     ClippingError,
+    ConfigError,
     DegenerateDomainError,
     HessianLabError,
     NonConvergenceError,

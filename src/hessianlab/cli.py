@@ -18,13 +18,12 @@ import json
 import os
 import sys
 
-import jsonschema
 import numpy as np
 
 from . import fields, functionals, pipeline, symm
 from .calibration import calibration_hash
 from .candidates import candidate_from_spec
-from .errors import NonConvergenceError, NumericError, PreconditionError
+from .errors import ConfigError, NonConvergenceError, NumericError, PreconditionError
 from .fields import load_hsf1, save_hsf1, write_json, write_text
 from .functionals import Condition
 
@@ -167,15 +166,94 @@ CONFIG_SCHEMA = {
 }
 
 
+# the JSON types the schemas name, as Draft 2020-12 defines them: a bool is
+# neither an integer nor a number, and a float with no fraction is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool))
+    or (isinstance(v, float) and v.is_integer()),
+}
+
+# every keyword the schemas use; "then" is read by "if", a type is one of
+# _TYPES, and additionalProperties may only be false
+_KEYWORDS = frozenset({
+    "type", "enum", "const", "required", "properties", "additionalProperties", "items",
+    "minItems", "maxItems", "minimum", "exclusiveMinimum", "allOf", "if", "then",
+})
+
+
+def _equal(a, b) -> bool:
+    # JSON equality: true is not 1
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_errors(instance, schema: dict, path: tuple):
+    """(path, message, the instance has the schema's type) for each way
+    instance breaks schema, in the order and the words of jsonschema's
+    Draft202012Validator. A keyword outside _KEYWORDS is a mistake in the
+    schema, not in the config, so it raises ValueError."""
+    def fail(message):
+        return path, message, "type" in schema and _TYPES[schema["type"]](instance)
+
+    is_object, is_array = isinstance(instance, dict), isinstance(instance, list)
+    is_number = _TYPES["number"](instance)
+    for key, value in schema.items():
+        if (key not in _KEYWORDS or (key == "type" and value not in tuple(_TYPES))
+                or (key == "additionalProperties" and value is not False)):
+            raise ValueError(f"schema keyword {key}={value!r} is not implemented")
+        if key == "type" and not _TYPES[value](instance):
+            yield fail(f"{instance!r} is not of type {value!r}")
+        elif key == "enum" and not any(_equal(instance, each) for each in value):
+            yield fail(f"{instance!r} is not one of {value!r}")
+        elif key == "const" and not _equal(instance, value):
+            yield fail(f"{value!r} was expected")
+        elif key == "required" and is_object:
+            yield from (fail(f"{name!r} is a required property")
+                        for name in value if name not in instance)
+        elif key == "properties" and is_object:
+            for name, sub in value.items():
+                if name in instance:
+                    yield from _schema_errors(instance[name], sub, path + (name,))
+        elif key == "additionalProperties" and is_object:
+            extras = sorted(name for name in instance if name not in schema.get("properties", {}))
+            if extras:
+                names = ", ".join(map(repr, extras))
+                verb = "was" if len(extras) == 1 else "were"
+                yield fail(f"Additional properties are not allowed ({names} {verb} unexpected)")
+        elif key == "items" and is_array:
+            for index, item in enumerate(instance):
+                yield from _schema_errors(item, value, path + (index,))
+        elif key == "minItems" and is_array and len(instance) < value:
+            yield fail(f"{instance!r} " + ("should be non-empty" if value == 1 else "is too short"))
+        elif key == "maxItems" and is_array and len(instance) > value:
+            yield fail(f"{instance!r} " + ("is expected to be empty" if value == 0 else "is too long"))
+        elif key == "minimum" and is_number and instance < value:
+            yield fail(f"{instance!r} is less than the minimum of {value!r}")
+        elif key == "exclusiveMinimum" and is_number and instance <= value:
+            yield fail(f"{instance!r} is less than or equal to the minimum of {value!r}")
+        elif key == "allOf":
+            for sub in value:
+                yield from _schema_errors(instance, sub, path)
+        elif key == "if" and not any(_schema_errors(instance, value, path)):
+            yield from _schema_errors(instance, schema.get("then", {}), path)
+
+
 def validate_spec(instance, schema: dict):
-    """jsonschema.validate without its check of the schema against the
-    metaschema: our schemas are constants, and the tests check them once.
-    Raises the same best-matching ValidationError."""
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft202012Validator(schema).iter_errors(instance)
-    )
-    if error is not None:
-        raise error
+    """Check instance against one of the CLI's schemas, and raise a
+    ConfigError for the error that jsonschema's best_match picks: the one
+    highest in the instance, then the one whose path sorts last, then one
+    from a schema whose type the instance lacks or that names no type,
+    then the first found. Every property name in the schemas is a plain
+    word, so a path is written $.a.b[0]."""
+    errors = list(_schema_errors(instance, schema, ()))
+    if errors:
+        path, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], not e[2]))
+        raise ConfigError(
+            "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path), message
+        )
 
 
 def _given(params: dict, **casts) -> dict:
@@ -425,9 +503,6 @@ def main(argv=None) -> int:
             },
         )
         return _DISPATCH[command](job, args.out)
-    except jsonschema.ValidationError as exc:
-        print(f"error: {exc.json_path}: {exc.message}", file=sys.stderr)
-        return 2
     except (PreconditionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

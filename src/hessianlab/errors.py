@@ -40,3 +40,13 @@ class UnboundedSublevelError(PreconditionError):
 
 class NonConvergenceError(NumericError):
     """Iteration cap reached before the tolerance was met."""
+
+
+class ConfigError(PreconditionError):
+    """A config does not match the CLI's schema: json_path names the
+    offending entry, message says what is wrong with it."""
+
+    def __init__(self, json_path: str, message: str):
+        super().__init__(f"{json_path}: {message}")
+        self.json_path = json_path
+        self.message = message

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -10,6 +11,7 @@ import pytest
 
 from hessianlab import cli, fields, functionals, pipeline
 from hessianlab.calibration import calibration_hash
+from hessianlab.errors import ConfigError
 from hessianlab.functionals import Condition
 
 
@@ -103,29 +105,36 @@ def test_unknown_command_exits_2(tmp_path):
     assert run_cli(tmp_path, {"command": "nonsense"}, "x") == 2
 
 
-@pytest.mark.parametrize(
-    "command,params",
-    [
-        ("solve", {}),
-        ("analyze", {"t_points": 12}),
-        ("sweep", {}),
-        ("chain_iso", {"t": 50.0}),
-        ("chain_volume", {"k": 2}),
-        ("chain_volume", {"domains": [{"label": "no-axes"}]}),
-        ("legendre", {}),
-        ("report", {}),
-    ],
-)
+MISSING_PARAMS = [
+    ("solve", {}),
+    ("analyze", {"t_points": 12}),
+    ("sweep", {}),
+    ("chain_iso", {"t": 50.0}),
+    ("chain_volume", {"k": 2}),
+    ("chain_volume", {"domains": [{"label": "no-axes"}]}),
+    ("legendre", {}),
+    ("report", {}),
+]
+
+
+@pytest.mark.parametrize("command,params", MISSING_PARAMS)
 def test_missing_params_key_exits_2(tmp_path, command, params):
     assert run_cli(tmp_path, {"command": command, "params": params}, "x") == 2
     assert run_cli(tmp_path, {"command": command}, "y") == 2
 
 
-@pytest.mark.parametrize("kind", ["ellipse", "polygon", "candidate_level"])
-def test_missing_domain_params_key_exits_2(tmp_path, kind):
+def _without_domain_params_key(kind):
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["params"]["problem"]["domain"] = {"type": kind, "params": {"center": [0, 0]}}
-    assert run_cli(tmp_path, cfg, "x") == 2
+    return cfg
+
+
+DOMAIN_KINDS = ["ellipse", "polygon", "candidate_level"]
+
+
+@pytest.mark.parametrize("kind", DOMAIN_KINDS)
+def test_missing_domain_params_key_exits_2(tmp_path, kind):
+    assert run_cli(tmp_path, _without_domain_params_key(kind), "x") == 2
     assert not (tmp_path / "x" / "report.json").exists()
 
 
@@ -147,54 +156,58 @@ ANISO_FIELD = os.path.join(os.path.dirname(__file__), "data", "field_aniso2d.hsf
 DISK = {"domains": [{"semiaxes": [1.0, 1.0]}]}
 
 
-@pytest.mark.parametrize(
-    "command,params",
-    [
-        ("analyze", {**QUAD, "t_min": "small"}),
-        ("analyze", {**QUAD, "t_max": 0}),
-        ("analyze", {**QUAD, "t_points": "many"}),
-        ("analyze", {**QUAD, "m_dirs": 0}),
-        ("analyze", {**QUAD, "p_list": [1.0, "two"]}),
-        ("sweep", {**QUAD, "condition": "volume"}),
-        ("sweep", {**QUAD, "m_dirs": 36.5}),
-        ("sweep", {**QUAD, "p": "one"}),
-        ("chain_iso", {**QUAD, "t": "abc"}),
-        ("chain_iso", {**QUAD, "m_dirs": 36.5}),
-        ("chain_iso", {**QUAD, "gamma": "big"}),
-        ("chain_iso", {**QUAD, "interval": 5}),
-        ("chain_iso", {**QUAD, "interval": [0.3]}),
-        ("chain_iso", {**QUAD, "interval": [0.3, "half"]}),
-        ("chain_volume", {**DISK, "k": "two"}),
-        ("chain_volume", {**DISK, "l": 0.5}),
-        ("chain_volume", {**DISK, "h": "fine"}),
-        ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "label": 3}]}),
-        ("chain_volume", {"domains": [{"semiaxes": [1.0, "wide"]}]}),
-        ("legendre", {"field": "solution.hsf1", "region_level": "half"}),
-    ],
-)
+MISTYPED_PARAMS = [
+    ("analyze", {**QUAD, "t_min": "small"}),
+    ("analyze", {**QUAD, "t_max": 0}),
+    ("analyze", {**QUAD, "t_points": "many"}),
+    ("analyze", {**QUAD, "m_dirs": 0}),
+    ("analyze", {**QUAD, "p_list": [1.0, "two"]}),
+    ("sweep", {**QUAD, "condition": "volume"}),
+    ("sweep", {**QUAD, "m_dirs": 36.5}),
+    ("sweep", {**QUAD, "p": "one"}),
+    ("chain_iso", {**QUAD, "t": "abc"}),
+    ("chain_iso", {**QUAD, "m_dirs": 36.5}),
+    ("chain_iso", {**QUAD, "gamma": "big"}),
+    ("chain_iso", {**QUAD, "interval": 5}),
+    ("chain_iso", {**QUAD, "interval": [0.3]}),
+    ("chain_iso", {**QUAD, "interval": [0.3, "half"]}),
+    ("chain_volume", {**DISK, "k": "two"}),
+    ("chain_volume", {**DISK, "l": 0.5}),
+    ("chain_volume", {**DISK, "h": "fine"}),
+    ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "label": 3}]}),
+    ("chain_volume", {"domains": [{"semiaxes": [1.0, "wide"]}]}),
+    ("legendre", {"field": "solution.hsf1", "region_level": "half"}),
+]
+
+
+@pytest.mark.parametrize("command,params", MISTYPED_PARAMS)
 def test_mistyped_optional_params_exit_2(tmp_path, command, params):
     cfg = {"command": command, "params": params}
     assert run_cli(tmp_path, cfg, "x") == 2
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
-@pytest.mark.parametrize(
-    "command,params",
-    [
-        ("chain_volume", {**DISK, "K": 3, "hh": 0.01}),
-        ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "lable": "disk"}]}),
-        ("analyze", {**QUAD, "t_point": 12}),
-        ("legendre", {"field": ANISO_FIELD, "region": 0.5}),
-        ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "tol_": 1e-6}}),
-        ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "domain": {
-            "type": "ellipse", "params": {"semiaxes": [1.0, 2.0], "centre": [0.5, 0.0]}}}}),
-        # a dict names the config's whole top level, not just its command
-        pytest.param({"command": "report", "sead": 5}, {"dir": "."}, id="report-sead"),
-    ],
-)
-def test_misspelled_params_exit_2(tmp_path, command, params):
+MISSPELLED_PARAMS = [
+    ("chain_volume", {**DISK, "K": 3, "hh": 0.01}),
+    ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "lable": "disk"}]}),
+    ("analyze", {**QUAD, "t_point": 12}),
+    ("legendre", {"field": ANISO_FIELD, "region": 0.5}),
+    ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "tol_": 1e-6}}),
+    ("solve", {"problem": {**SOLVE_CFG["params"]["problem"], "domain": {
+        "type": "ellipse", "params": {"semiaxes": [1.0, 2.0], "centre": [0.5, 0.0]}}}}),
+    # a dict names the config's whole top level, not just its command
+    pytest.param({"command": "report", "sead": 5}, {"dir": "."}, id="report-sead"),
+]
+
+
+def _misspelled_config(command, params):
     top = command if isinstance(command, dict) else {"command": command}
-    assert run_cli(tmp_path, {**top, "params": params}, "x") == 2
+    return {**top, "params": params}
+
+
+@pytest.mark.parametrize("command,params", MISSPELLED_PARAMS)
+def test_misspelled_params_exit_2(tmp_path, command, params):
+    assert run_cli(tmp_path, _misspelled_config(command, params), "x") == 2
     # every config error is found before the first artifact is written
     out = tmp_path / "x"
     assert not out.exists() or os.listdir(out) == []
@@ -203,6 +216,126 @@ def test_misspelled_params_exit_2(tmp_path, command, params):
 @pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, cli.PROBLEM_SCHEMA], ids=["config", "problem"])
 def test_schemas_are_valid_draft_2020_12(schema):
     jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def _subschemas(schema):
+    """schema and every schema nested in it under a keyword the checker reads."""
+    yield schema
+    for key, value in schema.items():
+        if key == "properties":
+            nested = value.values()
+        elif key == "allOf":
+            nested = value
+        elif key in ("items", "if", "then"):
+            nested = [value]
+        else:
+            nested = []
+        for sub in nested:
+            yield from _subschemas(sub)
+
+
+@pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, cli.PROBLEM_SCHEMA], ids=["config", "problem"])
+def test_checker_implements_every_keyword_the_schemas_use(schema):
+    for sub in _subschemas(schema):
+        assert set(sub) <= cli._KEYWORDS, sub
+        assert sub.get("type", "object") in cli._TYPES
+        assert sub.get("additionalProperties", False) is False
+        # validate_spec writes a path as $.a.b, which needs the names that
+        # jsonschema writes that way
+        assert all(re.fullmatch("[a-zA-Z][a-zA-Z0-9_]*", name) for name in sub.get("properties", {}))
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [{"maximum": 3}, {"type": "boolean"}, {"type": ["integer", "string"]},
+     {"additionalProperties": {"type": "number"}}, {"if": {"const": 1}, "else": {}}],
+    ids=["maximum", "boolean", "type-list", "additional-schema", "else"],
+)
+def test_checker_rejects_a_keyword_it_does_not_implement(schema):
+    # a mistake in a schema is a programming error, never a config error
+    with pytest.raises(ValueError, match="not implemented"):
+        cli.validate_spec(1, schema)
+
+
+# one config per command that sets every typed param, so that the Draft
+# 2020-12 edge cases below reach every integer and number field
+_TYPED_CFGS = [
+    {**SOLVE_CFG, "params": {"problem": {
+        **SOLVE_CFG["params"]["problem"], "max_iters": 5, "min_resolution": 9,
+        "domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 2.0], "center": [0, 0.5]}}}}},
+    {"command": "analyze", "params": {
+        **QUAD, "t_min": 1.0, "t_max": 1e5, "t_points": 12, "m_dirs": 120, "p_list": [1, 2.5]}},
+    {"command": "sweep", "params": {
+        **QUAD, "t_min": 1.0, "t_max": 1e5, "t_points": 13, "m_dirs": 120,
+        "condition": "reverse_iso", "p": 2.0}},
+    {"command": "chain_iso", "params": {
+        **QUAD, "t": 50.0, "m_dirs": 240, "gamma": 1.2, "interval": [0.3, 0.5]}},
+    {"command": "legendre", "params": {"field": "solution.hsf1", "region_level": 0.5}},
+]
+
+
+def _number_paths(node, path=()):
+    """The path of every int or float in a JSON value."""
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            yield from _number_paths(sub, path + (key,))
+    elif isinstance(node, list):
+        for index, sub in enumerate(node):
+            yield from _number_paths(sub, path + (index,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+def _with_each_number_replaced(config, value):
+    """config with one int or float at a time set to value."""
+    for path in _number_paths(config):
+        edited = json.loads(json.dumps(config))
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        yield edited
+
+
+def _config_corpus():
+    for command, params in MISSING_PARAMS:
+        yield {"command": command, "params": params}
+        yield {"command": command}
+    for kind in DOMAIN_KINDS:
+        yield _without_domain_params_key(kind)
+    for command, params in MISTYPED_PARAMS:
+        yield {"command": command, "params": params}
+    for case in MISSPELLED_PARAMS:
+        yield _misspelled_config(*getattr(case, "values", case))
+    valid = [
+        SOLVE_CFG, ANALYZE_CFG, SWEEP_CFG, CHAIN_ISO_CFG, CHAIN_VOLUME_CFG,
+        {"command": "legendre", "seed": 0, "params": {"field": "solution.hsf1"}},
+        {"command": "report", "params": {"dir": "pre2"}},
+        *_TYPED_CFGS,
+    ]
+    for config in valid:
+        yield config
+        # 13.0 is an integer and true is neither an integer nor a number
+        yield from _with_each_number_replaced(config, 13.0)
+        yield from _with_each_number_replaced(config, True)
+
+
+def test_config_checker_agrees_with_jsonschema():
+    validator = jsonschema.Draft202012Validator(cli.CONFIG_SCHEMA)
+    valid = single = 0
+    for config in _config_corpus():
+        errors = list(validator.iter_errors(config))
+        try:
+            cli.validate_spec(config, cli.CONFIG_SCHEMA)
+        except ConfigError as exc:
+            assert errors, config
+            if len(errors) == 1:
+                assert (exc.json_path, exc.message) == (errors[0].json_path, errors[0].message)
+                single += 1
+        else:
+            assert errors == [], config
+            valid += 1
+    assert valid >= 50 and single >= 50
 
 
 def test_config_error_message(tmp_path, capsys):
@@ -214,6 +347,25 @@ def test_config_error_message(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: $: Additional properties are not allowed ('sead' was unexpected)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "config,line",
+    [
+        # the error highest in the config wins
+        ({"command": "analyze", "params": {"t_points": "many"}},
+         "$.params: 'candidate' is a required property"),
+        # then the one whose path sorts last
+        ({"command": "chain_iso", "params": {**QUAD, "gamma": "big", "t": "abc"}},
+         "$.params.t: 'abc' is not of type 'number'"),
+        # then one from a schema that names no type, here the command's
+        ({"command": "report", "sead": 5}, "$: 'params' is a required property"),
+    ],
+    ids=["highest", "sorts-last", "untyped-schema"],
+)
+def test_config_error_is_the_one_jsonschema_picks(tmp_path, capsys, config, line):
+    assert run_cli(tmp_path, config, "x") == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
 
 
 def test_disconnected_hsf1_mask_exits_2(tmp_path, capsys):
@@ -247,9 +399,10 @@ _IMPORT_PROBE = textwrap.dedent(
     from hessianlab import cli
 
     def loaded():
-        # the scipy subpackages in sys.modules, and scipy itself
-        names = (m.split(".") for m in sys.modules)
-        return sorted({".".join(p[:2]) for p in names if p[0] == "scipy"})
+        # the scipy subpackages in sys.modules, scipy itself, and jsonschema
+        names = [m.split(".") for m in sys.modules]
+        return sorted({".".join(p[:2]) for p in names if p[0] == "scipy"}
+                      | {p[0] for p in names if p[0] == "jsonschema"})
 
     codes, seen = [], []
     for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
@@ -289,6 +442,8 @@ def test_commands_load_only_the_scipy_subpackages_they_run(tmp_path):
     codes, (after_solve,) = probe(solve, tmp_path / "s")
     assert codes == [0]
     assert not _HEAVY_SCIPY & set(after_solve)
+    # configs are checked in-package: no command imports jsonschema
+    assert "jsonschema" not in after_solve
     codes, (after_analyze, after_legendre) = probe(
         analyze, tmp_path / "a", legendre, tmp_path / "l"
     )
@@ -296,6 +451,7 @@ def test_commands_load_only_the_scipy_subpackages_they_run(tmp_path):
     # a 2D analyze and a 2D legendre run on numpy alone
     assert after_analyze == []
     assert after_legendre == []
+    assert "jsonschema" not in after_analyze + after_legendre
 
 
 @pytest.mark.parametrize(
@@ -338,34 +494,38 @@ def test_nonconvergence_exits_3_with_artifacts(tmp_path):
     assert (tmp_path / "stall" / "solution.hsf1").exists()
 
 
+ANALYZE_CFG = {
+    "command": "analyze",
+    "seed": 0,
+    "params": {
+        "candidate": "quad:diag(2,0.5)",
+        "t_points": 12, "m_dirs": 120, "t_max": 1e5,
+    },
+}
+
+
 def test_analyze_command(tmp_path):
-    cfg = {
-        "command": "analyze",
-        "seed": 0,
-        "params": {
-            "candidate": "quad:diag(2,0.5)",
-            "t_points": 12, "m_dirs": 120, "t_max": 1e5,
-        },
-    }
-    assert run_cli(tmp_path, cfg, "an") == 0
+    assert run_cli(tmp_path, ANALYZE_CFG, "an") == 0
     report = json.loads((tmp_path / "an" / "report.json").read_text())
     assert all(v["verdict"] == "bounded" for v in report["verdicts"].values())
     assert (tmp_path / "an" / "gamma.csv").exists()
     assert (tmp_path / "an" / "sweep_reverse_iso.csv").exists()
 
 
+SWEEP_CFG = {
+    "command": "sweep",
+    "seed": 0,
+    "params": {
+        "candidate": "pownorm:c=1,p=1.5,n=2",
+        "condition": "volume_growth",
+        "t_points": 12, "m_dirs": 120,
+    },
+}
+
+
 def test_sweep_command_and_overrides(tmp_path):
-    cfg = {
-        "command": "sweep",
-        "seed": 0,
-        "params": {
-            "candidate": "pownorm:c=1,p=1.5,n=2",
-            "condition": "volume_growth",
-            "t_points": 12, "m_dirs": 120,
-        },
-    }
     code = run_cli(
-        tmp_path, cfg, "sw", extra=["--override", "params.t_points=13"]
+        tmp_path, SWEEP_CFG, "sw", extra=["--override", "params.t_points=13"]
     )
     assert code == 0
     verdict = json.loads((tmp_path / "sw" / "verdict.json").read_text())
@@ -375,13 +535,15 @@ def test_sweep_command_and_overrides(tmp_path):
     assert csv[0] == "t value running_min"
 
 
+CHAIN_ISO_CFG = {
+    "command": "chain_iso",
+    "seed": 0,
+    "params": {"candidate": "quad:diag(3,0.3333333333333333)", "t": 50.0, "m_dirs": 240},
+}
+
+
 def test_chain_iso_command(tmp_path):
-    cfg = {
-        "command": "chain_iso",
-        "seed": 0,
-        "params": {"candidate": "quad:diag(3,0.3333333333333333)", "t": 50.0, "m_dirs": 240},
-    }
-    assert run_cli(tmp_path, cfg, "chain") == 0
+    assert run_cli(tmp_path, CHAIN_ISO_CFG, "chain") == 0
     chain = json.loads((tmp_path / "chain" / "chain.json").read_text())
     assert chain["all_passed"]
     assert {ln["check_id"] for ln in chain["links"]} >= {
@@ -408,19 +570,21 @@ def test_chain_iso_without_gamma_measures_the_premise_once(tmp_path, monkeypatch
     assert chain["links"][0]["params"]["gamma"] == chain["meta"]["gamma_claim"] > 1.0
 
 
+CHAIN_VOLUME_CFG = {
+    "command": "chain_volume",
+    "seed": 0,
+    "params": {
+        "k": 2, "l": 0, "h": 1 / 40,
+        "domains": [
+            {"label": "round", "semiaxes": [math.sqrt(2), math.sqrt(2)]},
+            {"label": "aspect2", "semiaxes": [1.0, 2.0]},
+        ],
+    },
+}
+
+
 def test_chain_volume_command(tmp_path):
-    cfg = {
-        "command": "chain_volume",
-        "seed": 0,
-        "params": {
-            "k": 2, "l": 0, "h": 1 / 40,
-            "domains": [
-                {"label": "round", "semiaxes": [math.sqrt(2), math.sqrt(2)]},
-                {"label": "aspect2", "semiaxes": [1.0, 2.0]},
-            ],
-        },
-    }
-    assert run_cli(tmp_path, cfg, "vol") == 0
+    assert run_cli(tmp_path, CHAIN_VOLUME_CFG, "vol") == 0
     payload = json.loads((tmp_path / "vol" / "chain.json").read_text())
     assert len(payload["reports"]) == 2
     assert all(r["all_passed"] for r in payload["reports"])

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy import ndimage
 import scipy.sparse.linalg as spla
 
 from hessianlab import candidates, cli, fields, geometry, solver
@@ -483,6 +484,25 @@ def test_aspect_limit_at_h_1_24(ratio, converges):
     mask = fields.mask_from_ellipse(semiaxes, h=1 / 24)
     rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
     assert rep.converged is converges
+
+
+def test_solved_hessian_has_a_boundary_layer():
+    # det D2u = 1 on the (1, 1.5) ellipse, whose solution is the quadratic
+    # with Hessian diag(3/2, 2/3). A closure row interpolates linearly, so it
+    # is O(h^2) off on that quadratic, and the second differences beside it
+    # are O(1) off: the README's boundary-layer table. A change to the
+    # closure rows moves these bounds.
+    mask = fields.mask_from_ellipse([1.0, 1.5], h=1 / 48)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert rep.converged
+    st = mask.stencils()
+    err = np.abs(rep.field.hessian_stack() - np.diag([1.5, 2.0 / 3.0])).max(axis=(1, 2))
+    # distance to the nearest closure node, in units of h
+    off_closure = np.ones(mask.grid.dims, dtype=bool)
+    off_closure[tuple(mask.inside_idx[st.closure_nodes].T)] = False
+    dist = ndimage.distance_transform_edt(off_closure)[tuple(mask.inside_idx.T)]
+    assert np.max(err[st.is_full & (dist <= 1.5)]) >= 0.3
+    assert np.max(err[st.is_full & (dist > 8.5)]) <= 0.01
 
 
 def test_poisson_trace_start_is_the_discrete_solution(poisson_disk_64):
