@@ -109,7 +109,7 @@ _PARAMS_SCHEMA = {
         "required": ["candidate"],
         "properties": {
             "candidate": {},
-            "t": {"type": "number"},
+            "t": {"type": "number", "exclusiveMinimum": 0},
             "m_dirs": _LEVEL_GRID["m_dirs"],
             "gamma": {"type": "number"},
             "interval": {
@@ -155,7 +155,8 @@ CONFIG_SCHEMA = {
     },
     "allOf": [
         {
-            "if": {"properties": {"command": {"const": cmd}}},
+            # an if without required holds for a config with no command
+            "if": {"required": ["command"], "properties": {"command": {"const": cmd}}},
             "then": {
                 "required": ["params"],
                 "properties": {"params": {**sub, "additionalProperties": False}},
@@ -264,9 +265,9 @@ def _given(params: dict, **casts) -> dict:
     return {key: cast(params[key]) for key, cast in casts.items() if key in params}
 
 
-def problem_from_spec(spec: dict) -> tuple:
-    """Build (DirichletProblem, SolveOptions) from the JSON wire format;
-    the caller has checked spec against PROBLEM_SCHEMA."""
+def problem_from_spec(spec: dict):
+    """Build the DirichletProblem of the JSON wire format; the caller has
+    checked spec against PROBLEM_SCHEMA."""
     from . import solver
 
     n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
@@ -288,12 +289,11 @@ def problem_from_spec(spec: dict) -> tuple:
         level = float(dom["params"].get("level", 1.0))
         grid = fields.grid_for_candidate(cand, level, h)
         mask = fields.sample_candidate(cand, grid, level).mask
-    problem = solver.DirichletProblem(
+    return solver.DirichletProblem(
         mask=mask, k=k, l=l,
-        **_given(spec, boundary_value=float, rhs=float, min_resolution=int),
+        **_given(spec, boundary_value=float, rhs=float, min_resolution=int, tol=float,
+                 max_iters=int),
     )
-    opts = solver.SolveOptions(**_given(spec, tol=float, max_iters=int))
-    return problem, opts
 
 
 def _analyze_config(params: dict) -> pipeline.AnalyzeConfig:
@@ -323,11 +323,11 @@ def _apply_overrides(config: dict, overrides: list):
     return config
 
 
-def _cmd_solve(built, out):
-    """built: the (DirichletProblem, SolveOptions) of the config's problem."""
+def _cmd_solve(problem, out):
+    """problem: the DirichletProblem of the config."""
     from . import solver
 
-    report = solver.solve(*built)
+    report = solver.solve(problem)
     save_hsf1(report.field, os.path.join(out, "solution.hsf1"))
     payload = report.to_json_dict()
     payload["calibration"] = calibration_hash()

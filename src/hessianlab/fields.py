@@ -12,10 +12,10 @@ and the global Newton assembly read from the same stencil set. The build
 is array arithmetic over all inside nodes at once: neighbor lookups give
 every arm's column or cut, each row family (gradient, pure and mixed
 second difference, closure row) is weighted for every node in one
-expression and becomes one set of CSR arrays (`StencilRows`), sorted and
-summed per row as scipy would store them. Their products are numpy code
-that sums each row in scipy's order, so a field's derivatives need no
-scipy; the solver wraps the same arrays as scipy matrices.
+expression and becomes one set of canonical CSR arrays (`StencilRows`).
+This module is numpy only: a stencil product sums each row in the order
+of a CSR matrix product, so a field's derivatives agree bit for bit with
+the solver, which wraps the same arrays as sparse matrices.
 
 Fields carry one value per inside node, in the mask's `inside_idx` (C)
 order, the layout of its cut data; each derivative is one stencil product
@@ -26,7 +26,6 @@ of the package is written here, by temp-and-rename.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -183,8 +182,8 @@ class DomainMask:
 
 @dataclass(frozen=True, eq=False)
 class StencilRows:
-    """Sparse rows in canonical CSR form, as scipy stores a CSR matrix:
-    row r holds data[indptr[r]:indptr[r + 1]] at the columns
+    """Sparse rows in canonical compressed sparse row (CSR) form: row r
+    holds data[indptr[r]:indptr[r + 1]] at the columns
     indices[indptr[r]:indptr[r + 1]], ascending and distinct; explicit
     zeros are kept, and indices and indptr are int32."""
 
@@ -195,20 +194,14 @@ class StencilRows:
 
     def __matmul__(self, x) -> np.ndarray:
         """The rows applied to x, each row's products added left to right
-        to +0.0, the order of scipy's CSR product, so the two agree bit for
-        bit."""
+        to +0.0, the order of a CSR matrix product, so the two agree bit
+        for bit."""
         # numpy gathers several times faster with intp indices than int32
         prod = self.data * x[self.indices.astype(np.intp)]
         row = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
         out = np.zeros(self.shape[0])
         np.add.at(out, row, prod)              # one product at a time, in order
         return out
-
-    def csr(self):
-        """The same arrays as a scipy CSR matrix, without a copy."""
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape, copy=False)
 
 
 class StencilSet:
@@ -239,20 +232,6 @@ class StencilSet:
         self.cut_theta = None
         self.cut_points = None
 
-    @functools.cached_property
-    def hess_eq(self) -> dict:
-        """The hess rows on the equation rows (the rows of nodes that are
-        not closure nodes), as scipy CSR matrices sliced once per stencil
-        set; only the solver reads them."""
-        eq = ~self.is_closure
-        return {key: A.csr()[eq] for key, (A, _) in self.hess.items()}
-
-    @functools.cached_property
-    def closure_csr(self):
-        """closure_matrix as a scipy CSR matrix over the same arrays; only
-        the solver reads it."""
-        return self.closure_matrix.csr()
-
     def hessian_stack(self, values_in) -> np.ndarray:
         """Discrete Hessians at every inside node, shape (N_in, n, n)."""
         n = max(p for p, _ in self.hess) + 1
@@ -273,7 +252,7 @@ class StencilSet:
 
 def _rows(cols, vals, n_cols) -> StencilRows:
     """StencilRows of (R, k) column/value arrays, row r from row r of both,
-    column -1 for an absent entry. As scipy's coo_matrix(...).tocsr(): each
+    column -1 for an absent entry. As a coordinate-to-CSR conversion: each
     row's entries are stably sorted by column, and repeated columns are
     summed left to right from the first."""
     R, k = cols.shape
@@ -519,9 +498,6 @@ class ScalarField:
     @property
     def grid(self) -> Grid:
         return self.mask.grid
-
-    def inside_values(self) -> np.ndarray:
-        return self.values
 
     # -- differential operators ------------------------------------------
 

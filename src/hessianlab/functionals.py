@@ -157,8 +157,6 @@ def condition_sweep(
 
 def pogorelov_normalize(source, t0: float):
     """First normalization u(sqrt(t0) x) / t0: level t0 becomes level 1."""
-    if t0 <= 0:
-        raise PreconditionError("normalization level must be positive")
     require_candidate(source)
     return rescaled(source, t0)
 

@@ -46,13 +46,7 @@ import scipy.sparse.linalg as spla
 from . import geometry
 from .errors import NumericError, PreconditionError
 from .fields import DomainMask, ScalarField
-from .symm import (
-    SymmetricMatrix,
-    check_orders,
-    esym_table,
-    radius_bound_coeff,
-    spectral_gradient,
-)
+from .symm import check_orders, esym_table, radius_bound_coeff, spectral_gradient
 
 _LOG_FLOOR = 1e-300
 _MAX_HALVINGS = 30                # line-search step halvings per Newton step
@@ -67,7 +61,9 @@ _START_BLENDS = (0.0, 0.1, 0.25, 0.5, 0.75)   # barrier weights tried on the tra
 @dataclass
 class DirichletProblem:
     """S_k/S_l (D2u) = rhs inside the mask, u = boundary_value on the cuts;
-    the mask must span min_resolution nodes along some axis."""
+    the mask must span min_resolution nodes along some axis. The Newton
+    iteration stops once the largest residual is at most tol, or after
+    max_iters steps."""
 
     mask: DomainMask
     k: int
@@ -75,6 +71,8 @@ class DirichletProblem:
     boundary_value: float = 1.0
     rhs: float = 1.0
     min_resolution: int = 33
+    tol: float = 1e-9
+    max_iters: int = 100
 
     def __post_init__(self):
         check_orders(self.mask.n, self.k, self.l)
@@ -84,12 +82,6 @@ class DirichletProblem:
             raise PreconditionError(
                 f"domain spans fewer than {self.min_resolution} nodes across"
             )
-
-
-@dataclass
-class SolveOptions:
-    tol: float = 1e-9
-    max_iters: int = 100
 
 
 @dataclass
@@ -162,8 +154,8 @@ class EllipsoidBarrier:
         ratio = T[self.k] / T[self.l]
         self.norm = (ratio / self.rhs) ** (1.0 / (self.k - self.l))
         H = self.axes @ np.diag(nu / self.norm) @ self.axes.T
-        self.hessian = SymmetricMatrix.from_array(H)
-        Th = esym_table(np.linalg.eigvalsh(self.hessian.array))
+        self.hessian = 0.5 * (H + H.T)
+        Th = esym_table(np.linalg.eigvalsh(self.hessian))
         achieved = Th[self.k] / Th[self.l]
         if abs(achieved - self.rhs) > 1e-10 * self.rhs:
             raise NumericError("barrier normalization failed to hit the target")
@@ -181,8 +173,7 @@ class EllipsoidBarrier:
 # the Newton solve
 
 
-def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveReport:
-    opts = opts or SolveOptions()
+def solve(problem: DirichletProblem) -> SolveReport:
     mask = problem.mask
     st = mask.stencils()
     k, l = problem.k, problem.l
@@ -202,7 +193,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     # one incomplete factor of the trace system preconditions the warm start
     # and every Newton step
     M, lu, trace_const = _trace_factor(st)
-    alpha = float(np.trace(b0.hessian.array))
+    alpha = float(np.trace(b0.hessian))
     u_lin, _ = _gmres(M, np.concatenate([alpha - trace_const, st.closure_rhs]), lu, _START_RTOL)
     # smallest barrier blend that clears the admissibility cone keeps the
     # boundary mismatch (and with it the damping) minimal
@@ -217,7 +208,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
     history = [float(np.max(np.abs(F)))]
     linear_iters = []
     iters = 0
-    while history[-1] > opts.tol and iters < opts.max_iters:
+    while history[-1] > problem.tol and iters < problem.max_iters:
         iters += 1
         delta, inner = _krylov_step(jacobian(H), F, lu)
         if not np.all(np.isfinite(delta)):
@@ -244,7 +235,7 @@ def solve(problem: DirichletProblem, opts: SolveOptions | None = None) -> SolveR
             break
 
     # the rows the line search keeps in the cone must be in it at the end
-    converged = history[-1] <= opts.tol and admissible(T)
+    converged = history[-1] <= problem.tol and admissible(T)
     return _make_report(problem, st, ell, u, F, T, history, linear_iters, iters, converged)
 
 
@@ -257,6 +248,7 @@ def _equations(st, k: int, l: int, rhs: float):
     l, as in spectral_gradient: S_k = rhs for l = 0, and
     log S_k - log S_l = log rhs for quotients."""
     eq_rows = ~st.is_closure                      # equation rows
+    rows = _operator_rows(st)
 
     def residual(u):
         H = st.hessian_stack(u)
@@ -275,27 +267,40 @@ def _equations(st, k: int, l: int, rhs: float):
         # their S_k may vanish
         lam, Q = np.linalg.eigh(H[eq_rows])
         g = spectral_gradient(lam, k, l)
-        return _linear_operator(st, np.einsum("nij,nj,nkj->nik", Q, g, Q))
+        return _linear_operator(rows, np.einsum("nij,nj,nkj->nik", Q, g, Q))
 
     return residual, jacobian
 
 
-def _linear_operator(st, W):
+def _operator_rows(st):
+    """The stencil rows that the linear operator combines, as scipy CSR
+    matrices over the stencil set's arrays: each second-difference family
+    D_pq on the equation rows (the rows of nodes that are not closure
+    nodes), and the closure rows."""
+    def csr(rows):
+        return sp.csr_matrix((rows.data, rows.indices, rows.indptr), shape=rows.shape, copy=False)
+
+    eq_rows = ~st.is_closure
+    return {key: csr(A)[eq_rows] for key, (A, _) in st.hess.items()}, csr(st.closure_matrix)
+
+
+def _linear_operator(rows, W):
     """sum_{p<=q} c_pq diag(W[:, p, q]) D_pq on the equation rows, stacked
-    over the closure rows, as a CSR matrix: D_pq is the (p, q) second-
-    difference stencil, c_pq is 1 on the diagonal and 2 off it, and W holds
-    one symmetric weight matrix per equation row. A term whose weights are
-    all zero is left out. The Newton Jacobian is this operator at
+    over the closure rows, as a CSR matrix: rows is _operator_rows of the
+    stencil set, c_pq is 1 on the diagonal and 2 off it, and W holds one
+    symmetric weight matrix per equation row. A term whose weights are all
+    zero is left out. The Newton Jacobian is this operator at
     W = Q diag(g) Q^T, g the spectral gradient; the trace system is it at
     W = I."""
+    hess, closure = rows
     A = None
-    for (p, q), D in st.hess_eq.items():
+    for (p, q), D in hess.items():
         w = W[:, p, q]
         if not w.any():
             continue
         term = sp.diags((1.0 if p == q else 2.0) * w) @ D
         A = term if A is None else A + term
-    return sp.vstack([A, st.closure_csr]).tocsr()
+    return sp.vstack([A, closure]).tocsr()
 
 
 def _cone_margin(T, k: int) -> float:
@@ -318,7 +323,7 @@ def _trace_factor(st):
     n = max(p for p, _ in st.hess) + 1
     identity = np.broadcast_to(np.eye(n), (int(np.sum(eq_rows)), n, n))
     # sorted columns: GMRES sums each row of M @ v in stored order
-    M = _linear_operator(st, identity).sorted_indices()
+    M = _linear_operator(_operator_rows(st), identity).sorted_indices()
     const = sum(st.hess[(d, d)][1] for d in range(n))[eq_rows]
     # the stacked row on each inside node: an equation row on its own node,
     # a closure row on its closure node
@@ -395,7 +400,7 @@ def comparison_check(report: SolveReport, b: EllipsoidBarrier) -> dict:
     """
     f = report.field
     X = f.mask.inside_coords()
-    u = f.inside_values()
+    u = f.values
     v = b.evaluate(X)
     q = b.quadratic_form(X)
     if b.sign == "upper":

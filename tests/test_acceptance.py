@@ -90,7 +90,7 @@ def test_criterion_02a_poisson_disk_convergence():
         rep = solver.solve(solver.DirichletProblem(mask=mask, k=1, l=0))
         X = mask.inside_coords()
         exact = (np.sum(X**2, axis=1) - 1.0) / 4.0 + 1.0
-        errs.append(float(np.max(np.abs(rep.field.inside_values() - exact))))
+        errs.append(float(np.max(np.abs(rep.field.values - exact))))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     elapsed = time.time() - t0
     ok = 3.2 <= r1 <= 4.8 and 3.2 <= r2 <= 4.8 and elapsed < 120.0
@@ -103,7 +103,7 @@ def test_criterion_02a_poisson_disk_convergence():
 def test_criterion_02b_ma_ellipse(ma_ellipse_64):
     rep = ma_ellipse_64
     X = rep.problem.mask.inside_coords()
-    err = float(np.max(np.abs(rep.field.inside_values() - ma_exact(2.0, X))))
+    err = float(np.max(np.abs(rep.field.values - ma_exact(2.0, X))))
     ok = rep.converged and err <= 5e-3
     _report("criterion-02b determinant-equation ellipse", ok, f"(max err {err:.2e})")
 
@@ -112,7 +112,7 @@ def test_criterion_02c_quotient(quotient_ellipse_64):
     rep = quotient_ellipse_64
     lam = np.array([5.0, 1.25])
     X = rep.problem.mask.inside_coords()
-    err = float(np.max(np.abs(rep.field.inside_values() - quotient_exact(lam, X))))
+    err = float(np.max(np.abs(rep.field.values - quotient_exact(lam, X))))
     ok = rep.converged and err <= 5e-3
     _report("criterion-02c quotient ellipse", ok, f"(max err {err:.2e})")
 
@@ -254,7 +254,7 @@ def test_criterion_08_legendre_roundtrip(quotient_ellipse_64):
     v = functionals.legendre_transform(f)
     Y = v.mask.inside_coords()
     exact = 0.5 * np.einsum("ki,ij,kj->k", Y, np.linalg.inv(A), Y)
-    conj_err = float(np.max(np.abs(v.inside_values() - exact)))
+    conj_err = float(np.max(np.abs(v.values - exact)))
     st = v.mask.stencils()
     Hv = v.hessian_stack()[st.is_full]
     prod_err = float(np.max(np.abs(Hv @ A - np.eye(2))))

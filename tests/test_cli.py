@@ -177,6 +177,7 @@ MISTYPED_PARAMS = [
     ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "label": 3}]}),
     ("chain_volume", {"domains": [{"semiaxes": [1.0, "wide"]}]}),
     ("legendre", {"field": "solution.hsf1", "region_level": "half"}),
+    ("chain_iso", {**QUAD, "t": 0}),
 ]
 
 
@@ -298,6 +299,7 @@ def _with_each_number_replaced(config, value):
 
 
 def _config_corpus():
+    yield from NO_COMMAND
     for command, params in MISSING_PARAMS:
         yield {"command": command, "params": params}
         yield {"command": command}
@@ -347,6 +349,20 @@ def test_config_error_message(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: $: Additional properties are not allowed ('sead' was unexpected)\n"
     )
+    assert run_cli(tmp_path, {"command": "chain_iso", "params": {**QUAD, "t": 0}}, "z") == 2
+    assert capsys.readouterr().err == (
+        "error: $.params.t: 0 is less than or equal to the minimum of 0\n"
+    )
+
+
+NO_COMMAND = [{}, {"seed": 1}, {"params": {}}]
+
+
+@pytest.mark.parametrize("config", NO_COMMAND, ids=["empty", "seed-only", "params-only"])
+def test_config_without_a_command_names_command(tmp_path, capsys, config):
+    assert run_cli(tmp_path, config, "x") == 2
+    assert capsys.readouterr().err == "error: $: 'command' is a required property\n"
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(

@@ -60,7 +60,7 @@ def test_mixed_derivative_exact():
     assert H[0, 1] == pytest.approx(1.0, abs=1e-10)
     # the node's row of the stack equals its stencil row applied to the
     # values one by one, the products added left to right
-    st, u = f.mask.stencils(), f.inside_values()
+    st, u = f.mask.stencils(), f.values
     for (p, q), (A_pq, c_pq) in st.hess.items():
         row = slice(A_pq.indptr[r], A_pq.indptr[r + 1])
         total = 0.0

@@ -127,7 +127,7 @@ def test_legendre_quadratic_conjugate():
     Ainv = np.linalg.inv(A)
     Y = v.mask.inside_coords()
     exact = 0.5 * np.einsum("ki,ij,kj->k", Y, Ainv, Y)
-    assert np.max(np.abs(v.inside_values() - exact)) <= f.grid.h ** 2
+    assert np.max(np.abs(v.values - exact)) <= f.grid.h ** 2
     st = v.mask.stencils()
     H = v.hessian_stack()[st.is_full]
     assert np.max(np.abs(H - Ainv)) <= 5.0 * f.grid.h
@@ -151,12 +151,12 @@ def test_legendre_involution():
     g = fields.grid_for_candidate(c, level=1.0, h=1 / 40)
     f = fields.sample_candidate(c, g, 1.0)
     v = functionals.legendre_transform(f)
-    w = functionals.legendre_transform(v, region_level=0.5 * float(np.max(v.inside_values())))
+    w = functionals.legendre_transform(v, region_level=0.5 * float(np.max(v.values)))
     W = w.mask.inside_coords()
     exact = 0.5 * np.einsum("ki,ij,kj->k", W, A, W)
     inner = np.linalg.norm(W, axis=1) <= 0.35
     assert inner.any()
-    assert np.max(np.abs(w.inside_values()[inner] - exact[inner])) <= f.grid.h
+    assert np.max(np.abs(w.values[inner] - exact[inner])) <= f.grid.h
 
 
 def test_legendre_rejects_nonconvex(iso_quad):

@@ -227,13 +227,9 @@ def test_volume_experiment_quotient_instance():
             assert ln.passed, ln.check_id
 
 
-def test_volume_experiment_records_nonconvergence(monkeypatch):
-    solve = solver.solve
-    monkeypatch.setattr(
-        solver, "solve", lambda problem: solve(problem, solver.SolveOptions(max_iters=1))
-    )
+def test_volume_experiment_records_nonconvergence():
     mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 40)
-    domains = [("disk", solver.DirichletProblem(mask=mask, k=2))]
+    domains = [("disk", solver.DirichletProblem(mask=mask, k=2, max_iters=1))]
     reports = pipeline.volume_to_roundness_experiment(domains)
     assert reports[0].meta.get("converged") is False
 

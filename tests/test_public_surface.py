@@ -10,11 +10,14 @@ References are matched by bare name, so a method that shares its name
 with a live one (say, `export_csv` on two classes) escapes the check.
 
 The traced benchmark (perfbench/spans.py) wraps functions at the module
-names their callers look them up by; the last test checks that the
-callers still look them up there.
+names their callers look them up by; the last two tests check that every
+name it wraps still exists, and that the callers still look them up there.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -98,6 +101,18 @@ def test_test_checkers_still_exist():
     assert TEST_CHECKERS <= defined
 
 
+def test_the_traced_run_finds_every_name_it_wraps():
+    # a fresh interpreter keeps the patches out of this one
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    )}
+    run = subprocess.run(
+        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+        cwd=ROOT / "perfbench", env=env, capture_output=True, text=True,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 # names perfbench/spans.py patches: (span name, the modules it patches)
 TRACED_LOOKUPS = {
     "polar.radial_crossings": (polar, geometry),
@@ -132,9 +147,9 @@ def test_callers_look_up_the_traced_names(monkeypatch, tmp_path):
     field = fields.sample_candidate(cand, fields.grid_for_candidate(cand, 1.0, 1 / 16), 1.0)
     through("fields.rasterize", functionals.legendre_transform, field)
     # cli imports solver when it runs a solve, and looks solve up on it then
-    built = cli.problem_from_spec({
+    problem = cli.problem_from_spec({
         "n": 2, "k": 1, "l": 0, "h": 1 / 16, "min_resolution": 16,
         "domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 1.0]}},
     })
-    through("solver.solve", cli._cmd_solve, built, str(tmp_path))
-    through("fields.save_hsf1", cli._cmd_solve, built, str(tmp_path))
+    through("solver.solve", cli._cmd_solve, problem, str(tmp_path))
+    through("fields.save_hsf1", cli._cmd_solve, problem, str(tmp_path))

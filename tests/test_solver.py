@@ -21,7 +21,7 @@ def test_poisson_disk_error_bound(poisson_disk_64):
     assert rep.residual_max <= 1e-9
     X = rep.problem.mask.inside_coords()
     exact = (np.sum(X**2, axis=1) - 1.0) / 4.0 + 1.0
-    err = np.max(np.abs(rep.field.inside_values() - exact))
+    err = np.max(np.abs(rep.field.values - exact))
     assert err <= 1.2 * rep.problem.mask.grid.h ** 2
 
 
@@ -31,7 +31,7 @@ def test_ma_ellipse_exactness(ma_ellipse_64):
     assert rep.residual_max <= 1e-8
     assert rep.admissibility_margin > 0
     X = rep.problem.mask.inside_coords()
-    err = np.max(np.abs(rep.field.inside_values() - ma_exact(2.0, X)))
+    err = np.max(np.abs(rep.field.values - ma_exact(2.0, X)))
     assert err <= 5e-3
 
 
@@ -41,7 +41,7 @@ def test_quotient_ellipse_exactness(quotient_ellipse_64):
     assert rep.residual_max <= 1e-8
     lam = np.array([5.0, 1.25])
     X = rep.problem.mask.inside_coords()
-    err = np.max(np.abs(rep.field.inside_values() - quotient_exact(lam, X)))
+    err = np.max(np.abs(rep.field.values - quotient_exact(lam, X)))
     assert err <= 5e-3
 
 
@@ -52,7 +52,7 @@ def test_quadratic_reproduction_order():
         rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
         assert rep.converged and rep.residual_max <= 1e-8
         X = mask.inside_coords()
-        errs[h] = np.max(np.abs(rep.field.inside_values() - ma_exact(2.0, X)))
+        errs[h] = np.max(np.abs(rep.field.values - ma_exact(2.0, X)))
     order = math.log2(errs[1 / 24] / errs[1 / 48])
     assert 1.8 <= order <= 2.2
 
@@ -73,10 +73,7 @@ def test_solver_resolution_precondition():
 
 def test_solver_nonconvergence_report():
     mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 40)
-    rep = solver.solve(
-        solver.DirichletProblem(mask=mask, k=2, l=0),
-        solver.SolveOptions(max_iters=1),
-    )
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0, max_iters=1))
     assert not rep.converged
     assert rep.newton_iters == 1
 
@@ -125,7 +122,7 @@ def test_jacobian_matches_central_differences(n, k, l, h):
     c = candidates.quadratic(A)
     f = fields.sample_candidate(c, fields.grid_for_candidate(c, 1.0, h), 1.0)
     st = f.mask.stencils()
-    q = f.inside_values()
+    q = f.values
     u = q + 0.2 * (q - 1.0) ** 2
     residual, jacobian = solver._equations(st, k, l, 2.0)
     # an admissible iterate: S_1..S_k positive on every equation row
@@ -139,13 +136,13 @@ def test_jacobian_matches_central_differences(n, k, l, h):
 def test_barrier_construction_worked():
     # isotropic: Hessian is the identity over the normalizer
     b = solver.EllipsoidBarrier(center=np.zeros(2), mu=[1.0, 1.0], R=1.0, sign="upper", k=2)
-    assert np.allclose(b.hessian.array, np.eye(2), atol=1e-12)
+    assert np.allclose(b.hessian, np.eye(2), atol=1e-12)
     # n=3, k=2 isotropic: Hessian 1/sqrt(3) I, S_2 = 1
     b3 = solver.EllipsoidBarrier(
         center=np.zeros(3), mu=[1.0, 1.0, 1.0], R=1.0, sign="upper", k=2
     )
-    assert np.allclose(b3.hessian.array, np.eye(3) / math.sqrt(3.0), atol=1e-12)
-    T = esym_table(np.linalg.eigvalsh(b3.hessian.array))
+    assert np.allclose(b3.hessian, np.eye(3) / math.sqrt(3.0), atol=1e-12)
+    T = esym_table(np.linalg.eigvalsh(b3.hessian))
     assert T[2] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -153,7 +150,7 @@ def test_barrier_quotient_normalization():
     b = solver.EllipsoidBarrier(
         center=np.zeros(2), mu=[2.0, 0.5], R=1.5, sign="lower", k=2, l=1
     )
-    lam = np.linalg.eigvalsh(b.hessian.array)
+    lam = np.linalg.eigvalsh(b.hessian)
     T = esym_table(lam)
     assert T[2] / T[1] == pytest.approx(1.0, abs=1e-12)
 
@@ -231,7 +228,7 @@ def test_admissibility_margins_reported(ma_ellipse_64):
     # interpolate the boundary data and need not
     rep = ma_ellipse_64
     st = rep.problem.mask.stencils()
-    T = esym_table(np.linalg.eigvalsh(st.hessian_stack(rep.field.inside_values())))
+    T = esym_table(np.linalg.eigvalsh(st.hessian_stack(rep.field.values)))
     for margin, rows in [
         (rep.admissibility_margin, st.is_full),
         (rep.collar_margin, st.is_collar),
@@ -260,12 +257,12 @@ def test_problem_spec_roundtrip():
         "boundary_value": 1.0, "rhs": 1.0, "tol": 1e-9,
         "domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 2.0]}},
     }
-    problem, opts = cli.problem_from_spec(spec)
+    problem = cli.problem_from_spec(spec)
     assert problem.k == 2 and problem.l == 0
-    assert opts.tol == 1e-9
+    assert problem.tol == 1e-9 and problem.max_iters == 100
     # the resolution floor is a property of the problem
     assert problem.min_resolution == 33
-    assert cli.problem_from_spec(dict(spec, min_resolution=16))[0].min_resolution == 16
+    assert cli.problem_from_spec(dict(spec, min_resolution=16)).min_resolution == 16
     bad = dict(spec, k=1, l=1)
     with pytest.raises(PreconditionError):
         cli.problem_from_spec(bad)
@@ -279,7 +276,7 @@ def test_problem_spec_candidate_domain():
             "params": {"candidate": "quad:diag(1,1)", "level": 1.0},
         },
     }
-    problem, _ = cli.problem_from_spec(spec)
+    problem = cli.problem_from_spec(spec)
     assert problem.mask.inside_count() > 100
 
 
@@ -302,7 +299,7 @@ def test_quotient_3d_ball():
     assert rep.converged
     X = mask.inside_coords()
     exact = 0.5 * c * np.sum(X**2, axis=1)
-    err = np.max(np.abs(rep.field.inside_values() - exact))
+    err = np.max(np.abs(rep.field.values - exact))
     assert err <= 30.0 * mask.grid.h ** 2
 
 
@@ -335,8 +332,8 @@ def test_krylov_steps_match_direct_steps(case, monkeypatch):
     rep_direct = solver.solve(problem)
     assert rep_direct.newton_iters == rep.newton_iters
     assert rep_direct.converged == rep.converged
-    du = np.max(np.abs(rep.field.inside_values() - rep_direct.field.inside_values()))
-    assert du <= solver.SolveOptions().tol
+    du = np.max(np.abs(rep.field.values - rep_direct.field.values))
+    assert du <= problem.tol
 
 
 def test_krylov_steps_meet_the_linear_tolerance(monkeypatch):
@@ -443,7 +440,7 @@ def test_quotient_3d_ball_fine_without_warnings(cells):
     assert rep.converged
     X = mask.inside_coords()
     exact = 0.5 * c * np.sum(X**2, axis=1)
-    err = np.max(np.abs(rep.field.inside_values() - exact))
+    err = np.max(np.abs(rep.field.values - exact))
     assert err <= 30.0 * mask.grid.h ** 2
     # every step met its tolerance inside one GMRES cycle
     assert all(i < solver._GMRES_RESTART for i in rep.linear_iters)
