@@ -323,11 +323,10 @@ def _apply_overrides(config: dict, overrides: list):
     return config
 
 
-def _cmd_solve(problem, out):
-    """problem: the DirichletProblem of the config."""
+def _cmd_solve(params, out):
     from . import solver
 
-    report = solver.solve(problem)
+    report = solver.solve(problem_from_spec(params["problem"]))
     save_hsf1(report.field, os.path.join(out, "solution.hsf1"))
     payload = report.to_json_dict()
     payload["calibration"] = calibration_hash()
@@ -392,9 +391,8 @@ def _volume_domains(params: dict) -> list:
     return domains
 
 
-def _cmd_chain_volume(built, out):
-    """built: the (label, DirichletProblem) domains of the config."""
-    reports = pipeline.volume_to_roundness_experiment(built)
+def _cmd_chain_volume(params, out):
+    reports = pipeline.volume_to_roundness_experiment(_volume_domains(params))
     payload = {
         "schema_version": pipeline.REPORT_SCHEMA_VERSION,
         "calibration": calibration_hash(),
@@ -468,9 +466,6 @@ def main(argv=None) -> int:
         "--override", action="append", default=[], metavar="KEY=VALUE",
         help="override a config entry (dotted keys, JSON values)",
     )
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override the config seed (recorded only)"
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -482,33 +477,24 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(config, args.override)
         validate_spec(config, CONFIG_SCHEMA)
-        command, params = config["command"], config.get("params", {})
-        # solve's problem and chain_volume's domains are built before the first
-        # artifact, so that their precondition checks leave no file behind
-        if command == "solve":
-            job = problem_from_spec(params["problem"])
-        elif command == "chain_volume":
-            job = _volume_domains(params)
-        else:
-            job = params
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        os.makedirs(args.out, exist_ok=True)
-        write_json(
-            os.path.join(args.out, "manifest.json"),
-            {
-                "command": command,
-                "params": params,
-                "seed": seed,
-                "calibration": calibration_hash(),
-            },
-        )
-        return _DISPATCH[command](job, args.out)
-    except (PreconditionError, FileNotFoundError) as exc:
+        code = _DISPATCH[config["command"]](config["params"], args.out)
+    except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    # the manifest follows the run, so an exit 2 writes no file
+    write_json(
+        os.path.join(args.out, "manifest.json"),
+        {
+            "command": config["command"],
+            "params": config["params"],
+            "seed": int(config.get("seed", 0)),
+            "calibration": calibration_hash(),
+        },
+    )
+    return code
 
 
 if __name__ == "__main__":

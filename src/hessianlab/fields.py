@@ -589,8 +589,11 @@ def load_hsf1(path) -> ScalarField:
     geometry is approximate after a round trip while every header item and
     node value is bit-exact.
     """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read {path}: {exc}") from exc
     if not lines or not lines[0].startswith("HSF1 n="):
         raise PreconditionError("not an HSF1 file")
     try:

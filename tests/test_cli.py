@@ -18,7 +18,10 @@ from hessianlab.functionals import Condition
 def run_cli(tmp_path, config: dict, out: str, extra=()):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config))
-    return cli.main(["--config", str(cfg), "--out", str(tmp_path / out), *extra])
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / out), *extra])
+    # an exit 2 writes nothing, not even the output directory
+    assert code != 2 or not (tmp_path / out).exists()
+    return code
 
 
 SOLVE_CFG = {
@@ -97,8 +100,7 @@ def test_problem_precondition_exits_2_without_files(tmp_path, change):
     cfg = json.loads(json.dumps(SOLVE_CFG))
     cfg["params"]["problem"].update(change)
     assert run_cli(tmp_path, cfg, "x") == 2
-    out = tmp_path / "x"
-    assert not out.exists() or os.listdir(out) == []
+    assert not (tmp_path / "x").exists()
 
 
 def test_unknown_command_exits_2(tmp_path):
@@ -138,17 +140,33 @@ def test_missing_domain_params_key_exits_2(tmp_path, kind):
     assert not (tmp_path / "x" / "report.json").exists()
 
 
+BAD_SPECS = [
+    "pownorm:c=1", "aniso:c=1,1", "quad:diag(1,x)", "quad:[[1,2],[3]]",
+    # candidates of dimension other than 2 or 3
+    "pownorm:c=1,p=1.5,n=4", "quad:diag(1)",
+]
+BAD_CANDIDATE_RUNS = [("analyze", {"candidate": spec}) for spec in BAD_SPECS] + [
+    ("analyze", {"candidate": "quad:diag(1,-1)"}),
+    ("chain_iso", {"candidate": "nope:1"}),
+    ("sweep", {"candidate": "quad:diag(1,x)"}),
+    # a slope fit needs 12 levels, on an increasing grid
+    ("sweep", {"candidate": "quad:diag(2,0.5)", "t_points": 5}),
+    ("sweep", {"candidate": "quad:diag(2,0.5)", "t_min": 10, "t_max": 1}),
+]
+
+
 @pytest.mark.parametrize(
-    "spec",
-    [
-        "pownorm:c=1", "aniso:c=1,1", "quad:diag(1,x)", "quad:[[1,2],[3]]",
-        # candidates of dimension other than 2 or 3
-        "pownorm:c=1,p=1.5,n=4", "quad:diag(1)",
+    "command,params",
+    BAD_CANDIDATE_RUNS,
+    ids=BAD_SPECS + [
+        "analyze-indefinite", "chain_iso-unknown-family", "sweep-bad-spec", "sweep-t_points-5",
+        "sweep-decreasing-levels",
     ],
 )
-def test_malformed_candidate_spec_exits_2(tmp_path, spec):
-    cfg = {"command": "analyze", "params": {"candidate": spec}}
-    assert run_cli(tmp_path, cfg, "x") == 2
+def test_malformed_candidate_spec_exits_2(tmp_path, capsys, command, params):
+    assert run_cli(tmp_path, {"command": command, "params": params}, "x") == 2
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not (tmp_path / "x").exists()
 
 
 QUAD = {"candidate": "quad:diag(2,0.5)"}
@@ -393,20 +411,27 @@ def test_disconnected_hsf1_mask_exits_2(tmp_path, capsys):
     cfg = {"command": "legendre", "params": {"field": str(tmp_path / "split.hsf1")}}
     assert run_cli(tmp_path, cfg, "x") == 2
     assert "mask not grid-connected" in capsys.readouterr().err
-    assert not (tmp_path / "x" / "transform.hsf1").exists()
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["", "HSF1 n=2\n", "HSF1 n=2\ndims=5,5\norigin=0,0\nh=0.5\nlevel=1\n0 0 1\n"],
-    ids=["empty", "header-only", "row-without-value"],
+    "make",
+    [
+        lambda path: path.write_text(""),
+        lambda path: path.write_text("HSF1 n=2\n"),
+        lambda path: path.write_text("HSF1 n=2\ndims=5,5\norigin=0,0\nh=0.5\nlevel=1\n0 0 1\n"),
+        lambda path: None,
+        lambda path: path.mkdir(),
+        lambda path: path.write_bytes(b"HSF1 n=2\ndims=\xff\xfe\n"),
+    ],
+    ids=["empty", "header-only", "row-without-value", "missing", "directory", "not-utf8"],
 )
-def test_malformed_hsf1_exits_2(tmp_path, capsys, text):
-    (tmp_path / "bad.hsf1").write_text(text)
+def test_malformed_hsf1_exits_2(tmp_path, capsys, make):
+    make(tmp_path / "bad.hsf1")
     cfg = {"command": "legendre", "params": {"field": str(tmp_path / "bad.hsf1")}}
     assert run_cli(tmp_path, cfg, "x") == 2
     assert len(capsys.readouterr().err.strip().splitlines()) == 1
-    assert not (tmp_path / "x" / "transform.hsf1").exists()
+    assert not (tmp_path / "x").exists()
 
 
 _IMPORT_PROBE = textwrap.dedent(
@@ -508,6 +533,7 @@ def test_nonconvergence_exits_3_with_artifacts(tmp_path):
     report = json.loads((tmp_path / "stall" / "report.json").read_text())
     assert report["converged"] is False
     assert (tmp_path / "stall" / "solution.hsf1").exists()
+    assert (tmp_path / "stall" / "manifest.json").exists()
 
 
 ANALYZE_CFG = {
@@ -620,8 +646,7 @@ def test_chain_volume_order_error_exits_2_without_files(tmp_path, params):
     # every domain is checked as a Dirichlet problem (orders and resolution)
     # before the first artifact
     assert run_cli(tmp_path, {"command": "chain_volume", "params": params}, "x") == 2
-    out = tmp_path / "x"
-    assert not out.exists() or os.listdir(out) == []
+    assert not (tmp_path / "x").exists()
 
 
 def test_legendre_command(tmp_path):
@@ -661,15 +686,20 @@ def test_report_lists_sorted_keys(tmp_path):
     }
 
 
-@pytest.mark.parametrize("text", ['{"a": ', "[1, 2]"], ids=["malformed", "not_an_object"])
-def test_report_bad_json_file_exits_2(tmp_path, capsys, text):
+@pytest.mark.parametrize(
+    "text,named",
+    [('{"a": ', "bad.json"), ("[1, 2]", "bad.json"), (None, "cannot list")],
+    ids=["malformed", "not_an_object", "missing-dir"],
+)
+def test_report_bad_json_file_exits_2(tmp_path, capsys, text, named):
     src = tmp_path / "in"
-    src.mkdir()
-    (src / "bad.json").write_text(text)
+    if text is not None:
+        src.mkdir()
+        (src / "bad.json").write_text(text)
     cfg = {"command": "report", "params": {"dir": str(src)}}
     assert run_cli(tmp_path, cfg, "rep") == 2
-    assert "bad.json" in capsys.readouterr().err
-    assert not (tmp_path / "rep" / "summary.json").exists()
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
 
 
 def test_report_dir_that_is_a_file_exits_2(tmp_path):

@@ -147,9 +147,9 @@ def test_callers_look_up_the_traced_names(monkeypatch, tmp_path):
     field = fields.sample_candidate(cand, fields.grid_for_candidate(cand, 1.0, 1 / 16), 1.0)
     through("fields.rasterize", functionals.legendre_transform, field)
     # cli imports solver when it runs a solve, and looks solve up on it then
-    problem = cli.problem_from_spec({
+    params = {"problem": {
         "n": 2, "k": 1, "l": 0, "h": 1 / 16, "min_resolution": 16,
         "domain": {"type": "ellipse", "params": {"semiaxes": [1.0, 1.0]}},
-    })
-    through("solver.solve", cli._cmd_solve, problem, str(tmp_path))
-    through("fields.save_hsf1", cli._cmd_solve, problem, str(tmp_path))
+    }}
+    through("solver.solve", cli._cmd_solve, params, str(tmp_path))
+    through("fields.save_hsf1", cli._cmd_solve, params, str(tmp_path))
