@@ -18,6 +18,12 @@ import json
 import os
 import sys
 
+# one BLAS thread unless the caller chose a count: threaded reductions move
+# the last bits of a solve, and an artifact's bytes with them. This must run
+# before numpy loads BLAS.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 
 from . import fields, functionals, pipeline, symm
@@ -323,6 +329,16 @@ def _apply_overrides(config: dict, overrides: list):
     return config
 
 
+def _check_out(out: str):
+    """Raise PreconditionError unless out is a directory or can be made one:
+    its nearest existing ancestor must be a directory."""
+    path = os.path.abspath(out)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise PreconditionError(f"--out {out}: {path} is not a directory")
+
+
 def _cmd_solve(params, out):
     from . import solver
 
@@ -477,6 +493,7 @@ def main(argv=None) -> int:
     try:
         config = _apply_overrides(config, args.override)
         validate_spec(config, CONFIG_SCHEMA)
+        _check_out(args.out)
         code = _DISPATCH[config["command"]](config["params"], args.out)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from .errors import (
     AdmissibilityError,
     DegenerateDomainError,
     NonConvergenceError,
+    NumericError,
     PreconditionError,
 )
 from .fields import ScalarField
@@ -540,6 +541,8 @@ def mean_value_level(profile: LevelProfile, a: float, b: float) -> float:
 
     Solved exactly on the first linear piece of the interpolant where nu
     minus its average changes sign; a flat profile ties to the midpoint.
+    Raises NumericError if rounding puts the interpolated level outside
+    [a, b].
     """
     if not (profile.levels[0] <= a < b <= profile.levels[-1]):
         raise PreconditionError("interval outside the profile range")
@@ -552,7 +555,10 @@ def mean_value_level(profile: LevelProfile, a: float, b: float) -> float:
     i = int(np.flatnonzero(g[:-1] * g[1:] <= 0)[0])
     if g[i] == 0:
         return float(s[i])
-    return float(s[i] + (s[i + 1] - s[i]) * g[i] / (g[i] - g[i + 1]))
+    s_star = float(s[i] + (s[i + 1] - s[i]) * g[i] / (g[i] - g[i + 1]))
+    if not a <= s_star <= b:
+        raise NumericError(f"mean-value level {s_star!r} lies outside [{a!r}, {b!r}]")
+    return s_star
 
 
 # ---------------------------------------------------------------------------

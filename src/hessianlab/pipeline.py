@@ -79,11 +79,20 @@ class ConditionReport:
 
 @dataclass
 class ChainLink:
+    """One inequality of a chain: it passes when lhs <= rhs * (1 + rel),
+    where rel is a quadrature tolerance that the report does not carry."""
     check_id: str
     lhs: float
     rhs: float
-    passed: bool
     params: dict = dc_field(default_factory=dict)
+    rel: float = 0.0
+
+    def __post_init__(self):
+        self.lhs, self.rhs = float(self.lhs), float(self.rhs)
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs * (1.0 + self.rel)
 
     @property
     def slack(self) -> float:
@@ -190,18 +199,13 @@ def analyze(cand: AnalyticCandidate, config: AnalyzeConfig | None = None) -> Con
     t_grid = config.t_grid()
     verdicts = {}
     errors = {}
-    for cond in (Condition.REVERSE_ISO, Condition.VOLUME_GROWTH):
-        try:
-            verdicts[cond.value] = functionals.condition_sweep(
-                cand, cond, t_grid, m_dirs=config.m_dirs
-            )
-        except HessianLabError as exc:
-            errors[cond.value] = str(exc)
-    for p in config.p_list:
-        key = f"lp:{p:g}"
+    # (key, condition, p): p = 1.0, the sweep's default, where the condition has no p
+    sweeps = [(c.value, c, 1.0) for c in (Condition.REVERSE_ISO, Condition.VOLUME_GROWTH)]
+    sweeps += [(f"lp:{p:g}", Condition.LP_INTEGRABILITY, p) for p in config.p_list]
+    for key, cond, p in sweeps:
         try:
             verdicts[key] = functionals.condition_sweep(
-                cand, Condition.LP_INTEGRABILITY, t_grid, p=p, m_dirs=config.m_dirs
+                cand, cond, t_grid, p=p, m_dirs=config.m_dirs
             )
         except HessianLabError as exc:
             errors[key] = str(exc)
@@ -272,15 +276,10 @@ def iso_to_roundness_chain(
     norm, m_eff, sample = _premise_sample(cand, t, m_dirs)
     if gamma_claim is None:
         gamma_claim = float(sample.ratio * _CLAIM_HEADROOM)
-    links.append(
-        ChainLink(
-            "premise-gradient-integral-bound",
-            lhs=sample.numerator,
-            rhs=gamma_claim * sample.denominator,
-            passed=sample.numerator <= gamma_claim * sample.denominator,
-            params={"t": t, "gamma": gamma_claim},
-        )
-    )
+    links.append(ChainLink(
+        "premise-gradient-integral-bound", sample.numerator, gamma_claim * sample.denominator,
+        params={"t": t, "gamma": gamma_claim},
+    ))
     if not links[-1].passed:
         return ChainReport(
             label=cand.name, links=links,
@@ -299,63 +298,34 @@ def iso_to_roundness_chain(
     lhs_p = np.trapezoid(profile.nu, profile.levels) + profile.nu[0] * profile.levels[0] * (2.0 / (n + 1.0))
     wint = np.trapezoid((1.0 - profile.levels) ** (1.0 / (n - 1.0)) * profile.mu, profile.levels)
     rhs_p = profile_integral_bound(n) * gamma_claim * wint ** ((n - 1.0) / n)
-    links.append(
-        ChainLink(
-            "profile-integral-bound",
-            lhs=float(lhs_p), rhs=float(rhs_p),
-            passed=bool(lhs_p <= rhs_p * (1.0 + 1e-3)),
-        )
-    )
+    links.append(ChainLink("profile-integral-bound", lhs_p, rhs_p, rel=1e-3))
 
     s_star = geometry.mean_value_level(profile, a, b)
     resid = abs(
         profile.nu_at(s_star) * (b - a) - profile.integrate_nu(a, b)
     ) / max(profile.integrate_nu(a, b), 1e-300)
-    links.append(
-        ChainLink(
-            "mean-value-level",
-            lhs=resid, rhs=1e-6,
-            passed=bool(a <= s_star <= b and resid <= 1e-6),
-            params={"s_star": s_star, "a": a, "b": b},
-        )
-    )
+    links.append(ChainLink(
+        "mean-value-level", resid, 1e-6, params={"s_star": s_star, "a": a, "b": b}
+    ))
 
     C_peri = level_perimeter_bound(n, a, b)
     lhs_nu = profile.nu_at(s_star)
     rhs_nu = C_peri * gamma_claim * profile.mu_at(s_star) ** ((n - 1.0) / n)
-    links.append(
-        ChainLink(
-            "level-perimeter-bound",
-            lhs=float(lhs_nu), rhs=float(rhs_nu),
-            passed=bool(lhs_nu <= rhs_nu * (1.0 + 1e-3)),
-        )
-    )
+    links.append(ChainLink("level-perimeter-bound", lhs_nu, rhs_nu, rel=1e-3))
 
     body = geometry.extract_body(norm, s_star, m_dirs=m_eff)
     ell = geometry.john_fit(body.vertices)
     C_asp = calib["john_aspect_bound_C"][str(n)]
-    lhs_mu = float(ell.mu[-1])
-    rhs_mu = C_asp * gamma_claim**n * float(ell.mu[0])
-    links.append(
-        ChainLink(
-            "ellipsoid-aspect-bound",
-            lhs=lhs_mu, rhs=rhs_mu,
-            passed=bool(lhs_mu <= rhs_mu),
-            params={"aspect": ell.aspect()},
-        )
-    )
+    links.append(ChainLink(
+        "ellipsoid-aspect-bound", ell.mu[-1], C_asp * gamma_claim**n * float(ell.mu[0]),
+        params={"aspect": ell.aspect()},
+    ))
 
     fit = geometry.ball_fit(body)
     Cp = calib["ball_ratio_bound_Cp"][str(n)]
-    rhs_g = Cp * gamma_claim ** (n / 2.0)
-    links.append(
-        ChainLink(
-            "roundness-bound",
-            lhs=float(fit.gamma), rhs=float(rhs_g),
-            passed=bool(fit.gamma <= rhs_g),
-            params={"s_star": s_star},
-        )
-    )
+    links.append(ChainLink(
+        "roundness-bound", fit.gamma, Cp * gamma_claim ** (n / 2.0), params={"s_star": s_star}
+    ))
     return ChainReport(
         label=cand.name, links=links, meta=_chain_meta(t, gamma_claim, interval)
     )
@@ -421,43 +391,24 @@ def volume_to_roundness_experiment(domains: list) -> list:
         tol_b = 5.0 * h**2
         for bar in (upper, lower):
             chk = solver.comparison_check(rep, bar)
-            links.append(
-                ChainLink(
-                    f"{bar.sign}-barrier-violation",
-                    lhs=chk["max_violation"], rhs=tol_b,
-                    passed=bool(chk["max_violation"] <= tol_b),
-                )
-            )
-            slack_tol = 20.0 * h**2 * max(chk["R"], 1.0) ** 2
-            links.append(
-                ChainLink(
-                    f"{bar.sign}-radius-sandwich",
-                    lhs=-chk["scalar_slack"], rhs=slack_tol,
-                    passed=bool(chk["scalar_slack"] >= -slack_tol),
-                    params={"normalizer": chk["normalizer"], "R": chk["R"]},
-                )
-            )
+            links.append(ChainLink(f"{bar.sign}-barrier-violation", chk["max_violation"], tol_b))
+            links.append(ChainLink(
+                f"{bar.sign}-radius-sandwich",
+                -chk["scalar_slack"], 20.0 * h**2 * max(chk["R"], 1.0) ** 2,
+                params={"normalizer": chk["normalizer"], "R": chk["R"]},
+            ))
         body = geometry.body_from_mask(mask)
         fit = geometry.ball_fit(body)
         C_vol = calib["volume_gamma_bound_C"][str(n)]
-        rhs_v = C_vol * body.volume() ** ((n - 1.0) / 2.0)
-        links.append(
-            ChainLink(
-                "volume-roundness-bound",
-                lhs=float(fit.gamma), rhs=float(rhs_v),
-                passed=bool(fit.gamma <= rhs_v),
-                params={"volume": body.volume()},
-            )
-        )
+        links.append(ChainLink(
+            "volume-roundness-bound", fit.gamma, C_vol * body.volume() ** ((n - 1.0) / 2.0),
+            params={"volume": body.volume()},
+        ))
         rc = solver.radius_estimate_check(rep, fit)
-        links.append(
-            ChainLink(
-                "radius-estimate",
-                lhs=rc["R_observed"], rhs=rc["bound"] * (1.0 + 4.0 * h),
-                passed=rc["passed"],
-                params={"gamma": rc["gamma"], "coeff": rc["coeff"]},
-            )
-        )
+        links.append(ChainLink(
+            "radius-estimate", rc["R_observed"], rc["limit"],
+            params={"gamma": rc["gamma"], "coeff": rc["coeff"]},
+        ))
         reports.append(ChainReport(label=label, links=links, meta=meta))
     return reports
 

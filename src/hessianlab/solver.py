@@ -463,13 +463,14 @@ def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dic
     bound = coeff * fit.gamma
     drop = 1.0 - max(report.u_min, 0.0)
     r_norm = fit.R / math.sqrt(max(drop, 1e-300))
-    slack_grid = 4.0 * p.mask.grid.h
+    limit = float(bound * (1.0 + 4.0 * p.mask.grid.h))    # a grid slack of 4h
     return {
         "R_observed": float(fit.R),
         "R_normalized": float(r_norm),
         "bound": float(bound),
+        "limit": limit,
         "coeff": float(coeff),
         "gamma": float(fit.gamma),
-        "passed": bool(fit.R <= bound * (1.0 + slack_grid)),
-        "passed_normalized": bool(r_norm <= bound * (1.0 + slack_grid)),
+        "passed": bool(fit.R <= limit),
+        "passed_normalized": bool(r_norm <= limit),
     }

@@ -56,6 +56,27 @@ def test_solve_determinism_bitwise(tmp_path):
         assert ba == bb, name
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_artifacts_do_not_depend_on_unset_blas_threads(tmp_path):
+    # the README solve from a shell that sets no BLAS thread count writes the
+    # bytes of a shell that pins one thread: the CLI pins it unless told
+    readme = {**SOLVE_CFG, "seed": 1, "params": {"problem": {
+        **SOLVE_CFG["params"]["problem"], "h": 0.015625}}}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(readme))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {key: val for key, val in os.environ.items() if key not in _BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    for out, pins in (("unset", {}), ("one", dict.fromkeys(_BLAS_THREADS, "1"))):
+        cmd = [sys.executable, "-m", "hessianlab.cli", "--config", str(cfg), "--out", out]
+        subprocess.run(cmd, env={**env, **pins}, cwd=tmp_path, check=True)
+    for name in ("report.json", "solution.hsf1"):
+        unset, one = (tmp_path / out / name for out in ("unset", "one"))
+        assert unset.read_bytes() == one.read_bytes(), name
+
+
 def test_calibration_hash_is_frozen():
     # every artifact carries this hash; calibration_data.json is read, never rewritten
     assert calibration_hash() == "bb5bbcc2ef31d135"
@@ -513,6 +534,18 @@ def test_unreadable_config_exits_2(tmp_path, kind, capsys):
     assert cli.main(["--config", str(path), "--out", str(tmp_path / "x")]) == 2
     assert "cannot read config" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/run"], ids=["file", "under-a-file"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("kept\n")
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "report", "params": {"dir": str(tmp_path)}}))
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert (tmp_path / "afile").read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["afile", "run.json"]
 
 
 def test_internal_key_error_is_not_a_config_error(tmp_path, monkeypatch):

@@ -175,6 +175,21 @@ def test_chain_premise_violation_reported():
     assert len(rep.links) == 1
 
 
+def test_chain_link_decides_its_verdict():
+    # a link passes when lhs <= rhs * (1 + rel); the report carries no rel
+    assert pipeline.ChainLink("a", 1.0, 1.0).passed
+    assert not pipeline.ChainLink("a", 1.0005, 1.0).passed
+    assert not pipeline.ChainLink("a", math.nan, 1.0).passed
+    link = pipeline.ChainLink("a", np.float64(1.0005), 1, rel=1e-3)
+    assert link.passed
+    assert link.to_json_dict() == {
+        "check_id": "a", "lhs": 1.0005, "rhs": 1.0, "slack": 1.0 - 1.0005,
+        "passed": True, "params": {},
+    }
+    with pytest.raises(AttributeError):
+        link.passed = False
+
+
 def test_chain_interval_validation():
     q = candidates.quadratic(np.eye(2))
     with pytest.raises(Exception):

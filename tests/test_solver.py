@@ -483,6 +483,37 @@ def test_aspect_limit_at_h_1_24(ratio, converges):
     assert rep.converged is converges
 
 
+def _inscribed_polygon(m, phase):
+    """The regular m-gon inscribed in the unit circle, counterclockwise, with
+    a vertex at angle phase."""
+    ang = phase + np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+_ROTATION = np.array([[np.cos(0.1), np.sin(0.1)], [-np.sin(0.1), np.cos(0.1)]])
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="no start blend is admissible on the collar rows: a nonconverged report after 1 step",
+)
+@pytest.mark.parametrize(
+    "vertices",
+    [
+        np.array([[1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0]]) @ _ROTATION,
+        _inscribed_polygon(3, np.pi / 2),
+        _inscribed_polygon(6, 0.0),
+    ],
+    ids=["square-rotated-0.1", "triangle", "hexagon"],
+)
+def test_k2_polygon_limit(vertices):
+    # det D2u = 1 on polygons that are not axis-aligned rectangles: the
+    # README's known limit (the axis-aligned square converges in 14 steps)
+    mask = fields.mask_from_polygon(vertices, h=1 / 32)
+    rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
+    assert rep.converged
+
+
 def test_solved_hessian_has_a_boundary_layer():
     # det D2u = 1 on the (1, 1.5) ellipse, whose solution is the quadratic
     # with Hessian diag(3/2, 2/3). A closure row interpolates linearly, so it
