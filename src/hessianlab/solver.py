@@ -13,18 +13,21 @@ Quotient problems iterate on log S_k - log S_l (concave, better
 conditioned); the line search keeps the discrete Hessian of every
 equation row (complete-stencil and collar nodes) inside the
 admissibility cone, and a solve converges only with all of them inside.
-The Newton Jacobian and the linear trace system come from one operator
-builder: sum_{p<=q} c_pq diag(W_pq) D_pq over the second-difference
-stencils D_pq, with W the
-spectral gradient in the Hessian's eigenframe for the Jacobian and W = I
-for the trace system. One incomplete LU (ILU) of the trace system per
-solve (SuperLU's spilu, drop tolerance 1e-4, fill factor 10,
-MMD_AT_PLUS_A ordering, no pivoting) right-preconditions every GMRES
-solve; there is no direct factor. Before the factor the system's
-rows are put in node order (each equation row on its own node, each
-closure row on the node that owns it), so every row has a nonzero
-diagonal that no off-diagonal entry exceeds, and scaled to a unit
-diagonal. The warm start is a GMRES solve of the trace system to a
+The residual takes S_0..S_n of each node's discrete Hessian in closed form
+from its entries (trace, principal minors, determinant), with no
+eigendecomposition. The Newton Jacobian and the linear trace system come
+from one operator builder: sum_{p<=q} c_pq diag(W_pq) D_pq over the
+second-difference stencils D_pq, with W the Newton tensors of the Hessian
+for the Jacobian (T_{k-1} for S_k, T_{k-1}/S_k - T_{l-1}/S_l for the log
+quotient) and W = I for the trace system. One incomplete LU (ILU) of the
+trace system per solve (SuperLU's spilu, drop tolerance 3e-3, fill factor
+10, MMD_AT_PLUS_A ordering, no pivoting) right-preconditions every GMRES
+solve; there is no direct factor. The drop tolerance keeps the 3D factor
+under its fill cap, where a capped factor costs GMRES iterations. Before
+the factor the system's rows are put in node order (each equation row on
+its own node, each closure row on the node that owns it), so every row
+has a nonzero diagonal that no off-diagonal entry exceeds, and scaled to
+a unit diagonal. The warm start is a GMRES solve of the trace system to a
 relative residual of 1e-13. The Newton steps are inexact Newton steps
 (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982): every GMRES
 solve runs one restart cycle, its last iterate is taken, and the line
@@ -46,14 +49,21 @@ import scipy.sparse.linalg as spla
 from . import geometry
 from .errors import NumericError, PreconditionError
 from .fields import DomainMask, ScalarField
-from .symm import check_orders, esym_table, radius_bound_coeff, spectral_gradient
+from .symm import (  # noqa: F401 -- perfbench/spans.py traces esym_table and spectral_gradient here
+    check_orders, esym_table, matrix_esym_table, matrix_gradient, radius_bound_coeff,
+    spectral_gradient,
+)
 
 _LOG_FLOOR = 1e-300
 _MAX_HALVINGS = 30                # line-search step halvings per Newton step
 _GMRES_RTOL = 1e-10               # relative true residual of each Newton step
 _START_RTOL = 1e-13               # relative true residual of the trace start
 _GMRES_RESTART = 100              # GMRES iterations per solve: one cycle, no restart
-_ILU_DROP_TOL = 1e-4              # the trace preconditioner's incomplete LU
+# the trace preconditioner's incomplete LU. The drop tolerance keeps the 3D
+# factor under the fill cap: at 1e-4 it wanted 16x the matrix's nonzeros,
+# the cap cut it to 9.5x, and GMRES took 26-34 iterations per Newton step
+# on a 3D ellipsoid at h = 1/11, against 17-21 at 3e-3 (6.1x, uncut)
+_ILU_DROP_TOL = 3e-3
 _ILU_FILL_FACTOR = 10
 _START_BLENDS = (0.0, 0.1, 0.25, 0.5, 0.75)   # barrier weights tried on the trace start
 
@@ -87,15 +97,15 @@ class DirichletProblem:
 @dataclass
 class SolveReport:
     field: ScalarField
-    residual_max: float
+    residual_max: float | None        # None when no node has a complete stencil
     newton_iters: int
-    admissibility_margin: float
+    admissibility_margin: float | None   # the margins are None for a class with no nodes
     converged: bool
     residual_history: list
     problem: DirichletProblem
     u_min: float = math.nan
-    collar_margin: float = math.nan
-    closure_margin: float = math.nan
+    collar_margin: float | None = None
+    closure_margin: float | None = None
     linear_iters: list = dc_field(default_factory=list)   # GMRES count per step
     domain_fit: geometry.EllipsoidFit = None   # John fit of the cut cloud; not serialized
 
@@ -241,18 +251,18 @@ def solve(problem: DirichletProblem) -> SolveReport:
 
 def _equations(st, k: int, l: int, rhs: float):
     """The discrete system of S_k/S_l (D2u) = rhs on one stencil set:
-    residual(u) -> (F, the table S_0..S_n of the discrete Hessian's
-    spectrum at every inside node, the Hessian stack H of u), F with the
-    equation rows first, then the closure rows; jacobian(H) -> dF/du at
-    the iterate whose stack is H, as a CSR matrix. The solved form follows
-    l, as in spectral_gradient: S_k = rhs for l = 0, and
-    log S_k - log S_l = log rhs for quotients."""
+    residual(u) -> (F, the table S_0..S_n of the discrete Hessian at every
+    inside node, the Hessian stack H of u), F with the equation rows first,
+    then the closure rows; jacobian(H) -> dF/du at the iterate whose stack
+    is H, as a CSR matrix. The solved form follows l, as in
+    matrix_gradient: S_k = rhs for l = 0, and log S_k - log S_l = log rhs
+    for quotients."""
     eq_rows = ~st.is_closure                      # equation rows
     rows = _operator_rows(st)
 
     def residual(u):
         H = st.hessian_stack(u)
-        T = esym_table(np.linalg.eigvalsh(H))
+        T = matrix_esym_table(H)
         if l > 0:
             G = np.log(np.maximum(T[:, k], _LOG_FLOOR)) - np.log(
                 np.maximum(T[:, l], _LOG_FLOOR)
@@ -263,11 +273,9 @@ def _equations(st, k: int, l: int, rhs: float):
         return np.concatenate([G[eq_rows], F_cl]), T, H
 
     def jacobian(H):
-        # spectra on the equation rows only: closure rows are linear, and
+        # weights on the equation rows only: closure rows are linear, and
         # their S_k may vanish
-        lam, Q = np.linalg.eigh(H[eq_rows])
-        g = spectral_gradient(lam, k, l)
-        return _linear_operator(rows, np.einsum("nij,nj,nkj->nik", Q, g, Q))
+        return _linear_operator(rows, matrix_gradient(H[eq_rows], k, l))
 
     return residual, jacobian
 
@@ -289,9 +297,9 @@ def _linear_operator(rows, W):
     over the closure rows, as a CSR matrix: rows is _operator_rows of the
     stencil set, c_pq is 1 on the diagonal and 2 off it, and W holds one
     symmetric weight matrix per equation row. A term whose weights are all
-    zero is left out. The Newton Jacobian is this operator at
-    W = Q diag(g) Q^T, g the spectral gradient; the trace system is it at
-    W = I."""
+    zero is left out. The Newton Jacobian is this operator at W the
+    Newton tensors of the Hessian (matrix_gradient); the trace system is it
+    at W = I."""
     hess, closure = rows
     A = None
     for (p, q), D in hess.items():
@@ -303,12 +311,12 @@ def _linear_operator(rows, W):
     return sp.vstack([A, closure]).tocsr()
 
 
-def _cone_margin(T, k: int) -> float:
+def _cone_margin(T, k: int) -> float | None:
     """min S_1..S_k over the esym table T, one spectrum per row: positive
-    exactly when every spectrum lies in the admissibility cone; nan for no
-    rows."""
+    exactly when every spectrum lies in the admissibility cone; None for no
+    rows (JSON null)."""
     if T.shape[0] == 0:
-        return math.nan
+        return None
     return float(np.min(T[:, 1 : k + 1]))
 
 
@@ -368,7 +376,7 @@ def _make_report(problem, st, fit, u, F, T, history, linear_iters, iters, conver
     # residual over complete-stencil equation rows
     F_eq = F[: int(np.sum(eq_rows))]
     full_in_eq = st.is_full[eq_rows]
-    res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if st.is_full.any() else math.nan
+    res_full = float(np.max(np.abs(F_eq[full_in_eq]))) if st.is_full.any() else None
     return SolveReport(
         field=ScalarField(mask=problem.mask, values=u, level=problem.boundary_value),
         residual_max=res_full,

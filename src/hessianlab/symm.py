@@ -1,10 +1,13 @@
 """Elementary symmetric polynomial calculus on eigenvalue spectra.
 
 Dimension-generic evaluation of the symmetric polynomials S_j, Hessian and
-Hessian-quotient operators on symmetric matrices, and the first spectral
-derivatives that feed the Newton solver. All functions are pure; the
-batched helpers accept stacked spectra (leading axes arbitrary) so a solver
-can process a whole grid of Hessians per call.
+Hessian-quotient operators on symmetric matrices, and their first spectral
+derivatives. For 2x2 and 3x3 matrices the same invariants and their
+derivatives, the Newton tensors, also come in closed form from the
+entries, with no eigendecomposition; these feed the Newton solver. All
+functions are pure; the batched helpers accept stacked spectra or
+matrices (leading axes arbitrary) so a solver can process a whole grid of
+Hessians per call.
 """
 
 from __future__ import annotations
@@ -45,6 +48,84 @@ def esym_table(lam) -> np.ndarray:
         for j in range(i + 1, 0, -1):
             out[..., j] += lam[..., i] * out[..., j - 1]
     return out
+
+
+def _small_stack(H) -> np.ndarray:
+    H = np.asarray(H, dtype=float)
+    if H.ndim < 2 or H.shape[-1] not in (2, 3) or H.shape[-2] != H.shape[-1]:
+        raise PreconditionError("closed-form invariants need stacked 2x2 or 3x3 matrices")
+    return H
+
+
+def _adjugate3(H) -> np.ndarray:
+    """adj(H) of symmetric 3x3 matrices stacked over the leading axes: the
+    cofactor matrix, itself symmetric."""
+    a, b, c = H[..., 0, 0], H[..., 0, 1], H[..., 0, 2]
+    d, e, f = H[..., 1, 1], H[..., 1, 2], H[..., 2, 2]
+    A = np.empty(H.shape)
+    A[..., 0, 0] = d * f - e * e
+    A[..., 1, 1] = a * f - c * c
+    A[..., 2, 2] = a * d - b * b
+    A[..., 0, 1] = A[..., 1, 0] = c * e - b * f
+    A[..., 0, 2] = A[..., 2, 0] = b * e - c * d
+    A[..., 1, 2] = A[..., 2, 1] = b * c - a * e
+    return A
+
+
+def matrix_esym_table(H) -> np.ndarray:
+    """S_0..S_n of the spectrum of every symmetric matrix stacked over the
+    leading axes of H, n in {2, 3}, in closed form from the entries: S_1 the
+    trace, S_2 the sum of the principal 2x2 minors (the trace of the
+    adjugate), S_3 the determinant by cofactor expansion along row 0. Equals
+    esym_table(eigvalsh(H)) up to rounding, with no eigendecomposition."""
+    H = _small_stack(H)
+    n = H.shape[-1]
+    out = np.empty(H.shape[:-2] + (n + 1,))
+    out[..., 0] = 1.0
+    out[..., 1] = np.trace(H, axis1=-2, axis2=-1)
+    if n == 2:
+        out[..., 2] = H[..., 0, 0] * H[..., 1, 1] - H[..., 0, 1] * H[..., 0, 1]
+    else:
+        A = _adjugate3(H)
+        out[..., 2] = np.trace(A, axis1=-2, axis2=-1)
+        out[..., 3] = np.sum(H[..., 0, :] * A[..., 0, :], axis=-1)
+    return out
+
+
+def newton_tensor(H, j: int) -> np.ndarray:
+    """The Newton tensor T_j(H) = sum_i (-1)^i S_{j-i}(H) H^i of every
+    symmetric matrix stacked in H, n in {2, 3}, 0 <= j < n: the derivative
+    of S_{j+1} at H, dS_{j+1} = sum_{p,q} T_j[p,q] dH[p,q] (Reilly, Michigan
+    Math. J. 20, 1973). T_0 = I, T_1 = S_1 I - H, and T_2 = adj(H) for
+    n = 3 (by Cayley-Hamilton). T_j is positive definite on Gamma_{j+1}."""
+    H = _small_stack(H)
+    n = H.shape[-1]
+    if not 0 <= j < n:
+        raise PreconditionError(f"need 0 <= j < n, got j={j}, n={n}")
+    if j == 0:
+        return np.broadcast_to(np.eye(n), H.shape)
+    if j == 1:
+        T = -H
+        idx = np.arange(n)
+        T[..., idx, idx] += np.trace(H, axis1=-2, axis2=-1)[..., None]
+        return T
+    return _adjugate3(H)
+
+
+def matrix_gradient(H, k: int, l: int = 0) -> np.ndarray:
+    """The matrix derivative of the solved form of S_k/S_l (see
+    spectral_gradient) at every symmetric matrix stacked in H, n in {2, 3},
+    from Newton tensors: T_{k-1}(H) for l = 0, and
+    T_{k-1}/S_k - T_{l-1}/S_l for l > 0. Equals
+    Q diag(spectral_gradient(lam)) Q^T of the eigendecomposition up to
+    rounding, with the convention of operator_gradient."""
+    H = _small_stack(H)
+    check_orders(H.shape[-1], k, l)
+    G = newton_tensor(H, k - 1)
+    if l == 0:
+        return G
+    S = matrix_esym_table(H)
+    return G / S[..., k, None, None] - newton_tensor(H, l - 1) / S[..., l, None, None]
 
 
 def complementary_table(lam) -> np.ndarray:

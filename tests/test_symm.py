@@ -149,6 +149,85 @@ def test_operator_gradient_positive_definite_on_cone():
         assert np.min(np.linalg.eigvalsh(G)) > 0
 
 
+def _symmetric_stack(rng, n, family, size=20, positive=False):
+    """Seeded stacks of symmetric n x n matrices with known spectra, at
+    scales 1e-2..1e2: random (any sign, or positive), clustered (a
+    near-ball, eigenvalues equal to 1e-9 relative) and near-singular (the
+    smallest eigenvalue 1e-9 of the largest). The last two are positive.
+    Positive spectra lie in every cone Gamma_k."""
+    scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(size, 1))
+    if family == "random":
+        lam = rng.normal(size=(size, n))
+        lam = np.abs(lam) if positive else lam
+    elif family == "clustered":
+        lam = 1.0 + 1e-9 * rng.normal(size=(size, n))
+    else:
+        lam = rng.uniform(0.5, 2.0, size=(size, n))
+        lam[:, 0] = 1e-9 * lam[:, 1]
+    Q = np.linalg.qr(rng.normal(size=(size, n, n)))[0]
+    H = np.einsum("sij,sj,skj->sik", Q, scale * lam, Q)
+    return 0.5 * (H + np.swapaxes(H, 1, 2))
+
+
+_FAMILIES = ("random", "clustered", "near-singular")
+_ORDERS = [(n, k, l) for n in (2, 3) for k in range(1, n + 1) for l in range(k)]
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrix_esym_table_matches_the_spectrum(n, family):
+    H = _symmetric_stack(np.random.default_rng(n), n, family)
+    T = symm.matrix_esym_table(H)
+    ref = symm.esym_table(np.linalg.eigvalsh(H))
+    norm = np.linalg.norm(H, 2, axis=(1, 2))
+    assert T.shape == (H.shape[0], n + 1)
+    for j in range(n + 1):
+        assert np.all(np.abs(T[:, j] - ref[:, j]) <= 64 * np.finfo(float).eps * norm**j)
+
+
+@pytest.mark.parametrize("family", _FAMILIES)
+@pytest.mark.parametrize("n,k,l", _ORDERS)
+def test_matrix_gradient_matches_operator_gradient(n, k, l, family):
+    # the Newton tensors T_{k-1}, and T_{k-1}/S_k - T_{l-1}/S_l for
+    # quotients, against the eigenbasis path; the quotients need S_k and S_l
+    # positive, so they take matrices in the cone only
+    H = _symmetric_stack(np.random.default_rng(10 * n + k + l), n, family, positive=l > 0)
+    G = symm.matrix_gradient(H, k, l)
+    S = symm.esym_table(np.linalg.eigvalsh(H))
+    norm = np.linalg.norm(H, 2, axis=(1, 2))
+    eps = np.finfo(float).eps
+    for i, M in enumerate(H):
+        ref = symm.operator_gradient(M, k, l).array
+        if l == 0:
+            tol = 64 * eps * norm[i] ** (k - 1)
+        else:
+            # rounding of T_j / S_j is relative to S_j, and S_j to ||H||^j
+            tol = 64 * eps * sum(
+                norm[i] ** (j - 1) / S[i, j] * (1.0 + norm[i] ** j / S[i, j])
+                for j in (k, l) if j > 0
+            )
+        assert np.max(np.abs(G[i] - ref)) <= tol
+
+
+def test_newton_tensor_worked():
+    H = np.diag([1.0, 2.0, 3.0])
+    assert np.array_equal(symm.newton_tensor(H, 0), np.eye(3))
+    assert np.array_equal(symm.newton_tensor(H, 1), np.diag([5.0, 4.0, 3.0]))
+    assert np.array_equal(symm.newton_tensor(H, 2), np.diag([6.0, 3.0, 2.0]))
+    # T_{n-1} is the adjugate: H T_{n-1} = det(H) I, in 2D and 3D
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        H = _symmetric_stack(rng, n, "random")
+        det = symm.matrix_esym_table(H)[:, n]
+        err = H @ symm.newton_tensor(H, n - 1) - det[:, None, None] * np.eye(n)
+        norm = np.linalg.norm(H, 2, axis=(1, 2))
+        assert np.all(np.max(np.abs(err), axis=(1, 2)) <= 64 * np.finfo(float).eps * norm**n)
+    with pytest.raises(PreconditionError):
+        symm.newton_tensor(np.eye(3), 3)
+    with pytest.raises(PreconditionError):
+        symm.matrix_esym_table(np.eye(4))
+
+
 def test_barrier_coefficients_worked():
     assert symm.maclaurin_trace_bound(2, 1) == pytest.approx(1.0)
     assert symm.maclaurin_trace_bound(3, 2) == pytest.approx(3.0 / math.sqrt(3.0))
