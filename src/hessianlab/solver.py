@@ -20,10 +20,11 @@ from one operator builder: sum_{p<=q} c_pq diag(W_pq) D_pq over the
 second-difference stencils D_pq, with W the Newton tensors of the Hessian
 for the Jacobian (T_{k-1} for S_k, T_{k-1}/S_k - T_{l-1}/S_l for the log
 quotient) and W = I for the trace system. One incomplete LU (ILU) of the
-trace system per solve (SuperLU's spilu, drop tolerance 3e-3, fill factor
-10, MMD_AT_PLUS_A ordering, no pivoting) right-preconditions every GMRES
-solve; there is no direct factor. The drop tolerance keeps the 3D factor
-under its fill cap, where a capped factor costs GMRES iterations. Before
+trace system per solve (SuperLU's spilu, drop tolerance 1e-4 in 2D and
+3e-3 in 3D, fill factor 10, MMD_AT_PLUS_A ordering, no pivoting)
+right-preconditions every GMRES solve; there is no direct factor. The 3D
+drop tolerance keeps the factor under its fill cap, where a capped factor
+costs GMRES iterations; in 2D 1e-4 stays under the cap. Before
 the factor the system's rows are put in node order (each equation row on
 its own node, each closure row on the node that owns it), so every row
 has a nonzero diagonal that no off-diagonal entry exceeds, and scaled to
@@ -59,11 +60,13 @@ _MAX_HALVINGS = 30                # line-search step halvings per Newton step
 _GMRES_RTOL = 1e-10               # relative true residual of each Newton step
 _START_RTOL = 1e-13               # relative true residual of the trace start
 _GMRES_RESTART = 100              # GMRES iterations per solve: one cycle, no restart
-# the trace preconditioner's incomplete LU. The drop tolerance keeps the 3D
-# factor under the fill cap: at 1e-4 it wanted 16x the matrix's nonzeros,
-# the cap cut it to 9.5x, and GMRES took 26-34 iterations per Newton step
-# on a 3D ellipsoid at h = 1/11, against 17-21 at 3e-3 (6.1x, uncut)
-_ILU_DROP_TOL = 3e-3
+# the trace preconditioner's incomplete LU, drop tolerance by dimension. In
+# 3D the factor at 1e-4 wanted 16x the matrix's nonzeros, the fill cap cut
+# it to 9.5x, and GMRES took 26-34 iterations per Newton step on an
+# ellipsoid at h = 1/11, against 17-21 at 3e-3 (6.1x, uncut). In 2D 1e-4
+# stays under the cap, and 3e-3 would cost iterations that grow as h
+# shrinks: 22 -> 52 per step on the (1, 2) ellipse at h = 1/128.
+_ILU_DROP_TOL = {2: 1e-4, 3: 3e-3}
 _ILU_FILL_FACTOR = 10
 _START_BLENDS = (0.0, 0.1, 0.25, 0.5, 0.75)   # barrier weights tried on the trace start
 
@@ -342,7 +345,7 @@ def _trace_factor(st):
     scale = 1.0 / np.abs(aligned.diagonal())
     try:
         ilu = spla.spilu(
-            (sp.diags(scale) @ aligned).tocsc(), drop_tol=_ILU_DROP_TOL,
+            (sp.diags(scale) @ aligned).tocsc(), drop_tol=_ILU_DROP_TOL[n],
             fill_factor=_ILU_FILL_FACTOR, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
         )
     except RuntimeError as exc:

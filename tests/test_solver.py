@@ -479,21 +479,27 @@ def test_factored_trace_matrix_is_row_aligned(semiaxes, h, monkeypatch):
     assert np.all(off <= diag)
 
 
-@pytest.mark.parametrize("case", ["ellipsoid", "ball"])
-def test_3d_trace_factor_fits_under_the_fill_cap(case, monkeypatch):
-    # the incomplete factor of the 3D trace system keeps under its fill cap.
-    # At drop tolerance 1e-4 it wanted 16x the matrix's nonzeros, the cap
-    # cut it to 9.5x, and GMRES took 38-44 iterations per step on the ball.
+@pytest.mark.parametrize("case", ["ellipse", "ellipsoid", "ball"])
+def test_trace_factor_is_not_cut_by_the_fill_cap(case, monkeypatch):
+    # the incomplete factor of the trace system equals the one taken with no
+    # fill cap, so the cap does not cut it. In 3D at drop tolerance 1e-4 the
+    # factor wanted 16x the matrix's nonzeros, the cap cut it to 9.5x, and
+    # GMRES took 38-44 iterations per step on the ball.
     factors = []
     spilu = solver.spla.spilu
 
     def recorded(A, **kwargs):
         ilu = spilu(A, **kwargs)
-        factors.append((A.nnz, ilu.L.nnz + ilu.U.nnz))
+        uncapped = spilu(A, **{**kwargs, "fill_factor": 1e3})
+        factors.append((ilu.L.nnz + ilu.U.nnz, uncapped.L.nnz + uncapped.U.nnz))
         return ilu
 
     monkeypatch.setattr(solver.spla, "spilu", recorded)
-    if case == "ellipsoid":
+    if case == "ellipse":
+        # the README solve's ellipse at h = 1/128
+        mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 128)
+        solver._trace_factor(mask.stencils())
+    elif case == "ellipsoid":
         # the shape of the benchmark's solve-quotient-3d workload at seed 1
         l1, l2 = np.random.default_rng(1).uniform(1.65, 1.85, size=2)
         lam = [l1, l2, (l1 + l2) / (l1 * l2 - 1.0)]
@@ -506,8 +512,8 @@ def test_3d_trace_factor_fits_under_the_fill_cap(case, monkeypatch):
         rep = solver.solve(solver.DirichletProblem(mask=mask, k=3, l=1, min_resolution=15))
         assert rep.converged
         assert max(rep.linear_iters) <= 25
-    ((a_nnz, lu_nnz),) = factors
-    assert lu_nnz < solver._ILU_FILL_FACTOR * a_nnz
+    ((capped, uncapped),) = factors
+    assert capped == uncapped
 
 
 def test_report_of_an_empty_node_class_is_strict_json(tmp_path):
