@@ -276,7 +276,8 @@ def problem_from_spec(spec: dict):
     checked spec against PROBLEM_SCHEMA."""
     from . import solver
 
-    n, k, l, h = spec["n"], spec["k"], spec["l"], spec["h"]
+    # int(): Draft 2020-12 counts 2.0 as an integer
+    n, k, l, h = int(spec["n"]), int(spec["k"]), int(spec["l"]), spec["h"]
     symm.check_orders(n, k, l)
     dom = spec["domain"]
     if dom["type"] == "ellipse":

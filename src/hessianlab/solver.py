@@ -139,47 +139,39 @@ class SolveReport:
 
 @dataclass
 class EllipsoidBarrier:
-    """Quadratic with constant Hessian diag(1/mu_i^2)/N in the ellipsoid
-    frame, normalized so the operator value is exactly the target."""
+    """Quadratic with constant Hessian diag(1/mu_i^2)/N in the frame of the
+    ellipsoid fit, mu = fit.semi / fit.R its det-1 shape, equal to the
+    problem's boundary value on the ellipsoid of radius R in that shape,
+    and normalized so the operator value is exactly the problem's rhs."""
 
-    center: np.ndarray
-    mu: np.ndarray
+    fit: geometry.EllipsoidFit
     R: float
     sign: str                      # "upper" | "lower" (usage tag)
-    k: int
-    l: int = 0
-    rhs: float = 1.0
-    boundary_value: float = 1.0
-    axes: np.ndarray = None        # orthonormal frame columns; identity default
+    problem: DirichletProblem
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.mu = np.asarray(self.mu, dtype=float)
-        n = self.mu.size
-        if np.any(self.mu <= 0) or self.R <= 0:
-            raise PreconditionError("barrier needs positive axes and radius")
+        if self.R <= 0:
+            raise PreconditionError("barrier needs a positive radius")
         if self.sign not in ("upper", "lower"):
             raise PreconditionError("sign must be 'upper' or 'lower'")
-        if self.axes is None:
-            self.axes = np.eye(n)
+        k, l, rhs = self.problem.k, self.problem.l, self.problem.rhs
+        self.mu = self.fit.semi / self.fit.R
         nu = 1.0 / self.mu**2
         T = esym_table(nu)
-        ratio = T[self.k] / T[self.l]
-        self.norm = (ratio / self.rhs) ** (1.0 / (self.k - self.l))
-        H = self.axes @ np.diag(nu / self.norm) @ self.axes.T
+        self.norm = (T[k] / T[l] / rhs) ** (1.0 / (k - l))
+        H = self.fit.axes @ np.diag(nu / self.norm) @ self.fit.axes.T
         self.hessian = 0.5 * (H + H.T)
         Th = esym_table(np.linalg.eigvalsh(self.hessian))
-        achieved = Th[self.k] / Th[self.l]
-        if abs(achieved - self.rhs) > 1e-10 * self.rhs:
+        if abs(Th[k] / Th[l] - rhs) > 1e-10 * rhs:
             raise NumericError("barrier normalization failed to hit the target")
 
     def quadratic_form(self, X) -> np.ndarray:
-        Y = (np.atleast_2d(X) - self.center) @ self.axes
+        Y = (np.atleast_2d(X) - self.fit.center) @ self.fit.axes
         return np.sum((Y / self.mu) ** 2, axis=1)
 
     def evaluate(self, X) -> np.ndarray:
         q = self.quadratic_form(X)
-        return (q - self.R**2) / (2.0 * self.norm) + self.boundary_value
+        return (q - self.R**2) / (2.0 * self.norm) + self.problem.boundary_value
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +193,7 @@ def solve(problem: DirichletProblem) -> SolveReport:
     # domains in practice, and the discrete solution when k = 1), blended
     # with the ellipsoid barrier if it is not admissible
     ell = geometry.john_fit(st.cut_points)
-    b0 = _fit_barrier(ell, problem, "upper", ell.R)
+    b0 = EllipsoidBarrier(ell, ell.R, "upper", problem)
     u_bar = b0.evaluate(mask.inside_coords())
     # one incomplete factor of the trace system preconditions the warm start
     # and every Newton step
@@ -420,7 +412,7 @@ def comparison_check(report: SolveReport, b: EllipsoidBarrier) -> dict:
     else:
         viol = np.maximum(v - u, 0.0)
     max_violation = float(viol.max()) if viol.size else 0.0
-    drop = b.boundary_value - report.u_min
+    drop = b.problem.boundary_value - report.u_min
     if b.sign == "upper":
         scalar_slack = 2.0 * b.norm * drop - b.R**2
     else:
@@ -445,17 +437,9 @@ def barrier_pair_for_report(report: SolveReport):
     mu = ell.semi / ell.R  # det-1 ellipsoid shape: semi-axes mu_i * R
     Y = (p.mask.stencils().cut_points - ell.center) @ ell.axes
     qvals = np.sqrt(np.sum((Y / (mu * ell.R)) ** 2, axis=1))
-    upper = _fit_barrier(ell, p, "upper", ell.R * float(np.min(qvals)))
-    lower = _fit_barrier(ell, p, "lower", ell.R * float(np.max(qvals)))
+    upper = EllipsoidBarrier(ell, ell.R * float(np.min(qvals)), "upper", p)
+    lower = EllipsoidBarrier(ell, ell.R * float(np.max(qvals)), "lower", p)
     return upper, lower
-
-
-def _fit_barrier(fit, problem, sign: str, R: float) -> EllipsoidBarrier:
-    """The barrier of problem on the shape of the ellipsoid fit, at radius R."""
-    return EllipsoidBarrier(
-        center=fit.center, mu=fit.semi / fit.R, R=R, sign=sign, k=problem.k, l=problem.l,
-        rhs=problem.rhs, boundary_value=problem.boundary_value, axes=fit.axes,
-    )
 
 
 def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dict:

@@ -145,10 +145,9 @@ def complementary_table(lam) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SymmetricMatrix:
-    """Exactly symmetric n x n matrix stored as a packed upper triangle."""
+    """Exactly symmetric n x n matrix, as from_array builds it."""
 
-    tri: np.ndarray
-    n: int
+    array: np.ndarray
 
     @classmethod
     def from_array(cls, M) -> "SymmetricMatrix":
@@ -163,18 +162,11 @@ class SymmetricMatrix:
         scale = np.linalg.norm(M)
         if np.linalg.norm(M - M.T) > 1e-12 * max(scale, 1.0):
             raise PreconditionError("matrix is not symmetric within tolerance")
-        sym = 0.5 * (M + M.T)
-        iu = np.triu_indices(n)
-        return cls(tri=sym[iu].copy(), n=n)
+        return cls(array=0.5 * (M + M.T))
 
     @property
-    def array(self) -> np.ndarray:
-        M = np.zeros((self.n, self.n))
-        iu = np.triu_indices(self.n)
-        M[iu] = self.tri
-        il = np.tril_indices(self.n, -1)
-        M[il] = M.T[il]
-        return M
+    def n(self) -> int:
+        return self.array.shape[0]
 
     def eig(self):
         """Eigenvalues ascending plus orthonormal eigenvectors.
@@ -190,12 +182,6 @@ class SymmetricMatrix:
         return w, Q
 
 
-def _as_matrix(M) -> SymmetricMatrix:
-    if isinstance(M, SymmetricMatrix):
-        return M
-    return SymmetricMatrix.from_array(M)
-
-
 def check_orders(n: int, k: int, l: int):
     """The orders of S_k/S_l on n x n matrices: 0 <= l < k <= n."""
     if not (0 <= l < k <= n):
@@ -204,7 +190,7 @@ def check_orders(n: int, k: int, l: int):
 
 def hessian_operator(M, k: int, l: int = 0) -> float:
     """S_k/S_l (lambda(M)); S_0 = 1, so l = 0 gives S_k."""
-    sm = _as_matrix(M)
+    sm = SymmetricMatrix.from_array(M)
     check_orders(sm.n, k, l)
     t = esym_table(sm.eig()[0])
     if t[l] == 0.0:
@@ -237,7 +223,7 @@ def operator_gradient(M, k: int, l: int = 0) -> SymmetricMatrix:
     Positive definite whenever lambda(M) lies in Gamma_k (ellipticity).
     Convention: d Op = sum_{p,q} G[p,q] dM[p,q] over all n^2 entries.
     """
-    sm = _as_matrix(M)
+    sm = SymmetricMatrix.from_array(M)
     check_orders(sm.n, k, l)
     w, Q = sm.eig()
     if l > 0:
@@ -245,7 +231,7 @@ def operator_gradient(M, k: int, l: int = 0) -> SymmetricMatrix:
         if t[k] <= 0.0 or t[l] <= 0.0:
             raise AdmissibilityError("log S_k - log S_l needs S_k and S_l positive")
     G = (Q * spectral_gradient(w, k, l)) @ Q.T
-    return SymmetricMatrix.from_array(0.5 * (G + G.T))
+    return SymmetricMatrix.from_array(G)
 
 
 def maclaurin_trace_bound(n: int, k: int) -> float:

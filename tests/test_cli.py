@@ -77,6 +77,19 @@ def test_artifacts_do_not_depend_on_unset_blas_threads(tmp_path):
         assert unset.read_bytes() == one.read_bytes(), name
 
 
+def test_integral_floats_in_problem_orders_solve_as_integers(tmp_path):
+    # Draft 2020-12 counts 2.0 as an integer, so the schema passes "k": 2.0;
+    # the README solve with float orders writes the integer config's bytes
+    readme = {**SOLVE_CFG, "seed": 1, "params": {"problem": {
+        **SOLVE_CFG["params"]["problem"], "h": 0.015625}}}
+    floats = {**readme, "params": {"problem": {
+        **readme["params"]["problem"], "k": 2.0, "l": 0.0}}}
+    assert run_cli(tmp_path, readme, "int") == 0
+    assert run_cli(tmp_path, floats, "float") == 0
+    for name in ("report.json", "solution.hsf1"):
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes(), name
+
+
 def test_calibration_hash_is_frozen():
     # every artifact carries this hash; calibration_data.json is read, never rewritten
     assert calibration_hash() == "bb5bbcc2ef31d135"

@@ -208,3 +208,20 @@ def test_condition_sweep_3d_quadratic_bounded():
     v = functionals.condition_sweep(c3, Condition.VOLUME_GROWTH, grid, m_dirs=400)
     assert v.verdict == "bounded"
     assert abs(v.fitted_exponent) <= 1e-6
+
+
+def test_condition_sweep_inconclusive_when_the_slope_is_within_its_confidence(
+    iso_quad, monkeypatch
+):
+    # a volume profile t^(n/2) t^0.1 with alternating log-noise of 0.5: its
+    # fitted slope clears EPS_SLOPE but not its confidence half-width
+    grid = np.geomspace(1.0, 1e3, 12)
+    noise = dict(zip(grid.tolist(), 0.5 * (-1.0) ** np.arange(grid.size)))
+
+    def volume(cand, t, m_dirs):
+        return t * math.exp(0.1 * math.log(t) + noise[t])
+
+    monkeypatch.setattr(functionals.polar, "sublevel_volume", volume)
+    v = functionals.condition_sweep(iso_quad, Condition.VOLUME_GROWTH, grid)
+    assert functionals.EPS_SLOPE < v.fitted_exponent < v.ci_halfwidth
+    assert v.verdict == "inconclusive"

@@ -662,3 +662,27 @@ def test_candidates_reject_dimensions_other_than_2_and_3(build):
     # polar probing and the hull geometry work in the plane and in space only
     with pytest.raises(PreconditionError, match="not 2 or 3"):
         build()
+
+
+def test_quad_matrix_spec_matches_diag_spec():
+    # the README's two spellings of one quadratic
+    full = candidates.candidate_from_spec("quad:[[2,0],[0,0.5]]")
+    diag = candidates.candidate_from_spec("quad:diag(2,0.5)")
+    X = np.random.default_rng(2).uniform(-2, 2, size=(40, 2))
+    assert np.array_equal(full.value(X), diag.value(X))
+    assert np.array_equal(full.grad(X), diag.grad(X))
+    assert np.array_equal(full.hess(X), diag.hess(X))
+
+
+def test_rescaled_hessian_is_the_base_hessian_at_the_scaled_point(aniso24):
+    # the Hessian of u(sqrt(t0) x)/t0 is D2u(sqrt(t0) x)
+    t0, eps = 9.0, 1e-5
+    scaled = candidates.rescaled(aniso24, t0)
+    X = np.random.default_rng(3).uniform(-1, 1, size=(20, 2))
+    H = scaled.hess(X)
+    assert np.array_equal(H, aniso24.hess(math.sqrt(t0) * X))
+    for j in range(2):
+        e = np.zeros(2)
+        e[j] = eps
+        fd = (scaled.grad(X + e) - scaled.grad(X - e)) / (2.0 * eps)
+        assert np.max(np.abs(H[:, :, j] - fd)) <= 1e-6 * np.max(np.abs(H))

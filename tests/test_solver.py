@@ -140,23 +140,29 @@ def test_jacobian_matches_central_differences(n, k, l, h):
     assert np.max(np.abs(J - J_fd)) <= 1e-6 * np.max(np.abs(J))
 
 
+def _barrier(semi, R, sign, k, l=0):
+    """The barrier of S_k/S_l = 1 on the axis-aligned ellipsoid fit with
+    these semi-axes, at radius R."""
+    n = len(semi)
+    fit = geometry.EllipsoidFit(center=np.zeros(n), axes=np.eye(n), semi=np.asarray(semi, float))
+    mask = fields.mask_from_ellipse(np.ones(n), h=1 / 8)
+    problem = solver.DirichletProblem(mask=mask, k=k, l=l, min_resolution=8)
+    return solver.EllipsoidBarrier(fit, R, sign, problem)
+
+
 def test_barrier_construction_worked():
     # isotropic: Hessian is the identity over the normalizer
-    b = solver.EllipsoidBarrier(center=np.zeros(2), mu=[1.0, 1.0], R=1.0, sign="upper", k=2)
+    b = _barrier([1.0, 1.0], R=1.0, sign="upper", k=2)
     assert np.allclose(b.hessian, np.eye(2), atol=1e-12)
     # n=3, k=2 isotropic: Hessian 1/sqrt(3) I, S_2 = 1
-    b3 = solver.EllipsoidBarrier(
-        center=np.zeros(3), mu=[1.0, 1.0, 1.0], R=1.0, sign="upper", k=2
-    )
+    b3 = _barrier([1.0, 1.0, 1.0], R=1.0, sign="upper", k=2)
     assert np.allclose(b3.hessian, np.eye(3) / math.sqrt(3.0), atol=1e-12)
     T = esym_table(np.linalg.eigvalsh(b3.hessian))
     assert T[2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_barrier_quotient_normalization():
-    b = solver.EllipsoidBarrier(
-        center=np.zeros(2), mu=[2.0, 0.5], R=1.5, sign="lower", k=2, l=1
-    )
+    b = _barrier([2.0, 0.5], R=1.5, sign="lower", k=2, l=1)
     lam = np.linalg.eigvalsh(b.hessian)
     T = esym_table(lam)
     assert T[2] / T[1] == pytest.approx(1.0, abs=1e-12)
@@ -541,15 +547,38 @@ def test_report_of_an_empty_node_class_is_strict_json(tmp_path):
     assert rep["admissibility_margin"] > 0
 
 
-@pytest.mark.parametrize("ratio,converges", [(4.0, True), (5.0, False), (5.5, False), (6.0, False)])
-def test_aspect_limit_at_h_1_24(ratio, converges):
-    # det D2u = 1 on the unit-determinant ellipse with this semi-axis ratio:
-    # the h = 1/24 cells of the README's known-limit paragraph, where a
-    # stall returns a nonconverged report rather than raising
+# the README's aspect table: does det D2u = 1 on the unit-determinant
+# ellipse with this semi-axis ratio converge at h = 1/m, and in how many
+# Newton steps (a stall returns a nonconverged report rather than raising)
+_ASPECT_TABLE = {
+    24: {4.0: (True, 5), 4.5: (True, 4), 5.0: (False, 9), 5.5: (False, 8), 6.0: (False, 8)},
+    32: {4.0: (True, 4), 4.5: (True, 5), 5.0: (False, 12), 5.5: (False, 11), 6.0: (False, 9)},
+}
+
+
+def _aspect_cells(m):
+    return [
+        pytest.param(ratio, converges, steps, id=f"{ratio}-{converges}")
+        for ratio, (converges, steps) in _ASPECT_TABLE[m].items()
+    ]
+
+
+def _check_aspect_cell(ratio, m, converges, steps):
     semiaxes = [math.sqrt(2.0 / ratio), math.sqrt(2.0 * ratio)]
-    mask = fields.mask_from_ellipse(semiaxes, h=1 / 24)
+    mask = fields.mask_from_ellipse(semiaxes, h=1 / m)
     rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
     assert rep.converged is converges
+    assert rep.newton_iters == steps
+
+
+@pytest.mark.parametrize("ratio,converges,steps", _aspect_cells(24))
+def test_aspect_limit_at_h_1_24(ratio, converges, steps):
+    _check_aspect_cell(ratio, 24, converges, steps)
+
+
+@pytest.mark.parametrize("ratio,converges,steps", _aspect_cells(32))
+def test_aspect_limit_at_h_1_32(ratio, converges, steps):
+    _check_aspect_cell(ratio, 32, converges, steps)
 
 
 def _inscribed_polygon(m, phase):

@@ -240,7 +240,7 @@ def test_symmetric_matrix_storage_and_eig():
     B = rng.normal(size=(4, 4))
     M = symm.SymmetricMatrix.from_array(B @ B.T)
     A = M.array
-    assert np.array_equal(A, A.T)  # exact symmetry from packed storage
+    assert np.array_equal(A, A.T)  # exact symmetry from the symmetrized array
     w, Q = M.eig()
     assert np.all(np.diff(w) >= 0)
     assert np.linalg.norm((Q * w) @ Q.T - A) <= 1e-12 * np.linalg.norm(A)
