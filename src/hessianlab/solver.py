@@ -28,11 +28,18 @@ costs GMRES iterations; in 2D 1e-4 stays under the cap. Before
 the factor the system's rows are put in node order (each equation row on
 its own node, each closure row on the node that owns it), so every row
 has a nonzero diagonal that no off-diagonal entry exceeds, and scaled to
-a unit diagonal. The warm start is a GMRES solve of the trace system to a
-relative residual of 1e-13. The Newton steps are inexact Newton steps
-(Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 1982): every GMRES
-solve runs one restart cycle, its last iterate is taken, and the line
-search decides whether the step helps. Every stop, converged or not,
+a unit diagonal. GMRES is the package's own: one cycle of at most
+_GMRES_RESTART iterations, modified Gram-Schmidt and Givens rotations,
+with every inner product and norm a numpy sum rather than a BLAS call, so
+its results do not depend on the BLAS thread count; its basis holds only
+the vectors it has built. The warm start is a GMRES solve of the trace
+system to a relative residual of 1e-13 (for k = 1 that start is the
+solution). The Newton steps are inexact Newton steps (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 1982; Eisenstat & Walker, SIAM J. Sci.
+Comput. 1996): step k asks GMRES for the forcing term
+eta_k = max(1e-10, min(0.1, 0.1 max|F_k|)), loose far from the root and
+tight near it, its last iterate is taken whether or not it met eta_k, and
+the line search decides whether the step helps. Every stop, converged or not,
 returns a report. The John ellipsoid of the mask's cut cloud is fitted
 once per solve: it shapes the barrier of the warm start, and the report
 keeps it for the barrier comparisons.
@@ -57,7 +64,7 @@ from .symm import (  # noqa: F401 -- perfbench/spans.py traces esym_table and sp
 
 _LOG_FLOOR = 1e-300
 _MAX_HALVINGS = 30                # line-search step halvings per Newton step
-_GMRES_RTOL = 1e-10               # relative true residual of each Newton step
+_GMRES_RTOL = 1e-10               # floor of each Newton step's forcing term
 _START_RTOL = 1e-13               # relative true residual of the trace start
 _GMRES_RESTART = 100              # GMRES iterations per solve: one cycle, no restart
 # the trace preconditioner's incomplete LU, drop tolerance by dimension. In
@@ -345,25 +352,56 @@ def _trace_factor(st):
     return M, lambda v: ilu.solve(scale * v[row_of_node]), const
 
 
+def _dot(v, w) -> float:
+    # numpy's pairwise sum, not BLAS ddot, whose sums follow the thread count
+    return float(np.add.reduce(v * w))
+
+
 def _gmres(A, b, lu, rtol):
-    """GMRES on (A M^-1) y = b, x = M^-1 y, with lu(v) = M^-1 v. Preconditioning
-    on the right keeps GMRES's stopping test on the true residual of A x = b.
-    The last iterate of one restart cycle is taken, whether or not it met
-    rtol. Returns x and the inner iteration count."""
-    residuals = []                 # one per inner iteration
-    op = spla.LinearOperator(A.shape, matvec=lambda v: A @ lu(v), dtype=float)
-    y, _ = spla.gmres(
-        op, b, rtol=rtol, atol=0.0, restart=_GMRES_RESTART, maxiter=1,
-        callback=residuals.append, callback_type="pr_norm",
-    )
-    return lu(y), len(residuals)
+    """GMRES on (A M^-1) y = b, x = M^-1 y, from x = 0, with lu(v) = M^-1 v.
+    Preconditioning on the right makes the Arnoldi residual estimate that of
+    A x = b. One cycle of at most _GMRES_RESTART iterations, modified
+    Gram-Schmidt and Givens rotations; it stops once the estimate is at most
+    rtol * |b|, and otherwise takes the cycle's last iterate. The basis holds
+    only the vectors built so far. Returns x and the iteration count."""
+    beta = math.sqrt(_dot(b, b))
+    if beta == 0.0:
+        return np.zeros_like(b), 0
+    V = [b / beta]
+    R, rotations, g = [], [], [beta]   # columns of the triangular factor, (c, s), rotated rhs
+    for j in range(_GMRES_RESTART):
+        w = A @ lu(V[j])
+        h = []
+        for v in V:
+            h.append(_dot(w, v))
+            w -= h[-1] * v
+        h_next = math.sqrt(_dot(w, w))
+        for i, (c, s) in enumerate(rotations):
+            h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+        d = math.hypot(h[j], h_next)
+        c, s = h[j] / d, h_next / d
+        h[j] = d
+        rotations.append((c, s))
+        g.append(-s * g[j])
+        g[j] *= c
+        R.append(h)
+        if abs(g[-1]) <= rtol * beta:
+            break
+        V.append(w / h_next)
+    m = len(R)
+    y = [0.0] * m
+    for i in reversed(range(m)):
+        y[i] = (g[i] - sum(R[q][i] * y[q] for q in range(i + 1, m))) / R[i][i]
+    return lu(sum(y_i * v for y_i, v in zip(y, V))), m
 
 
 def _krylov_step(J, F, lu):
     """Inexact Newton step delta from GMRES on J delta = -F, right-
-    preconditioned by the trace preconditioner lu. Returns the step and its
+    preconditioned by the trace preconditioner lu, to the forcing term
+    eta = max(_GMRES_RTOL, min(0.1, 0.1 max|F|)). Returns the step and its
     inner iteration count."""
-    return _gmres(J, -F, lu, _GMRES_RTOL)
+    eta = max(_GMRES_RTOL, min(0.1, 0.1 * float(np.max(np.abs(F)))))
+    return _gmres(J, -F, lu, eta)
 
 
 def _make_report(problem, st, fit, u, F, T, history, linear_iters, iters, converged):

@@ -59,9 +59,10 @@ def test_solve_determinism_bitwise(tmp_path):
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_artifacts_do_not_depend_on_unset_blas_threads(tmp_path):
-    # the README solve from a shell that sets no BLAS thread count writes the
-    # bytes of a shell that pins one thread: the CLI pins it unless told
+def _readme_solve_bytes(tmp_path, runs):
+    """Run the README solve through the CLI once per (out, pins) pair, in a
+    subprocess whose environment sets the BLAS thread variables in pins and
+    no others; returns each run's report.json and solution.hsf1 bytes."""
     readme = {**SOLVE_CFG, "seed": 1, "params": {"problem": {
         **SOLVE_CFG["params"]["problem"], "h": 0.015625}}}
     cfg = tmp_path / "run.json"
@@ -69,12 +70,36 @@ def test_artifacts_do_not_depend_on_unset_blas_threads(tmp_path):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {key: val for key, val in os.environ.items() if key not in _BLAS_THREADS}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-    for out, pins in (("unset", {}), ("one", dict.fromkeys(_BLAS_THREADS, "1"))):
+    artifacts = []
+    for out, pins in runs:
         cmd = [sys.executable, "-m", "hessianlab.cli", "--config", str(cfg), "--out", out]
         subprocess.run(cmd, env={**env, **pins}, cwd=tmp_path, check=True)
-    for name in ("report.json", "solution.hsf1"):
-        unset, one = (tmp_path / out / name for out in ("unset", "one"))
-        assert unset.read_bytes() == one.read_bytes(), name
+        artifacts.append({
+            name: (tmp_path / out / name).read_bytes() for name in ("report.json", "solution.hsf1")
+        })
+    return artifacts
+
+
+def test_artifacts_do_not_depend_on_unset_blas_threads(tmp_path):
+    # the README solve from a shell that sets no BLAS thread count writes the
+    # bytes of a shell that pins one thread: the CLI pins it unless told
+    unset, one = _readme_solve_bytes(
+        tmp_path, [("unset", {}), ("one", dict.fromkeys(_BLAS_THREADS, "1"))]
+    )
+    for name in unset:
+        assert unset[name] == one[name], name
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the README solve writes the same bytes under one and two BLAS threads:
+    # the Newton loop's GMRES sums in numpy, not in BLAS, whose dot products
+    # sum in an order that follows the thread count
+    one, two = _readme_solve_bytes(
+        tmp_path,
+        [("one", dict.fromkeys(_BLAS_THREADS, "1")), ("two", dict.fromkeys(_BLAS_THREADS, "2"))],
+    )
+    for name in one:
+        assert one[name] == two[name], name
 
 
 def test_integral_floats_in_problem_orders_solve_as_integers(tmp_path):

@@ -350,38 +350,71 @@ def test_krylov_steps_match_direct_steps(case, monkeypatch):
 
 
 def test_krylov_steps_meet_the_linear_tolerance(monkeypatch):
-    rel = []
-    step = solver._krylov_step
+    # each Newton step asks GMRES for its forcing term
+    # eta_k = max(_GMRES_RTOL, min(0.1, 0.1 max|F_k|)), and every step that
+    # stops inside the cycle meets it on the true residual |J delta + F| / |F|
+    calls = []
+    gmres = solver._gmres
 
-    def recorded(J, F, lu):
-        delta, inner = step(J, F, lu)
-        rel.append(np.linalg.norm(J @ delta + F) / np.linalg.norm(F))
-        return delta, inner
+    def recorded(A, b, lu, rtol):
+        x, inner = gmres(A, b, lu, rtol)
+        calls.append((rtol, inner, np.linalg.norm(A @ x - b) / np.linalg.norm(b)))
+        return x, inner
 
-    monkeypatch.setattr(solver, "_krylov_step", recorded)
+    monkeypatch.setattr(solver, "_gmres", recorded)
     mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 24)
     rep = solver.solve(solver.DirichletProblem(mask=mask, k=2, l=0))
-    assert rep.converged and len(rel) == rep.newton_iters
-    assert max(rel) <= 1e-10
+    (start_rtol, _, _), *steps = calls
+    assert start_rtol == solver._START_RTOL
+    assert rep.converged and len(steps) == rep.newton_iters
+    etas = [max(solver._GMRES_RTOL, min(0.1, 0.1 * r)) for r in rep.residual_history[:-1]]
+    assert [eta for eta, _, _ in steps] == etas
+    assert etas[0] > solver._GMRES_RTOL
+    assert [inner for _, inner, _ in steps] == rep.linear_iters
+    assert all(rel <= eta for eta, inner, rel in steps if inner < solver._GMRES_RESTART)
 
 
 def test_step_is_taken_when_gmres_reports_a_shortfall(monkeypatch):
-    # GMRES's iterate is the step whatever its info says; the line search
-    # alone decides whether the step helps
+    # GMRES's last iterate is the step whether or not it met its forcing
+    # term; the line search alone decides whether the step helps. A cycle of
+    # 3 iterations stops every Newton step after the first short of its
+    # forcing term, and the solve still converges, in more steps
     mask = fields.mask_from_ellipse([1.0, 2.0], h=1 / 24)
     problem = solver.DirichletProblem(mask=mask, k=2, l=0)
     rep = solver.solve(problem)
-    gmres = solver.spla.gmres
-
-    def short(*args, **kwargs):
-        y, _ = gmres(*args, **kwargs)
-        return y, 1
-
-    monkeypatch.setattr(solver.spla, "gmres", short)
+    monkeypatch.setattr(solver, "_GMRES_RESTART", 3)
     rep_short = solver.solve(problem)
-    assert rep_short.converged and rep_short.newton_iters == rep.newton_iters >= 1
-    assert rep_short.linear_iters == rep.linear_iters
-    assert np.array_equal(rep_short.field.values, rep.field.values)
+    assert rep_short.converged
+    assert rep_short.linear_iters == [3] * rep_short.newton_iters
+    assert rep_short.newton_iters > rep.newton_iters
+
+
+def _dominant_system(size, seed=0):
+    """A nonsymmetric, strictly diagonally dominant size x size system with
+    its diagonal, and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(1.0, 3.0, size)
+    A = np.diag(d) + rng.uniform(-1.0, 1.0, (size, size)) / size
+    return A, d, rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-10])
+def test_gmres_meets_rtol_inside_the_cycle(rtol):
+    A, d, b = _dominant_system(3 * solver._GMRES_RESTART)
+    x, inner = solver._gmres(A, b, lambda v: v / d, rtol)
+    assert 0 < inner < solver._GMRES_RESTART
+    assert np.linalg.norm(A @ x - b) <= rtol * np.linalg.norm(b)
+    exact = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - exact) <= 10.0 * rtol * np.linalg.norm(exact)
+
+
+def test_gmres_returns_the_last_iterate_of_the_cycle():
+    # with rtol = 0 no estimate meets it: the cycle runs to its end
+    A, d, b = _dominant_system(3 * solver._GMRES_RESTART)
+    x, inner = solver._gmres(A, b, lambda v: v / d, 0.0)
+    assert inner == solver._GMRES_RESTART
+    exact = np.linalg.solve(A, b)
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 def _write_solve_config(tmp_path, semiaxes, h):
@@ -553,6 +586,8 @@ def test_report_of_an_empty_node_class_is_strict_json(tmp_path):
 _ASPECT_TABLE = {
     24: {4.0: (True, 5), 4.5: (True, 4), 5.0: (False, 9), 5.5: (False, 8), 6.0: (False, 8)},
     32: {4.0: (True, 4), 4.5: (True, 5), 5.0: (False, 12), 5.5: (False, 11), 6.0: (False, 9)},
+    40: {4.0: (True, 5), 4.5: (True, 5), 5.0: (False, 14), 5.5: (False, 9), 6.0: (False, 10)},
+    48: {4.0: (True, 5), 4.5: (True, 5), 5.0: (True, 5), 5.5: (False, 11), 6.0: (False, 9)},
 }
 
 
@@ -579,6 +614,16 @@ def test_aspect_limit_at_h_1_24(ratio, converges, steps):
 @pytest.mark.parametrize("ratio,converges,steps", _aspect_cells(32))
 def test_aspect_limit_at_h_1_32(ratio, converges, steps):
     _check_aspect_cell(ratio, 32, converges, steps)
+
+
+@pytest.mark.parametrize("ratio,converges,steps", _aspect_cells(40))
+def test_aspect_limit_at_h_1_40(ratio, converges, steps):
+    _check_aspect_cell(ratio, 40, converges, steps)
+
+
+@pytest.mark.parametrize("ratio,converges,steps", _aspect_cells(48))
+def test_aspect_limit_at_h_1_48(ratio, converges, steps):
+    _check_aspect_cell(ratio, 48, converges, steps)
 
 
 def _inscribed_polygon(m, phase):
