@@ -12,7 +12,6 @@ from .errors import (
     NonConvergenceError,
     NumericError,
     PreconditionError,
-    SingularQuotientError,
     UnboundedSublevelError,
 )
 

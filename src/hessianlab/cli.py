@@ -41,11 +41,15 @@ _LEVEL_GRID = {
     "m_dirs": {"type": "integer", "minimum": 1},
 }
 
-# the domain types, each with the params keys it reads, the required one first
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_PAIR = {**_NUMBERS, "minItems": 2, "maxItems": 2}
+_SEMIAXES = {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}}
+
+# the domain types, each with the params it reads, the required one first
 _DOMAIN_PARAMS = {
-    "ellipse": ("semiaxes", "center"),
-    "polygon": ("vertices",),
-    "candidate_level": ("candidate", "level"),
+    "ellipse": {"semiaxes": _SEMIAXES, "center": _NUMBERS},
+    "polygon": {"vertices": {"type": "array", "items": _PAIR}},
+    "candidate_level": {"candidate": {"type": "string"}, "level": {"type": "number"}},
 }
 
 PROBLEM_SCHEMA = {
@@ -76,9 +80,9 @@ PROBLEM_SCHEMA = {
                         "properties": {
                             "params": {
                                 "type": "object",
-                                "required": [keys[0]],
+                                "required": [next(iter(keys))],
                                 "additionalProperties": False,
-                                "properties": {key: {} for key in keys},
+                                "properties": keys,
                             }
                         }
                     },
@@ -97,15 +101,15 @@ _PARAMS_SCHEMA = {
     "analyze": {
         "required": ["candidate"],
         "properties": {
-            "candidate": {},
+            "candidate": {"type": "string"},
             **_LEVEL_GRID,
-            "p_list": {"type": "array", "items": {"type": "number"}},
+            "p_list": _NUMBERS,
         },
     },
     "sweep": {
         "required": ["candidate"],
         "properties": {
-            "candidate": {},
+            "candidate": {"type": "string"},
             **_LEVEL_GRID,
             "condition": {"enum": [c.value for c in Condition]},
             "p": {"type": "number"},
@@ -114,13 +118,11 @@ _PARAMS_SCHEMA = {
     "chain_iso": {
         "required": ["candidate"],
         "properties": {
-            "candidate": {},
+            "candidate": {"type": "string"},
             "t": {"type": "number", "exclusiveMinimum": 0},
             "m_dirs": _LEVEL_GRID["m_dirs"],
             "gamma": {"type": "number"},
-            "interval": {
-                "type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2
-            },
+            "interval": _PAIR,
         },
     },
     "chain_volume": {
@@ -137,7 +139,7 @@ _PARAMS_SCHEMA = {
                     "additionalProperties": False,
                     "properties": {
                         "label": {"type": "string"},
-                        "semiaxes": {"type": "array", "items": {"type": "number"}},
+                        "semiaxes": _SEMIAXES,
                     },
                 },
             },
@@ -145,9 +147,9 @@ _PARAMS_SCHEMA = {
     },
     "legendre": {
         "required": ["field"],
-        "properties": {"field": {}, "region_level": {"type": "number"}},
+        "properties": {"field": {"type": "string"}, "region_level": {"type": "number"}},
     },
-    "report": {"required": ["dir"], "properties": {"dir": {}}},
+    "report": {"required": ["dir"], "properties": {"dir": {"type": "string"}}},
 }
 
 CONFIG_SCHEMA = {

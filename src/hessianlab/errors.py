@@ -18,10 +18,6 @@ class NumericError(HessianLabError):
     """A numerical procedure failed to converge or lost validity."""
 
 
-class SingularQuotientError(PreconditionError):
-    """Denominator symmetric polynomial vanishes in a quotient operator."""
-
-
 class AdmissibilityError(PreconditionError):
     """Data left the ellipticity cone required by the operation."""
 

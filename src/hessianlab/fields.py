@@ -440,6 +440,8 @@ def mask_from_ellipse(semiaxes, h, center=None) -> DomainMask:
     s = np.asarray(semiaxes, dtype=float)
     n = s.size
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    if c.shape != s.shape:
+        raise PreconditionError(f"center has {c.size} entries, semiaxes {n}")
 
     def phi(X):
         return np.sum(((X - c) / s) ** 2, axis=-1) - 1.0

@@ -168,7 +168,7 @@ class EllipsoidBarrier:
         self.norm = (T[k] / T[l] / rhs) ** (1.0 / (k - l))
         H = self.fit.axes @ np.diag(nu / self.norm) @ self.fit.axes.T
         self.hessian = 0.5 * (H + H.T)
-        Th = esym_table(np.linalg.eigvalsh(self.hessian))
+        Th = matrix_esym_table(self.hessian)
         if abs(Th[k] / Th[l] - rhs) > 1e-10 * rhs:
             raise NumericError("barrier normalization failed to hit the target")
 

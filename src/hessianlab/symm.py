@@ -1,35 +1,22 @@
-"""Elementary symmetric polynomial calculus on eigenvalue spectra.
+"""Elementary symmetric polynomials S_j and the derivatives of S_k/S_l.
 
-Dimension-generic evaluation of the symmetric polynomials S_j, Hessian and
-Hessian-quotient operators on symmetric matrices, and their first spectral
-derivatives. For 2x2 and 3x3 matrices the same invariants and their
-derivatives, the Newton tensors, also come in closed form from the
-entries, with no eigendecomposition; these feed the Newton solver. All
-functions are pure; the batched helpers accept stacked spectra or
-matrices (leading axes arbitrary) so a solver can process a whole grid of
-Hessians per call.
+esym_table gives S_0..S_n of spectra of any length. For 2x2 and 3x3
+symmetric matrices, matrix_esym_table gives the same invariants in closed
+form from the entries, and newton_tensor and matrix_gradient give their
+matrix derivatives, the Newton tensors, with no eigendecomposition; these
+feed the Newton solver. spectral_gradient is the same derivative in the
+eigenvalues of a spectrum. All functions are pure; the batched helpers
+accept stacked spectra or matrices (leading axes arbitrary) so a solver
+can process a whole grid of Hessians per call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AdmissibilityError,
-    NumericError,
-    PreconditionError,
-    SingularQuotientError,
-)
-
-MIN_DIM = 2
-MAX_DIM = 16
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)
+from .errors import PreconditionError
 
 
 def esym_table(lam) -> np.ndarray:
@@ -113,12 +100,12 @@ def newton_tensor(H, j: int) -> np.ndarray:
 
 
 def matrix_gradient(H, k: int, l: int = 0) -> np.ndarray:
-    """The matrix derivative of the solved form of S_k/S_l (see
-    spectral_gradient) at every symmetric matrix stacked in H, n in {2, 3},
-    from Newton tensors: T_{k-1}(H) for l = 0, and
-    T_{k-1}/S_k - T_{l-1}/S_l for l > 0. Equals
-    Q diag(spectral_gradient(lam)) Q^T of the eigendecomposition up to
-    rounding, with the convention of operator_gradient."""
+    """The matrix derivative G of the solved form of S_k/S_l (see
+    spectral_gradient), d Op = sum_{p,q} G[p,q] dH[p,q], at every symmetric
+    matrix stacked in H, n in {2, 3}, from Newton tensors: T_{k-1}(H) for
+    l = 0, and T_{k-1}/S_k - T_{l-1}/S_l for l > 0. Equals
+    Q diag(spectral_gradient(lam)) Q^T up to rounding; positive definite
+    when lambda(H) lies in Gamma_k (ellipticity)."""
     H = _small_stack(H)
     check_orders(H.shape[-1], k, l)
     G = newton_tensor(H, k - 1)
@@ -143,59 +130,10 @@ def complementary_table(lam) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SymmetricMatrix:
-    """Exactly symmetric n x n matrix, as from_array builds it."""
-
-    array: np.ndarray
-
-    @classmethod
-    def from_array(cls, M) -> "SymmetricMatrix":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise PreconditionError("matrix must be square")
-        n = M.shape[0]
-        if not MIN_DIM <= n <= MAX_DIM:
-            raise PreconditionError(f"dimension {n} outside {MIN_DIM}..{MAX_DIM}")
-        if not np.all(np.isfinite(M)):
-            raise PreconditionError("matrix entries must be finite")
-        scale = np.linalg.norm(M)
-        if np.linalg.norm(M - M.T) > 1e-12 * max(scale, 1.0):
-            raise PreconditionError("matrix is not symmetric within tolerance")
-        return cls(array=0.5 * (M + M.T))
-
-    @property
-    def n(self) -> int:
-        return self.array.shape[0]
-
-    def eig(self):
-        """Eigenvalues ascending plus orthonormal eigenvectors.
-
-        Raises NumericError if Q diag(w) Q^T fails to reconstruct the
-        matrix to 1e-12 relative.
-        """
-        M = self.array
-        w, Q = np.linalg.eigh(M)
-        recon = (Q * w) @ Q.T
-        if np.linalg.norm(recon - M) > 1e-12 * max(np.linalg.norm(M), 1.0):
-            raise NumericError("eigendecomposition reconstruction out of tolerance")
-        return w, Q
-
-
 def check_orders(n: int, k: int, l: int):
     """The orders of S_k/S_l on n x n matrices: 0 <= l < k <= n."""
     if not (0 <= l < k <= n):
         raise PreconditionError(f"need 0 <= l < k <= n, got k={k}, l={l}, n={n}")
-
-
-def hessian_operator(M, k: int, l: int = 0) -> float:
-    """S_k/S_l (lambda(M)); S_0 = 1, so l = 0 gives S_k."""
-    sm = SymmetricMatrix.from_array(M)
-    check_orders(sm.n, k, l)
-    t = esym_table(sm.eig()[0])
-    if t[l] == 0.0:
-        raise SingularQuotientError(f"S_{l} vanishes; quotient undefined")
-    return float(t[k] / t[l])
 
 
 def spectral_gradient(lam, k: int, l: int = 0) -> np.ndarray:
@@ -216,28 +154,10 @@ def spectral_gradient(lam, k: int, l: int = 0) -> np.ndarray:
     return dSk / T[..., k][..., None] - comp[..., :, l - 1] / T[..., l][..., None]
 
 
-def operator_gradient(M, k: int, l: int = 0) -> SymmetricMatrix:
-    """Matrix derivative of the solved form of S_k/S_l at M (see
-    spectral_gradient), via the eigenbasis.
-
-    Positive definite whenever lambda(M) lies in Gamma_k (ellipticity).
-    Convention: d Op = sum_{p,q} G[p,q] dM[p,q] over all n^2 entries.
-    """
-    sm = SymmetricMatrix.from_array(M)
-    check_orders(sm.n, k, l)
-    w, Q = sm.eig()
-    if l > 0:
-        t = esym_table(w)
-        if t[k] <= 0.0 or t[l] <= 0.0:
-            raise AdmissibilityError("log S_k - log S_l needs S_k and S_l positive")
-    G = (Q * spectral_gradient(w, k, l)) @ Q.T
-    return SymmetricMatrix.from_array(G)
-
-
 def maclaurin_trace_bound(n: int, k: int) -> float:
     """Coefficient n * C(n,k)^(-1/k): lower bound on the Laplacian of a
     unit k-Hessian solution, feeding the radial comparison barrier."""
-    return n * binomial(n, k) ** (-1.0 / k)
+    return n * math.comb(n, k) ** (-1.0 / k)
 
 
 def radius_bound_coeff(n: int, k: int) -> float:

@@ -265,6 +265,52 @@ def test_mistyped_optional_params_exit_2(tmp_path, command, params):
     assert not (tmp_path / "x" / "manifest.json").exists()
 
 
+def _on_domain(kind, params):
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["params"]["problem"]["domain"] = {"type": kind, "params": params}
+    return cfg
+
+
+# values that used to reach the library untyped: a traceback (exit 1), a
+# wrong-length center taken silently, a misleading resolution error, or an
+# integer path read as a file descriptor of the process
+BAD_VALUES = [
+    (_on_domain("ellipse", {"semiaxes": [1.0, 2.0], "center": [0, 0, 0]}), "center has 3 entries"),
+    (_on_domain("ellipse", {"semiaxes": [1.0, 2.0], "center": [0]}), "center has 1 entries"),
+    (_on_domain("ellipse", {"semiaxes": ["a", 2]}), "$.params.problem.domain.params.semiaxes[0]"),
+    (_on_domain("ellipse", {"semiaxes": [1, -2]}), "$.params.problem.domain.params.semiaxes[1]"),
+    (_on_domain("polygon", {"vertices": "x"}), "$.params.problem.domain.params.vertices"),
+    (_on_domain("polygon", {"vertices": [[0, 0], [1, 0], [1]]}),
+     "$.params.problem.domain.params.vertices[2]"),
+    (_on_domain("candidate_level", {**QUAD, "level": "x"}), "$.params.problem.domain.params.level"),
+    (_on_domain("candidate_level", {"candidate": 5}), "$.params.problem.domain.params.candidate"),
+    ({"command": "analyze", "params": {"candidate": 5}}, "$.params.candidate"),
+    ({"command": "sweep", "params": {"candidate": 5}}, "$.params.candidate"),
+    ({"command": "chain_iso", "params": {"candidate": 5}}, "$.params.candidate"),
+    ({"command": "chain_volume", "params": {"domains": [{"semiaxes": [1, -1]}]}},
+     "$.params.domains[0].semiaxes[1]"),
+    ({"command": "legendre", "params": {"field": 5}}, "$.params.field"),
+    ({"command": "report", "params": {"dir": 5}}, "$.params.dir"),
+]
+
+
+@pytest.mark.parametrize(
+    "config,named",
+    BAD_VALUES,
+    ids=[
+        "center-too-long", "center-too-short", "semiaxis-string", "semiaxis-negative",
+        "vertices-string", "vertex-short", "level-string", "domain-candidate-int",
+        "analyze-candidate-int", "sweep-candidate-int", "chain_iso-candidate-int",
+        "chain_volume-semiaxis-negative", "legendre-field-int", "report-dir-int",
+    ],
+)
+def test_bad_config_values_exit_2(tmp_path, capsys, config, named):
+    assert run_cli(tmp_path, config, "x") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and named in err[0]
+    assert not (tmp_path / "x").exists()
+
+
 MISSPELLED_PARAMS = [
     ("chain_volume", {**DISK, "K": 3, "hh": 0.01}),
     ("chain_volume", {"domains": [{"semiaxes": [1.0, 1.0], "lable": "disk"}]}),
@@ -386,6 +432,8 @@ def _config_corpus():
         yield {"command": command, "params": params}
     for case in MISSPELLED_PARAMS:
         yield _misspelled_config(*getattr(case, "values", case))
+    for config, _ in BAD_VALUES:
+        yield config
     valid = [
         SOLVE_CFG, ANALYZE_CFG, SWEEP_CFG, CHAIN_ISO_CFG, CHAIN_VOLUME_CFG,
         {"command": "legendre", "seed": 0, "params": {"field": "solution.hsf1"}},
