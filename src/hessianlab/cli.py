@@ -37,8 +37,8 @@ from .functionals import Condition
 _LEVEL_GRID = {
     "t_min": {"type": "number", "exclusiveMinimum": 0},
     "t_max": {"type": "number", "exclusiveMinimum": 0},
-    "t_points": {"type": "integer", "minimum": 1},
-    "m_dirs": {"type": "integer", "minimum": 1},
+    "t_points": {"type": "integer", "minimum": 12},    # the slope fits need 12 levels
+    "m_dirs": {"type": "integer", "minimum": 3},       # 2 rays enclose no planar body
 }
 
 _NUMBERS = {"type": "array", "items": {"type": "number"}}
@@ -133,6 +133,7 @@ _PARAMS_SCHEMA = {
             "h": {"type": "number", "exclusiveMinimum": 0},
             "domains": {
                 "type": "array",
+                "minItems": 1,
                 "items": {
                     "type": "object",
                     "required": ["semiaxes"],
@@ -298,11 +299,16 @@ def problem_from_spec(spec: dict):
         level = float(dom["params"].get("level", 1.0))
         grid = fields.grid_for_candidate(cand, level, h)
         mask = fields.sample_candidate(cand, grid, level).mask
-    return solver.DirichletProblem(
+    problem = solver.DirichletProblem(
         mask=mask, k=k, l=l,
-        **_given(spec, boundary_value=float, rhs=float, min_resolution=int, tol=float,
-                 max_iters=int),
+        **_given(spec, rhs=float, min_resolution=int, tol=float, max_iters=int),
     )
+    # the schema keeps boundary_value, but the domain sets the value
+    given = float(spec.get("boundary_value", problem.boundary_value))
+    if given != problem.boundary_value:
+        raise PreconditionError(f"boundary_value {given!r} differs from the domain's "
+                                f"Dirichlet value {problem.boundary_value!r}")
+    return problem
 
 
 def _analyze_config(params: dict) -> pipeline.AnalyzeConfig:

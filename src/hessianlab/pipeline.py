@@ -68,9 +68,10 @@ class ConditionReport:
             "john_aspect_samples": [
                 [float(a), float(b)] for a, b in self.john_aspect_samples
             ],
-            "gamma_slope": self.gamma_slope,
-            "quadratic_score": self.quadratic_score,
-            "third_order_score": self.third_order_score,
+            # a NaN score is undefined; strict JSON has no NaN, so it is null
+            **{key: None if math.isnan(value) else value for key, value in (
+                ("gamma_slope", self.gamma_slope), ("quadratic_score", self.quadratic_score),
+                ("third_order_score", self.third_order_score))},
             "agreement": self.agreement,
             "errors": self.errors,
             "calibration": self.calibration,

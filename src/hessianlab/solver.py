@@ -80,15 +80,15 @@ _START_BLENDS = (0.0, 0.1, 0.25, 0.5, 0.75)   # barrier weights tried on the tra
 
 @dataclass
 class DirichletProblem:
-    """S_k/S_l (D2u) = rhs inside the mask, u = boundary_value on the cuts;
-    the mask must span min_resolution nodes along some axis. The Newton
-    iteration stops once the largest residual is at most tol, or after
-    max_iters steps."""
+    """S_k/S_l (D2u) = rhs inside the mask, u = boundary_value on its cuts,
+    read from the mask: the one value that all its cut arms carry. The mask
+    must span min_resolution nodes along some axis. Newton stops once the
+    largest residual is at most tol, or after max_iters steps."""
 
     mask: DomainMask
     k: int
     l: int = 0
-    boundary_value: float = 1.0
+    boundary_value: float = dc_field(init=False)
     rhs: float = 1.0
     min_resolution: int = 33
     tol: float = 1e-9
@@ -102,6 +102,10 @@ class DirichletProblem:
             raise PreconditionError(
                 f"domain spans fewer than {self.min_resolution} nodes across"
             )
+        cut = self.mask.bval[np.isfinite(self.mask.bval)]
+        if cut.size == 0 or cut.min() != cut.max():
+            raise PreconditionError("the mask's cut arms must carry one Dirichlet value")
+        self.boundary_value = float(cut[0])
 
 
 @dataclass
@@ -148,8 +152,8 @@ class SolveReport:
 class EllipsoidBarrier:
     """Quadratic with constant Hessian diag(1/mu_i^2)/N in the frame of the
     ellipsoid fit, mu = fit.semi / fit.R its det-1 shape, equal to the
-    problem's boundary value on the ellipsoid of radius R in that shape,
-    and normalized so the operator value is exactly the problem's rhs."""
+    mask's Dirichlet value on the ellipsoid of radius R in that shape, and
+    normalized so the operator value is exactly the problem's rhs."""
 
     fit: geometry.EllipsoidFit
     R: float
@@ -480,7 +484,7 @@ def barrier_pair_for_report(report: SolveReport):
     return upper, lower
 
 
-def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dict:
+def radius_estimate_check(report: SolveReport, fit) -> dict:
     """Observed roundness radius against the universal bound coeff * gamma.
 
     Valid for solved problems with unit boundary data and the anchored
@@ -489,10 +493,9 @@ def radius_estimate_check(report: SolveReport, fit, k: int | None = None) -> dic
     zero (the scale-invariant form).
     """
     p = report.problem
-    k = k if k is not None else p.k
     if abs(p.boundary_value - 1.0) > 1e-12:
         raise PreconditionError("radius estimate assumes unit boundary data")
-    coeff = radius_bound_coeff(p.mask.n, k)
+    coeff = radius_bound_coeff(p.mask.n, p.k)
     bound = coeff * fit.gamma
     drop = 1.0 - max(report.u_min, 0.0)
     r_norm = fit.R / math.sqrt(max(drop, 1e-300))

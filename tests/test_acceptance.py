@@ -154,7 +154,7 @@ def test_criterion_04_radius_estimate(
     details = []
     for rep in (poisson_disk_64, ma_ellipse_64, quotient_ellipse_64):
         fit = geometry.ball_fit(geometry.body_from_mask(rep.problem.mask))
-        chk = solver.radius_estimate_check(rep, fit, k=max(rep.problem.k, 1))
+        chk = solver.radius_estimate_check(rep, fit)
         ok &= chk["passed"]
         details.append(f"R={chk['R_observed']:.3f}<=C*gamma={chk['bound']:.3f}")
     _report("criterion-04 radius estimate", ok, "(" + "; ".join(details) + ")")

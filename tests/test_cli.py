@@ -7,6 +7,7 @@ import sys
 import textwrap
 
 import jsonschema
+import numpy as np
 import pytest
 
 from hessianlab import cli, fields, functionals, pipeline
@@ -291,6 +292,13 @@ BAD_VALUES = [
      "$.params.domains[0].semiaxes[1]"),
     ({"command": "legendre", "params": {"field": 5}}, "$.params.field"),
     ({"command": "report", "params": {"dir": 5}}, "$.params.dir"),
+    # the slope fits need 12 levels, a planar body 3 rays, an experiment a domain
+    ({"command": "analyze", "params": {**QUAD, "t_points": 5}}, "$.params.t_points"),
+    ({"command": "analyze", "params": {**QUAD, "m_dirs": 1}}, "$.params.m_dirs"),
+    ({"command": "chain_volume", "params": {"domains": []}}, "$.params.domains"),
+    # an ellipse carries the Dirichlet value 1
+    ({**SOLVE_CFG, "params": {"problem": {**SOLVE_CFG["params"]["problem"], "boundary_value": 2.0}}},
+     "boundary_value 2.0 differs from the domain's Dirichlet value 1.0"),
 ]
 
 
@@ -302,6 +310,8 @@ BAD_VALUES = [
         "vertices-string", "vertex-short", "level-string", "domain-candidate-int",
         "analyze-candidate-int", "sweep-candidate-int", "chain_iso-candidate-int",
         "chain_volume-semiaxis-negative", "legendre-field-int", "report-dir-int",
+        "analyze-t_points-5", "analyze-m_dirs-1", "chain_volume-no-domains",
+        "ellipse-boundary_value-2",
     ],
 )
 def test_bad_config_values_exit_2(tmp_path, capsys, config, named):
@@ -780,6 +790,25 @@ def test_legendre_command(tmp_path):
     assert meta["min_eigenvalue"] > 0
     back = fields.load_hsf1(tmp_path / "leg" / "transform.hsf1")
     assert back.mask.inside_count() == meta["nodes"]
+
+
+def test_candidate_level_solve_carries_its_level(tmp_path):
+    # det D2u = 1 on {u < 0.5} of u = x^2 + y^2/4: the solve's Dirichlet
+    # value is the level, and so are its report's and its HSF1 header's; the
+    # transform of the solution is then y'A^-1 y/2
+    cfg = json.loads(json.dumps(SOLVE_CFG))
+    cfg["params"]["problem"] = {"n": 2, "k": 2, "l": 0, "h": 1 / 32, "domain": {
+        "type": "candidate_level", "params": {**QUAD, "level": 0.5}}}
+    assert run_cli(tmp_path, cfg, "cand") == 0
+    assert json.loads((tmp_path / "cand" / "report.json").read_text())["boundary_value"] == 0.5
+    assert "level=0.5" in (tmp_path / "cand" / "solution.hsf1").read_text().splitlines()
+    leg = {"command": "legendre", "params": {"field": str(tmp_path / "cand" / "solution.hsf1")}}
+    assert run_cli(tmp_path, leg, "leg") == 0
+    assert json.loads((tmp_path / "leg" / "transform.json").read_text())["min_eigenvalue"] > 0
+    v = fields.load_hsf1(tmp_path / "leg" / "transform.hsf1")
+    Y = v.mask.inside_coords()
+    exact = 0.5 * (Y[:, 0] ** 2 / 2.0 + Y[:, 1] ** 2 / 0.5)
+    assert np.max(np.abs(v.values - exact)) <= 1e-3
 
 
 def test_report_command(tmp_path):

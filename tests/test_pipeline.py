@@ -267,3 +267,22 @@ def test_report_json_schema(tmp_path):
     assert payload["schema_version"] == pipeline.REPORT_SCHEMA_VERSION
     assert payload["calibration"]
     assert "verdicts" in payload and "quadratic_score" in payload
+
+
+def test_undefined_scores_are_written_as_json_null(tmp_path):
+    # two roundness levels leave the gamma slope undefined (NaN), and strict
+    # JSON has no NaN token
+    import json
+
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    q = candidates.quadratic(np.eye(2), name="quad:iso")
+    cfg = pipeline.AnalyzeConfig(t_points=12, m_dirs=120, gamma_points=2, t_max=1e5)
+    rep = pipeline.analyze(q, cfg)
+    assert math.isnan(rep.gamma_slope)
+    path = tmp_path / "report.json"
+    pipeline.write_report_json(rep, path)
+    payload = json.loads(path.read_text(), parse_constant=reject)
+    assert payload["gamma_slope"] is None
+    assert payload["quadratic_score"] <= 1e-10

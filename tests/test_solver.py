@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy import ndimage
 import scipy.sparse.linalg as spla
 
-from hessianlab import candidates, cli, fields, geometry, solver
+from hessianlab import candidates, cli, fields, functionals, geometry, solver
 from hessianlab.errors import NumericError, PreconditionError
 from hessianlab.symm import esym_table, matrix_esym_table
 
@@ -69,6 +69,25 @@ def test_solver_resolution_precondition():
     mask = fields.mask_from_ellipse([1.0, 1.0], h=1 / 8)
     with pytest.raises(PreconditionError, match="fewer than 33 nodes"):
         solver.DirichletProblem(mask=mask, k=1, l=0)
+
+
+def test_problem_reads_its_boundary_value_from_the_mask():
+    cand = candidates.candidate_from_spec("quad:diag(2,0.5)")
+    level = fields.sample_candidate(cand, fields.grid_for_candidate(cand, 0.5, 1 / 16), 0.5)
+    assert solver.DirichletProblem(mask=level.mask, k=2, min_resolution=5).boundary_value == 0.5
+    ellipse = fields.mask_from_ellipse([1.0, 2.0], h=1 / 24)
+    assert solver.DirichletProblem(mask=ellipse, k=2).boundary_value == 1.0
+    with pytest.raises(TypeError):
+        solver.DirichletProblem(mask=ellipse, k=2, boundary_value=2.0)
+
+
+def test_problem_on_a_mask_with_varying_cut_values_raises():
+    # the cut arms of a Legendre transform carry the transform's values there
+    cand = candidates.candidate_from_spec("quad:diag(2,0.5)")
+    field = fields.sample_candidate(cand, fields.grid_for_candidate(cand, 1.0, 1 / 16), 1.0)
+    mask = functionals.legendre_transform(field).mask
+    with pytest.raises(PreconditionError, match="one Dirichlet value"):
+        solver.DirichletProblem(mask=mask, k=2, min_resolution=5)
 
 
 def test_solver_nonconvergence_report():
